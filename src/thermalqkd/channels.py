@@ -112,20 +112,15 @@ def apply_channel(stream, params: ChannelParams, rng) -> np.ndarray:
     tap_delays = np.array([t.delay for t in params.taps], dtype=np.int64)
     tap_cr = np.array([t.amplitude * np.cos(t.phase) * amp for t in params.taps])
     tap_ci = np.array([t.amplitude * np.sin(t.phase) * amp for t in params.taps])
-    out_re, out_im = kernels.channel_combine(
-        np.ascontiguousarray(src.real), np.ascontiguousarray(src.imag),
-        amp, int(params.delay), np.cos(theta), np.sin(theta),
-        tap_delays, tap_cr, tap_ci,
-        np.ascontiguousarray(noise[:, 0]), np.ascontiguousarray(noise[:, 1]))
-    return out_re + 1j * out_im
+    return kernels.channel_combine(src, amp, int(params.delay), np.cos(theta), np.sin(theta),
+                                   tap_delays, tap_cr, tap_ci, noise)
 
 
-def eve_tap(stream, transmittance: float, rng=None):
+def eve_tap(stream, transmittance: float):
     """Split the broadcast beam: Bob keeps sqrt(T), Eve takes sqrt(1-T).
 
     The second beam-splitter port is vacuum, whose amplitude distribution is
-    a point mass at zero, so no randomness is consumed; ``rng`` is accepted
-    for interface symmetry and ignored.
+    a point mass at zero, so no randomness is consumed.
     """
     return apply_beamsplitter(np.asarray(stream, dtype=complex), 0.0, transmittance)
 

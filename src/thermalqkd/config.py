@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from numbers import Integral
 
 from .channels import ChannelParams, PhaseDriftParams, TapSpec
 from .optics import SourceParams
@@ -229,28 +230,25 @@ def save_config(cfg: ScenarioConfig, path) -> None:
         fh.write(format_config(cfg))
 
 
+def _value_text(value) -> str:
+    """File-format text of a value: integral floats are written as ints, so
+    integer fields accept the floats a numeric sweep produces."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, Integral):
+        return str(int(value))
+    v = float(value)
+    return str(int(v)) if v.is_integer() else repr(v)
+
+
 def set_config_value(cfg: ScenarioConfig, dotted_key: str, value) -> ScenarioConfig:
     """Return a copy of ``cfg`` with one dotted field replaced.
 
-    Accepts the same dotted keys as the file format, e.g.
+    Accepts the same dotted keys and values as the file format, e.g.
     ``eve_transmittance``, ``source.nbar`` or ``bob_link.drift.walk_sigma``.
+    The value goes through the parser, so unknown keys and bad values raise
+    ConfigError.
     """
-    parts = dotted_key.split(".")
-    try:
-        if len(parts) == 1:
-            conv = type(getattr(cfg, parts[0])) if getattr(cfg, parts[0], None) is not None else float
-            return dataclasses.replace(cfg, **{parts[0]: conv(value)})
-        obj = getattr(cfg, parts[0])
-        if len(parts) == 2:
-            if parts[1] == "taps":
-                new = dataclasses.replace(obj, taps=_parse_taps(value) if isinstance(value, str) else tuple(value))
-            else:
-                conv = type(getattr(obj, parts[1]))
-                new = dataclasses.replace(obj, **{parts[1]: conv(value)})
-            return dataclasses.replace(cfg, **{parts[0]: new})
-        if len(parts) == 3 and parts[1] == "drift":
-            drift = dataclasses.replace(obj.drift, **{parts[2]: float(value)})
-            return dataclasses.replace(cfg, **{parts[0]: dataclasses.replace(obj, drift=drift)})
-    except AttributeError as exc:
-        raise ConfigError([f"{dotted_key}: {exc}"]) from exc
-    raise ConfigError([f"{dotted_key}: unknown key"])
+    raw = dict(line.split(" = ", 1) for line in format_config(cfg).splitlines())
+    raw[dotted_key] = _value_text(value)
+    return config_from_dict(raw)

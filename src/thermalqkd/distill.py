@@ -35,14 +35,6 @@ class PartyRecord:
         return len(self.z)
 
 
-def amplitude(x, p):
-    """sqrt(x^2 + p^2), elementwise on arrays."""
-    xa = np.asarray(x, dtype=float)
-    pa = np.asarray(p, dtype=float)
-    z = np.sqrt(xa * xa + pa * pa)
-    return float(z) if z.ndim == 0 else z
-
-
 def median_slice(zs) -> np.ndarray:
     """Threshold at the run median: bit = 1 iff z > median(zs)."""
     z = np.asarray(zs, dtype=float)

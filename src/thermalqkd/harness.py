@@ -30,8 +30,9 @@ from .config import ScenarioConfig, format_config, set_config_value
 from .distill import (PartyRecord, advantage_distill, bit_error_rate, median_slice,
                       write_bits_packed, write_bits_text)
 from .infotheory import MetricsReport, build_report
-from .modem import (SYMBOL_PHASES, bits_to_symbols, estimate_delay_and_rotation,
-                    estimate_global_phase, quadrant_decision)
+from .modem import (SYMBOL_PHASES, AlignmentResult, bits_to_symbols,
+                    estimate_delay_and_rotation, estimate_global_phase,
+                    quadrant_decision)
 from .optics import SourceParams, apply_beamsplitter, heterodyne, sample_source_field
 
 PARTIES = ("alice", "bob", "eve")
@@ -49,13 +50,6 @@ _STREAM_NAMES = ("bits", "source", "chan_alice", "chan_bob", "chan_eve",
                  "det_alice", "det_bob", "det_eve", "distill")
 
 
-@dataclass(frozen=True)
-class PartyAlignment:
-    lag: int
-    quarter_turns: int
-    match_fraction: float
-
-
 @dataclass
 class RunArtifacts:
     """In-memory result of one scenario run."""
@@ -64,7 +58,7 @@ class RunArtifacts:
     report: MetricsReport
     parties: dict[str, PartyRecord]
     index: np.ndarray
-    alignment: dict[str, PartyAlignment]
+    alignment: dict[str, AlignmentResult]
     distilled: dict | None = None
 
     def write(self, out_dir) -> dict[str, Path]:
@@ -174,8 +168,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
         x, p = heterodyne(rx_field, DETECTION_NOISE_VAR, rngs[f"det_{name}"])
         quadratures[name] = (x, p)
         q_raw = quadrant_decision(x[:window], p[:window])
-        found = estimate_delay_and_rotation(syms[:window], q_raw, max_lag)
-        alignment[name] = PartyAlignment(found.lag, found.quarter_turns, found.match_fraction)
+        alignment[name] = found = estimate_delay_and_rotation(syms[:window], q_raw, max_lag)
         psi_by_party[name] = _segment_corrections(
             x, p, syms, found.lag, n_segments, config.coherence_len, config.pilot_len, n)
 
@@ -194,9 +187,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
         x, p = quadratures[name]
         rx_idx = index + alignment[name].lag
         angle = psi_by_party[name][segments] + fold_phase
-        xf, pf, z = kernels.demod_fold(
-            np.ascontiguousarray(x[rx_idx]), np.ascontiguousarray(p[rx_idx]),
-            np.cos(angle), np.sin(angle))
+        xf, pf, z = kernels.demod_fold(x[rx_idx], p[rx_idx], np.cos(angle), np.sin(angle))
         records[name] = PartyRecord(x=xf, p=pf, z=z, bits=median_slice(z))
 
     report = build_report(records["alice"], records["bob"], records["eve"])

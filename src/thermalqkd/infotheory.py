@@ -100,13 +100,6 @@ def g2(intensities, lag: int = 0) -> float:
     return float(np.sum(a * b) / a.size / (mean_a * mean_b))
 
 
-def gaussian_mi_from_r(r: float) -> float:
-    """Mutual information of a bivariate Gaussian pair: -log2(1 - r^2) / 2."""
-    if not abs(r) < 1:
-        raise ValueError(f"|r| must be < 1, got {r}")
-    return -0.5 * float(np.log2(1.0 - r * r))
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """Secrecy statistics for one scenario run."""

@@ -1,50 +1,29 @@
-"""Hot per-symbol kernels with a numba fast path and a pure-numpy fallback.
+"""Hot per-symbol kernels, in numpy.
 
-The active path is chosen once at import time: numba is used when it is
-importable and the environment variable ``THERMALQKD_NUMBA`` is not set to
-``0``/``false``/``off``. Both implementations consume pre-drawn random
-arrays and pre-computed trigonometry, and perform only IEEE add/mul/sqrt in
-the same order, so they produce bit-identical outputs. ``benchmarks/
-bench_kernels.py`` times one path against the other.
+Each kernel consumes pre-drawn random arrays and pre-computed trigonometry
+and performs only IEEE add/mul/sqrt in a fixed order, so its output for a
+given input is fixed byte for byte.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _flag_enabled() -> bool:
-    val = os.environ.get("THERMALQKD_NUMBA", "1").strip().lower()
-    return val not in ("0", "false", "off", "no")
-
-
-NUMBA_AVAILABLE = False
-if _flag_enabled():
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:  # pragma: no cover - depends on environment
-        NUMBA_AVAILABLE = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-def channel_combine_np(src_re, src_im, amp, delay, cos_t, sin_t,
-                       tap_delays, tap_cr, tap_ci, noise_re, noise_im):
-    """Delayed, phase-rotated, tap-echoed copy of ``src`` plus noise.
+def channel_combine(src, amp, delay, cos_t, sin_t, tap_delays, tap_cr, tap_ci, noise):
+    """Delayed, phase-rotated, tap-echoed copy of the complex ``src`` plus noise.
 
     out[t] = amp*e^{i*theta(t)}*src[t-delay]
              + sum_k (tap_cr[k]+i*tap_ci[k])*src[t-delay-tap_delays[k]]
-             + noise[t]
-    Out-of-range history reads as zero amplitude.
+             + noise[t, 0] + i*noise[t, 1]
+    Out-of-range history reads as zero amplitude. The arithmetic is split
+    into real and imaginary parts, done on views of ``src`` and of the
+    complex128 result.
     """
-    n = src_re.shape[0]
-    out_re = np.zeros(n)
-    out_im = np.zeros(n)
+    n = src.shape[0]
+    out = np.zeros(n, dtype=complex)
+    src_re, src_im = src.real, src.imag
+    out_re, out_im = out.real, out.imag
     if delay < n:
         m = n - delay
         c = cos_t[delay:]
@@ -58,12 +37,12 @@ def channel_combine_np(src_re, src_im, amp, delay, cos_t, sin_t,
         m = n - off
         out_re[off:] += tap_cr[k] * src_re[:m] - tap_ci[k] * src_im[:m]
         out_im[off:] += tap_cr[k] * src_im[:m] + tap_ci[k] * src_re[:m]
-    out_re += noise_re
-    out_im += noise_im
-    return out_re, out_im
+    out_re += noise[:, 0]
+    out_im += noise[:, 1]
+    return out
 
 
-def demod_fold_np(x, p, cos_a, sin_a):
+def demod_fold(x, p, cos_a, sin_a):
     """Rotate (x, p) by -psi where (cos_a, sin_a) = (cos psi, sin psi).
 
     Returns the rotated pair plus the amplitude sqrt(x'^2 + p'^2).
@@ -74,7 +53,7 @@ def demod_fold_np(x, p, cos_a, sin_a):
     return xr, pr, z
 
 
-def distill_scan_np(a_bits, b_bits, r_bits, block):
+def distill_scan(a_bits, b_bits, r_bits, block):
     """Repetition-code advantage-distillation scan over fixed-size blocks.
 
     A block is accepted when a XOR b is constant across it; the decoded pair
@@ -87,79 +66,3 @@ def distill_scan_np(a_bits, b_bits, r_bits, block):
     a_kept = r_bits[accept]
     b_kept = (d[accept, 0] ^ r_bits[accept])
     return a_kept, b_kept, int(accept.sum())
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, nogil=True)
-    def _channel_combine_nb(src_re, src_im, amp, delay, cos_t, sin_t,
-                            tap_delays, tap_cr, tap_ci, noise_re, noise_im):
-        n = src_re.shape[0]
-        out_re = np.empty(n)
-        out_im = np.empty(n)
-        n_taps = tap_delays.shape[0]
-        for t in range(n):
-            j = t - delay
-            if j >= 0:
-                c = cos_t[t]
-                s = sin_t[t]
-                o_re = amp * (c * src_re[j] - s * src_im[j])
-                o_im = amp * (s * src_re[j] + c * src_im[j])
-            else:
-                o_re = 0.0
-                o_im = 0.0
-            for k in range(n_taps):
-                j2 = j - tap_delays[k]
-                if j2 >= 0:
-                    o_re += tap_cr[k] * src_re[j2] - tap_ci[k] * src_im[j2]
-                    o_im += tap_cr[k] * src_im[j2] + tap_ci[k] * src_re[j2]
-            out_re[t] = o_re + noise_re[t]
-            out_im[t] = o_im + noise_im[t]
-        return out_re, out_im
-
-    @njit(cache=True, nogil=True)
-    def _demod_fold_nb(x, p, cos_a, sin_a):
-        n = x.shape[0]
-        xr = np.empty(n)
-        pr = np.empty(n)
-        z = np.empty(n)
-        for t in range(n):
-            a = x[t] * cos_a[t] + p[t] * sin_a[t]
-            b = p[t] * cos_a[t] - x[t] * sin_a[t]
-            xr[t] = a
-            pr[t] = b
-            z[t] = np.sqrt(a * a + b * b)
-        return xr, pr, z
-
-    @njit(cache=True, nogil=True)
-    def _distill_scan_nb(a_bits, b_bits, r_bits, block):
-        n_blocks = r_bits.shape[0]
-        a_kept = np.empty(n_blocks, dtype=np.uint8)
-        b_kept = np.empty(n_blocks, dtype=np.uint8)
-        kept = 0
-        for j in range(n_blocks):
-            base = j * block
-            d0 = a_bits[base] ^ b_bits[base]
-            ok = True
-            for i in range(1, block):
-                if (a_bits[base + i] ^ b_bits[base + i]) != d0:
-                    ok = False
-                    break
-            if ok:
-                a_kept[kept] = r_bits[j]
-                b_kept[kept] = d0 ^ r_bits[j]
-                kept += 1
-        return a_kept[:kept].copy(), b_kept[:kept].copy(), kept
-
-    channel_combine = _channel_combine_nb
-    demod_fold = _demod_fold_nb
-    distill_scan = _distill_scan_nb
-else:
-    channel_combine = channel_combine_np
-    demod_fold = demod_fold_np
-    distill_scan = distill_scan_np
-
-ACTIVE_PATH = "numba" if NUMBA_AVAILABLE else "numpy"

@@ -23,12 +23,8 @@ _PHASE_SIN = np.sin(SYMBOL_PHASES)
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    lag: int
-    match_fraction: float
+    """Best lag, quarter-turn relabeling and their symbol-match fraction."""
 
-
-@dataclass(frozen=True)
-class RotatedAlignment:
     lag: int
     quarter_turns: int
     match_fraction: float
@@ -50,13 +46,6 @@ def symbols_to_bits(symbols) -> np.ndarray:
     return _GRAY_DECODE[s].ravel()
 
 
-def symbol_phase(symbol: int) -> float:
-    """Cluster phase pi/4 + symbol*pi/2."""
-    if symbol not in (0, 1, 2, 3):
-        raise ValueError(f"symbol must be in 0..3, got {symbol}")
-    return float(SYMBOL_PHASES[symbol])
-
-
 def quadrant_decision(x, p):
     """Symbol whose quadrant contains (x, p); axis ties go to the positive side."""
     xn = np.asarray(x) < 0
@@ -67,33 +56,23 @@ def quadrant_decision(x, p):
     return sym
 
 
-def derotate(x, p, symbol):
-    """Rotate (x, p) by -symbol_phase(symbol), folding clusters onto phase 0."""
-    s = _check_symbols(symbol)
-    c = _PHASE_COS[s]
-    sn = _PHASE_SIN[s]
-    xr = x * c + p * sn
-    pr = p * c - x * sn
-    if np.ndim(s) == 0 and np.ndim(x) == 0:
-        return float(xr), float(pr)
-    return xr, pr
-
-
 def estimate_delay(ref_symbols, rx_symbols, max_lag: int) -> AlignmentResult:
     """Lag in [-max_lag, max_lag] maximizing the exact symbol-match fraction.
 
     Lag L means rx[t] lines up with ref[t - L]. Ties resolve toward the
-    smallest |lag|, then toward the positive lag.
+    smallest |lag|, then toward the positive lag. No relabeling is searched,
+    so ``quarter_turns`` is 0.
     """
     ref, rx = _alignment_inputs(ref_symbols, rx_symbols, max_lag)
     lags, counts, overlap = _match_counts(ref, rx, max_lag)
     frac = counts[0] / overlap
     order = np.lexsort((lags < 0, np.abs(lags)))
     best = order[int(np.argmax(frac[order]))]
-    return AlignmentResult(lag=int(lags[best]), match_fraction=float(frac[best]))
+    return AlignmentResult(lag=int(lags[best]), quarter_turns=0,
+                           match_fraction=float(frac[best]))
 
 
-def estimate_delay_and_rotation(ref_symbols, rx_symbols, max_lag: int) -> RotatedAlignment:
+def estimate_delay_and_rotation(ref_symbols, rx_symbols, max_lag: int) -> AlignmentResult:
     """Joint search over lags and quarter-turn relabelings.
 
     Returns the (lag, k) maximizing the fraction of positions where
@@ -108,8 +87,8 @@ def estimate_delay_and_rotation(ref_symbols, rx_symbols, max_lag: int) -> Rotate
     best = int(np.argmax(flat))
     lag_i, k = divmod(best, 4)
     idx = order[lag_i]
-    return RotatedAlignment(lag=int(lags[idx]), quarter_turns=int(k),
-                            match_fraction=float(frac[k, idx]))
+    return AlignmentResult(lag=int(lags[idx]), quarter_turns=int(k),
+                           match_fraction=float(frac[k, idx]))
 
 
 def estimate_global_phase(pilot_x, pilot_y, pilot_symbols) -> float:

@@ -1,4 +1,4 @@
-"""Displaced-thermal field sampling and Gaussian-mode bookkeeping.
+"""Displaced-thermal field sampling, beam splitting and heterodyne detection.
 
 Conventions (shot-noise units): the vacuum state has identity covariance,
 a thermal state with mean photon number ``nbar`` has covariance
@@ -34,36 +34,6 @@ class SourceParams:
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")
         if not (np.isfinite(self.d0) and self.d0 >= 0):
             raise ValueError(f"d0 must be >= 0, got {self.d0}")
-
-
-@dataclass(frozen=True)
-class GaussianMode:
-    """Single-mode Gaussian state: mean vector and 2x2 covariance."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        if mean.shape != (2,) or cov.shape != (2, 2):
-            raise ValueError("mean must be length 2 and covariance 2x2")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        eigs = np.linalg.eigvalsh(cov)
-        if eigs.min() <= 0:
-            raise ValueError("covariance must be positive definite")
-        if np.linalg.det(cov) < 1 - 1e-9:
-            raise ValueError("det(covariance) must be >= 1 in vacuum units")
-
-
-def make_thermal(nbar: float) -> GaussianMode:
-    """Thermal state of mean photon number ``nbar``: zero mean, (2n+1)I."""
-    if not (np.isfinite(nbar) and nbar >= 0):
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    return GaussianMode(np.zeros(2), (2.0 * nbar + 1.0) * np.eye(2))
 
 
 def sample_source_field(params: SourceParams, symbol_phase, rng):

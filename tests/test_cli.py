@@ -76,6 +76,21 @@ def test_sweep_prints_without_out(config_file, capsys):
     assert capsys.readouterr().out.startswith("eve_transmittance,")
 
 
+@pytest.mark.parametrize("param, start, stop, step, code, field", [
+    ("source.nbar", "-1", "0", "1", 1, "nbar"),
+    ("bob_link.drift.nope", "0", "1", "1", 1, "bob_link.drift.nope"),
+    ("bob_link.delay", "2.5", "2.5", "1", 1, "bob_link.delay"),
+    ("ad_block", "2", "3", "1", 0, None),
+], ids=["negative-nbar", "unknown-key", "fractional-delay", "int-ad-block"])
+def test_sweep_values_checked_per_field(config_file, capsys, param, start, stop, step,
+                                        code, field):
+    assert main(["sweep", param, start, stop, step, "--config", str(config_file)]) == code
+    err = capsys.readouterr().err
+    assert "runtime failure" not in err
+    if field is not None:
+        assert field in err
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from thermalqkd.config import (ConfigError, format_config, parse_config,
@@ -95,6 +96,16 @@ def test_set_config_value_paths():
     assert got.eve_link.drift.walk_sigma == 3e-3
     got = set_config_value(cfg, "alice_link.taps", "4:0.1:0.2")
     assert got.alice_link.taps[0].delay == 4
+    assert set_config_value(cfg, "source.nbar", np.float64(0.45)).source.nbar == 0.45
+    # integer fields keep int type, and accept the integral floats a sweep passes
+    no_ad = waveguide_scenario(seed=1, n_symbols=10_000, ad_block=None)
+    for value in (3, 3.0):
+        got = set_config_value(no_ad, "ad_block", value)
+        assert got.ad_block == 3 and type(got.ad_block) is int
+        assert parse_config(format_config(got)) == got
+    assert set_config_value(cfg, "bob_link.delay", 2.0).bob_link.delay == 2
+    with pytest.raises(ConfigError, match="bob_link.delay"):
+        set_config_value(cfg, "bob_link.delay", 2.7)
     with pytest.raises(ConfigError):
         set_config_value(cfg, "bob_link.nonsense", 1)
     with pytest.raises(ConfigError):

@@ -1,25 +1,9 @@
 import numpy as np
 import pytest
 
-from thermalqkd.distill import (PartyRecord, advantage_distill, amplitude,
-                                bit_error_rate, median_slice, read_bits_packed,
-                                read_bits_text, write_bits_packed, write_bits_text)
-from thermalqkd.modem import derotate
-
-
-def test_amplitude_examples():
-    assert amplitude(3.0, 4.0) == 5.0
-    assert amplitude(0.0, 0.0) == 0.0
-    assert amplitude(1.0, 1.0) == pytest.approx(1.41421356237309505, abs=1e-12)
-
-
-def test_amplitude_is_rotation_invariant():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=500)
-    p = rng.normal(size=500)
-    s = rng.integers(0, 4, 500)
-    xr, pr = derotate(x, p, s)
-    np.testing.assert_allclose(amplitude(xr, pr), amplitude(x, p), rtol=1e-12)
+from thermalqkd.distill import (PartyRecord, advantage_distill, bit_error_rate,
+                                median_slice, read_bits_packed, read_bits_text,
+                                write_bits_packed, write_bits_text)
 
 
 def test_median_slice_examples():

@@ -7,8 +7,7 @@ import pytest
 from thermalqkd.distill import PartyRecord
 from thermalqkd.infotheory import (MetricsReport, build_report,
                                    conditional_mutual_information, entropy, g2,
-                                   gaussian_mi_from_r, joint_counts,
-                                   mutual_information, pearson_r)
+                                   joint_counts, mutual_information, pearson_r)
 
 
 def test_joint_counts_small_cases():
@@ -135,16 +134,6 @@ def test_g2_coherent_limit():
     field = (d0 + rng.normal(0, math.sqrt(nbar), 10 ** 6)
              + 1j * rng.normal(0, math.sqrt(nbar), 10 ** 6))
     assert g2(np.abs(field) ** 2, 0) == pytest.approx(1.0, abs=0.02)
-
-
-def test_gaussian_mi_from_r():
-    assert gaussian_mi_from_r(0.0) == 0.0
-    expect = -0.5 * math.log2(1.0 - 0.9264 ** 2)
-    assert expect == pytest.approx(1.40912156314109, abs=1e-11)
-    assert gaussian_mi_from_r(0.9264) == pytest.approx(expect, abs=1e-12)
-    assert gaussian_mi_from_r(0.5) == gaussian_mi_from_r(-0.5)
-    with pytest.raises(ValueError):
-        gaussian_mi_from_r(1.0)
 
 
 def test_deterministic_postprocessing_preserves_mi():

@@ -1,60 +1,46 @@
-"""The numba fast path and the numpy fallback must agree bit for bit."""
+"""The numpy kernels against scalar per-element references."""
 
 import numpy as np
-import pytest
 
 from thermalqkd import kernels
 
 
 def _channel_case(rng, n, n_taps, delay):
-    src_re = rng.normal(size=n)
-    src_im = rng.normal(size=n)
+    src = rng.normal(size=n) + 1j * rng.normal(size=n)
     theta = rng.normal(size=n)
     taps = rng.integers(1, 9, n_taps).astype(np.int64)
-    return dict(src_re=src_re, src_im=src_im, amp=0.7, delay=delay,
+    return dict(src=src, amp=0.7, delay=delay,
                 cos_t=np.cos(theta), sin_t=np.sin(theta),
                 tap_delays=taps, tap_cr=rng.normal(size=n_taps) * 0.1,
                 tap_ci=rng.normal(size=n_taps) * 0.1,
-                noise_re=rng.normal(size=n), noise_im=rng.normal(size=n))
+                noise=rng.normal(size=(n, 2)))
 
 
-def _channel_reference(src_re, src_im, amp, delay, cos_t, sin_t,
-                       tap_delays, tap_cr, tap_ci, noise_re, noise_im):
-    """Scalar per-element reference, independent of both fast paths."""
-    n = src_re.size
+def _channel_reference(src, amp, delay, cos_t, sin_t, tap_delays, tap_cr, tap_ci, noise):
+    """Scalar per-element reference, independent of the vectorised kernel."""
+    n = src.size
     out = np.zeros(n, dtype=complex)
     for t in range(n):
         j = t - delay
         acc = 0.0 + 0.0j
         if j >= 0:
             rot = complex(cos_t[t], sin_t[t])
-            acc += amp * rot * complex(src_re[j], src_im[j])
+            acc += amp * rot * src[j]
         for k in range(tap_delays.size):
             j2 = j - tap_delays[k]
             if j2 >= 0:
-                acc += complex(tap_cr[k], tap_ci[k]) * complex(src_re[j2], src_im[j2])
-        out[t] = acc + complex(noise_re[t], noise_im[t])
+                acc += complex(tap_cr[k], tap_ci[k]) * src[j2]
+        out[t] = acc + complex(noise[t, 0], noise[t, 1])
     return out
 
 
 def test_channel_combine_matches_reference():
     rng = np.random.default_rng(0)
-    for delay, n_taps in ((0, 0), (3, 1), (5, 3), (40, 2)):
+    for delay, n_taps in ((0, 0), (3, 1), (5, 3), (40, 2), (250, 1)):
         case = _channel_case(rng, 200, n_taps, delay)
-        out_re, out_im = kernels.channel_combine_np(**case)
-        expect = _channel_reference(**case)
-        np.testing.assert_allclose(out_re + 1j * out_im, expect, atol=1e-12)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not available")
-def test_channel_combine_paths_bit_identical():
-    rng = np.random.default_rng(1)
-    for delay, n_taps in ((0, 0), (2, 1), (7, 3), (250, 2), (500, 1)):
-        case = _channel_case(rng, 400, n_taps, delay)
-        np_re, np_im = kernels.channel_combine_np(**case)
-        nb_re, nb_im = kernels._channel_combine_nb(**case)
-        assert np.array_equal(np_re, nb_re)
-        assert np.array_equal(np_im, nb_im)
+        out = kernels.channel_combine(**case)
+        assert out.dtype == np.complex128
+        np.testing.assert_allclose(out, _channel_reference(**case), atol=1e-12)
 
 
 def test_demod_fold_matches_rotation():
@@ -62,22 +48,10 @@ def test_demod_fold_matches_rotation():
     x = rng.normal(size=300)
     p = rng.normal(size=300)
     angle = rng.uniform(-np.pi, np.pi, 300)
-    xr, pr, z = kernels.demod_fold_np(x, p, np.cos(angle), np.sin(angle))
+    xr, pr, z = kernels.demod_fold(x, p, np.cos(angle), np.sin(angle))
     expect = (x + 1j * p) * np.exp(-1j * angle)
     np.testing.assert_allclose(xr + 1j * pr, expect, atol=1e-12)
     np.testing.assert_allclose(z, np.abs(expect), atol=1e-12)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not available")
-def test_demod_fold_paths_bit_identical():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=5000)
-    p = rng.normal(size=5000)
-    angle = rng.uniform(-np.pi, np.pi, 5000)
-    np_out = kernels.demod_fold_np(x, p, np.cos(angle), np.sin(angle))
-    nb_out = kernels._demod_fold_nb(x, p, np.cos(angle), np.sin(angle))
-    for a, b in zip(np_out, nb_out):
-        assert np.array_equal(a, b)
 
 
 def _distill_reference(a, b, r, block):
@@ -101,29 +75,8 @@ def test_distill_scan_matches_reference():
         a = rng.integers(0, 2, n, dtype=np.uint8)
         b = rng.integers(0, 2, n, dtype=np.uint8)
         r = rng.integers(0, 2, n // block, dtype=np.uint8)
-        got = kernels.distill_scan_np(a, b, r, block)
+        got = kernels.distill_scan(a, b, r, block)
         expect = _distill_reference(a, b, r, block)
         assert np.array_equal(got[0], expect[0])
         assert np.array_equal(got[1], expect[1])
         assert got[2] == expect[2]
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not available")
-def test_distill_scan_paths_identical():
-    rng = np.random.default_rng(5)
-    for block in (2, 3, 4):
-        n = 3000 * block
-        a = rng.integers(0, 2, n, dtype=np.uint8)
-        b = a ^ (rng.random(n) < 0.2).astype(np.uint8)
-        r = rng.integers(0, 2, n // block, dtype=np.uint8)
-        np_out = kernels.distill_scan_np(a, b, r, block)
-        nb_out = kernels._distill_scan_nb(a, b, r, block)
-        assert np.array_equal(np_out[0], nb_out[0])
-        assert np.array_equal(np_out[1], nb_out[1])
-        assert np_out[2] == nb_out[2]
-
-
-def test_active_path_is_reported():
-    assert kernels.ACTIVE_PATH in ("numba", "numpy")
-    if kernels.NUMBA_AVAILABLE:
-        assert kernels.ACTIVE_PATH == "numba"

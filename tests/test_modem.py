@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from thermalqkd.modem import (bits_to_symbols, derotate, estimate_delay,
+from thermalqkd.modem import (SYMBOL_PHASES, bits_to_symbols, estimate_delay,
                               estimate_delay_and_rotation, estimate_global_phase,
-                              quadrant_decision, symbol_phase, symbols_to_bits)
+                              quadrant_decision, symbols_to_bits)
 
 
 def test_gray_mapping_examples():
@@ -28,14 +28,6 @@ def test_gray_adjacency():
         assert int(np.sum(a != b)) == 1
 
 
-def test_symbol_phases():
-    assert symbol_phase(0) == pytest.approx(np.pi / 4)
-    assert symbol_phase(2) == pytest.approx(5 * np.pi / 4)
-    assert symbol_phase(3) == pytest.approx(7 * np.pi / 4)
-    with pytest.raises(ValueError):
-        symbol_phase(4)
-
-
 def test_quadrant_decision():
     assert quadrant_decision(1.0, 1.0) == 0
     assert quadrant_decision(-2.0, 0.5) == 1
@@ -48,30 +40,10 @@ def test_quadrant_decision():
     assert quadrant_decision(0.0, 0.0) == 0
 
 
-def test_derotate_examples():
-    x, p = derotate(0.0, 1.0, 1)
-    assert x == pytest.approx(0.70710678118654752, abs=1e-12)
-    assert p == pytest.approx(-0.70710678118654752, abs=1e-12)
-    x, p = derotate(1.0, 1.0, 0)
-    assert x == pytest.approx(1.41421356237309505, abs=1e-12)
-    assert p == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        derotate(1.0, 1.0, 5)
-
-
-def test_derotate_is_isometry():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=200)
-    p = rng.normal(size=200)
-    s = rng.integers(0, 4, 200)
-    xr, pr = derotate(x, p, s)
-    np.testing.assert_allclose(np.hypot(xr, pr), np.hypot(x, p), rtol=1e-12)
-
-
 def test_fold_then_unfold_recovers_quadrant():
     # a folded (phase-0) point sent back to cluster s lands in quadrant s
     for s in range(4):
-        phi = symbol_phase(s)
+        phi = SYMBOL_PHASES[s]
         x = 1.3 * np.cos(phi) - 0.2 * np.sin(phi)
         p = 1.3 * np.sin(phi) + 0.2 * np.cos(phi)
         assert quadrant_decision(x, p) == s

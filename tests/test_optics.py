@@ -3,34 +3,15 @@ import pytest
 
 from thermalqkd.channels import eve_tap
 from thermalqkd.infotheory import g2
-from thermalqkd.optics import (GaussianMode, SourceParams, apply_beamsplitter,
-                               heterodyne, joint_covariance_oracle, make_thermal,
-                               sample_source_field)
+from thermalqkd.optics import (SourceParams, apply_beamsplitter, heterodyne,
+                               joint_covariance_oracle, sample_source_field)
 
 
-def test_make_thermal_covariances():
-    assert np.array_equal(make_thermal(0.0).covariance, np.eye(2))
-    assert np.array_equal(make_thermal(1.0).covariance, 3.0 * np.eye(2))
-    assert np.array_equal(make_thermal(0.5).covariance, 2.0 * np.eye(2))
-    assert np.array_equal(make_thermal(2.0).mean, np.zeros(2))
-
-
-def test_make_thermal_rejects_negative():
-    with pytest.raises(ValueError):
-        make_thermal(-0.1)
+def test_source_params_rejects_negative():
     with pytest.raises(ValueError):
         SourceParams(nbar=-1.0, d0=0.0)
     with pytest.raises(ValueError):
         SourceParams(nbar=1.0, d0=-2.0)
-
-
-def test_gaussian_mode_invariants():
-    with pytest.raises(ValueError):
-        GaussianMode(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        GaussianMode(np.zeros(2), 0.5 * np.eye(2))  # det < 1 violates uncertainty
-    with pytest.raises(ValueError):
-        GaussianMode(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_source_field_noiseless_is_pure_displacement():
