@@ -1,8 +1,7 @@
 """Monte Carlo simulator for central-broadcast QKD with displaced thermal states."""
 
 from .channels import (ChannelParams, PhaseDriftParams, TapSpec, apply_channel,
-                       eve_tap, make_freespace_preset, make_waveguide_preset,
-                       sample_phase_walk)
+                       make_freespace_preset, make_waveguide_preset, sample_phase_walk)
 from .config import (ConfigError, ScenarioConfig, format_config, load_config,
                      parse_config, save_config, set_config_value)
 from .distill import PartyRecord, advantage_distill, bit_error_rate, median_slice

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .optics import apply_beamsplitter
 
 
 @dataclass(frozen=True)
@@ -114,15 +113,6 @@ def apply_channel(stream, params: ChannelParams, rng) -> np.ndarray:
     tap_ci = np.array([t.amplitude * np.sin(t.phase) * amp for t in params.taps])
     return kernels.channel_combine(src, amp, int(params.delay), np.cos(theta), np.sin(theta),
                                    tap_delays, tap_cr, tap_ci, noise)
-
-
-def eve_tap(stream, transmittance: float):
-    """Split the broadcast beam: Bob keeps sqrt(T), Eve takes sqrt(1-T).
-
-    The second beam-splitter port is vacuum, whose amplitude distribution is
-    a point mass at zero, so no randomness is consumed.
-    """
-    return apply_beamsplitter(np.asarray(stream, dtype=complex), 0.0, transmittance)
 
 
 def make_waveguide_preset(**overrides) -> ChannelParams:

@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: ``run`` a scenario config, ``calibrate`` a named preset,
-``sweep`` one parameter, ``selftest`` the invariant suite. Exit codes:
-0 success, 1 usage or validation error, 2 runtime failure. The default
-output directory comes from ``THERMALQKD_OUT`` (falling back to ./runs).
+``sweep`` one parameter, ``selftest`` the acceptance criteria that need no
+calibration (1-4 and 7-9, about 11 s). Exit codes: 0 success, 1 usage or
+validation error (including an empty or non-finite sweep grid and
+``--jobs`` below 1), 2 runtime failure or a failed selftest criterion. The
+default output directory comes from ``THERMALQKD_OUT`` (falling back to
+./runs).
 """
 
 from __future__ import annotations
@@ -61,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="output CSV path")
     p_sweep.add_argument("--jobs", type=int, default=1)
 
-    p_self = sub.add_parser("selftest", help="run the invariant suite")
-    p_self.add_argument("--full", action="store_true", help="larger sample sizes")
+    sub.add_parser("selftest", help="run acceptance criteria 1-4 and 7-9")
     return parser
 
 
@@ -130,7 +132,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
-    return run_selftest(full=args.full)
+    return run_selftest()
 
 
 def main(argv=None) -> int:

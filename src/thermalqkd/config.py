@@ -68,9 +68,9 @@ class ScenarioConfig:
             problems.append(f"eve_transmittance: must be in [0, 1], got {self.eve_transmittance}")
         if self.pilot_len < 16:
             problems.append(f"pilot_len: must be >= 16, got {self.pilot_len}")
-        if self.coherence_len < self.pilot_len:
+        if self.coherence_len <= self.pilot_len:
             problems.append(
-                f"coherence_len: must be >= pilot_len, got {self.coherence_len} < {self.pilot_len}")
+                f"coherence_len: must be > pilot_len, got {self.coherence_len} <= {self.pilot_len}")
         if self.ad_block is not None and self.ad_block < 2:
             problems.append(f"ad_block: must be >= 2 or absent, got {self.ad_block}")
         for name in _LINKS:

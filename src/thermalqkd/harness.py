@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .channels import (TapSpec, apply_channel, eve_tap, make_freespace_preset,
+from .channels import (TapSpec, apply_channel, make_freespace_preset,
                        make_waveguide_preset)
-from .config import ScenarioConfig, format_config, set_config_value
+from .config import ConfigError, ScenarioConfig, format_config, set_config_value
 from .distill import (PartyRecord, advantage_distill, bit_error_rate, median_slice,
                       write_bits_packed, write_bits_text)
 from .infotheory import MetricsReport, build_report
@@ -118,6 +119,14 @@ def derive_trial_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
+def _pool_map(fn, items, jobs: int) -> list:
+    """``fn`` over ``items`` on ``jobs`` threads; results in input order."""
+    if jobs < 1:
+        raise ConfigError([f"jobs: must be >= 1, got {jobs}"])
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def _segment_corrections(x, p, syms, lag, n_segments, coherence_len, pilot_len, n):
     """Per-segment correction angle: folded pilot phase plus k*pi/2 from pilots."""
     psi = np.zeros(n_segments)
@@ -151,7 +160,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     field = sample_source_field(config.source, SYMBOL_PHASES[syms], rngs["source"])
 
     alice_in, broadcast = apply_beamsplitter(field, 0.0, 0.5)
-    bob_in, eve_in = eve_tap(broadcast, config.eve_transmittance)
+    bob_in, eve_in = apply_beamsplitter(broadcast, 0.0, config.eve_transmittance)
     inputs = {"alice": alice_in, "bob": bob_in, "eve": eve_in}
 
     links = {"alice": config.alice_link, "bob": config.bob_link, "eve": config.eve_link}
@@ -339,11 +348,7 @@ def calibrate_preset(target, targets: dict | None = None, search: dict | None = 
         return cfg, achieved, objective
 
     points = list(itertools.product(*grids))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(evaluate, points))
-    else:
-        results = [evaluate(pt) for pt in points]
+    results = _pool_map(evaluate, points, jobs)
 
     table = [(pt, achieved, objective) for pt, (_, achieved, objective) in zip(points, results)]
     best_i = min(range(len(results)), key=lambda i: results[i][2])
@@ -386,12 +391,7 @@ def sweep(base: ScenarioConfig, param: str, values, jobs: int = 1):
         cfg = dataclasses.replace(cfg, seed=derive_trial_seed(base.seed, i))
         return run_scenario(cfg).report
 
-    items = list(enumerate(values))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, items))
-    else:
-        reports = [one(item) for item in items]
+    reports = _pool_map(one, list(enumerate(values)), jobs)
     return list(zip(values, reports))
 
 
@@ -407,8 +407,17 @@ def sweep_csv(rows, param: str) -> str:
 
 
 def sweep_values(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive arithmetic grid: start, start+step, ..., stop."""
+    """Inclusive arithmetic grid: start, start+step, ..., stop.
+
+    Raises ConfigError naming the field when a bound or the step is not
+    finite, the step is not positive, or ``stop < start`` (an empty grid).
+    """
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ConfigError([f"{name}: must be finite, got {value}"])
     if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+        raise ConfigError([f"step: must be > 0, got {step}"])
+    if stop < start:
+        raise ConfigError([f"stop: must be >= start, got {stop} < {start}"])
     count = int(round((stop - start) / step)) + 1
-    return [start + i * step for i in range(max(count, 1)) if start + i * step <= stop + 1e-12]
+    return [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]

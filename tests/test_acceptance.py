@@ -1,134 +1,37 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and measured values.
+Criteria 1-4 and 7-9 live in ``thermalqkd.selftest``, which ``thermalqkd
+selftest`` also runs; criteria 5 and 6 calibrate a preset first and live
+here. Run with ``pytest tests/test_acceptance.py -v -s`` to see the
+per-criterion lines and measured values.
 """
 
 import dataclasses
-import math
-import time
 
 import numpy as np
-import pytest
 
-from thermalqkd.channels import eve_tap
-from thermalqkd.distill import advantage_distill, bit_error_rate
-from thermalqkd.harness import (calibrate_preset, freespace_scenario,
-                                run_scenario, sweep, sweep_csv,
-                                waveguide_scenario)
-from thermalqkd.infotheory import (conditional_mutual_information, g2,
-                                   joint_counts, mutual_information)
-from thermalqkd.modem import estimate_delay
-from thermalqkd.optics import (SourceParams, apply_beamsplitter, heterodyne,
-                               joint_covariance_oracle, sample_source_field)
-
-
-def _line(criterion, ok, detail):
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
-    return ok
+from thermalqkd.harness import calibrate_preset, run_scenario
+from thermalqkd.selftest import CRITERIA, run_check
 
 
 def test_criterion_1_hbt_thermal_source():
-    start = time.perf_counter()
-    rng = np.random.default_rng(108)
-    field = sample_source_field(SourceParams(nbar=5.0, d0=0.0), np.zeros(10 ** 6), rng)
-    x, p = heterodyne(field, 1.0, rng)
-    intensity = x * x + p * p
-    g2_zero = g2(intensity, 0)
-    g2_far = g2(intensity, 1000)
-    elapsed = time.perf_counter() - start
-    ok = abs(g2_zero - 2.0) < 0.05 and abs(g2_far - 1.0) < 0.05 and elapsed < 10
-    assert _line("1a (thermal bunching)", ok,
-                 f"g2(0)={g2_zero:.4f} (want 2.00+-0.05), "
-                 f"g2(1000)={g2_far:.4f} (want 1.00+-0.05), {elapsed:.1f}s")
+    assert run_check(*CRITERIA["1a"])
 
 
 def test_criterion_1_hbt_displaced_source():
-    # Stated bar: a coherent amplitude |alpha0| = 10*sqrt(nbar) must give
-    # g2(0) = 1.00 +- 0.02. The criterion sets |alpha0| against sqrt(nbar),
-    # so it counts coherent photons |alpha0|^2 on the same footing as the
-    # thermal photon number nbar. SourceParams.d0 is in field units (README
-    # "Conventions"), where the coherent photon number is d0^2/2, so
-    # d0 = sqrt(2)*|alpha0|. The analytic value is then
-    # 1 + (2*|alpha0|^2*nbar + nbar^2) / (|alpha0|^2 + nbar)^2 = 1.0197.
-    start = time.perf_counter()
-    rng = np.random.default_rng(109)
-    nbar = 5.0
-    d0 = math.sqrt(2) * 10 * math.sqrt(nbar)
-    field = sample_source_field(SourceParams(nbar=nbar, d0=d0), np.zeros(10 ** 6), rng)
-    g2_zero = g2(np.abs(field) ** 2, 0)
-    elapsed = time.perf_counter() - start
-    ok = abs(g2_zero - 1.0) < 0.02 and elapsed < 10
-    assert _line("1b (displaced, |alpha0|=10*sqrt(nbar))", ok,
-                 f"g2(0)={g2_zero:.4f} (want 1.00+-0.02; analytic value 1.0197), "
-                 f"{elapsed:.1f}s")
+    assert run_check(*CRITERIA["1b"])
 
 
 def test_criterion_2_sampler_matches_oracle():
-    start = time.perf_counter()
-    rng = np.random.default_rng(202)
-    n = 10 ** 6
-    worst = 0.0
-    for _ in range(3):
-        etas = rng.uniform(0.3, 1.0, 3)
-        noises = rng.uniform(0.5, 2.0, 3)
-        t_eve = rng.uniform(0.2, 0.8)
-        nbar = rng.uniform(1.0, 5.0)
-        links = list(zip(etas, noises))
-        oracle = joint_covariance_oracle(links, nbar, t_eve)
-        field = sample_source_field(SourceParams(nbar=nbar, d0=0.0), np.zeros(n), rng)
-        alice, broadcast = apply_beamsplitter(field, 0.0, 0.5)
-        bob, eve = eve_tap(broadcast, t_eve)
-        rows = []
-        for arm, (eta, noise) in zip((alice, bob, eve), links):
-            x, p = heterodyne(np.sqrt(eta) * arm, noise, rng)
-            rows += [x, p]
-        emp = np.cov(np.stack(rows))
-        se = np.sqrt((np.outer(np.diag(oracle), np.diag(oracle)) + oracle ** 2) / n)
-        worst = max(worst, float(np.max(np.abs(emp - oracle) / se)))
-    elapsed = time.perf_counter() - start
-    ok = worst < 5.0 and elapsed < 30
-    assert _line(2, ok, f"worst covariance deviation {worst:.2f} standard errors "
-                        f"(limit 5) over 3 random topologies, {elapsed:.1f}s")
+    assert run_check(*CRITERIA["2"])
 
 
 def test_criterion_3_estimator_correctness():
-    eps = 0.113
-    counts = np.array([[887, 113], [113, 887]]) * 1000
-    analytic = 1.0 + eps * math.log2(eps) + (1 - eps) * math.log2(1 - eps)
-    mi_err = abs(mutual_information(counts) - analytic)
-
-    rng = np.random.default_rng(303)
-    worst = 0.0
-    for _ in range(100):
-        table = rng.integers(1, 1000, (2, 2, 2)).astype(float)
-        total = table.sum()
-        expect = sum(
-            (table[:, :, e].sum() / total) * mutual_information(table[:, :, e])
-            for e in range(2))
-        worst = max(worst, abs(conditional_mutual_information(table) - expect))
-    ok = mi_err < 1e-9 and worst < 1e-12
-    assert _line(3, ok, f"BSC(0.113) MI error {mi_err:.2e} (limit 1e-9), "
-                        f"worst CMI-vs-bruteforce gap {worst:.2e} (limit 1e-12)")
+    assert run_check(*CRITERIA["3"])
 
 
 def test_criterion_4_alignment_recovery():
-    start = time.perf_counter()
-    rng = np.random.default_rng(404)
-    n, trials = 10_000, 1000
-    hits = 0
-    for _ in range(trials):
-        ref = rng.integers(0, 4, n)
-        shift = int(rng.integers(-1000, 1001))
-        rx = np.roll(ref, shift)
-        if shift > 0:
-            rx[:shift] = rng.integers(0, 4, shift)
-        elif shift < 0:
-            rx[shift:] = rng.integers(0, 4, -shift)
-        hits += estimate_delay(ref, rx, 1000).lag == shift
-    elapsed = time.perf_counter() - start
-    ok = hits >= 999 and elapsed < 20
-    assert _line(4, ok, f"{hits}/{trials} exact recoveries (need >= 999), {elapsed:.1f}s")
+    assert run_check(*CRITERIA["4"])
 
 
 def _seeded_runs(config, n_runs, n_symbols):
@@ -139,80 +42,47 @@ def _seeded_runs(config, n_runs, n_symbols):
     return reports
 
 
-def test_criterion_5_calibrated_waveguide():
-    start = time.perf_counter()
+def _calibrated_waveguide():
     calibrated = calibrate_preset("waveguide").config
     reports = _seeded_runs(calibrated, 20, 3_000_000)
     mean_r_ab = float(np.mean([r.r_ab for r in reports]))
     n_drr = sum(r.delta_rr > 0 for r in reports)
     n_cmi = sum(r.i_ab_given_e > 0 for r in reports)
-    elapsed = time.perf_counter() - start
-    ok = (abs(mean_r_ab - 0.9264) < 0.02 and n_drr >= 18 and n_cmi >= 18
-          and elapsed < 300)
-    assert _line(5, ok, f"mean r_ab={mean_r_ab:.4f} (want 0.9264+-0.02), "
-                        f"delta_rr>0 in {n_drr}/20, i_ab_given_e>0 in {n_cmi}/20 "
-                        f"(need >=18), {elapsed:.0f}s")
+    ok = abs(mean_r_ab - 0.9264) < 0.02 and n_drr >= 18 and n_cmi >= 18
+    return ok, (f"mean r_ab={mean_r_ab:.4f} (want 0.9264+-0.02), "
+                f"delta_rr>0 in {n_drr}/20, i_ab_given_e>0 in {n_cmi}/20 (need >=18)")
 
 
-def test_criterion_6_calibrated_freespace():
-    start = time.perf_counter()
+def test_criterion_5_calibrated_waveguide():
+    assert run_check("5", _calibrated_waveguide, 300)
+
+
+def _calibrated_freespace():
     calibrated = calibrate_preset("freespace").config
     reports = _seeded_runs(calibrated, 20, 3_000_000)
     means = {name: float(np.mean([getattr(r, name) for r in reports]))
              for name in ("r_be", "ber_ab", "i_ab_given_e", "delta_rr")}
-    elapsed = time.perf_counter() - start
     ok = (abs(means["r_be"] - 0.89) < 0.03
           and abs(means["ber_ab"] - 0.113) < 0.03
           and abs(means["i_ab_given_e"] - 0.126) < 0.05
-          and abs(means["delta_rr"] - 0.082) < 0.06
-          and elapsed < 300)
-    assert _line(6, ok, f"mean r_be={means['r_be']:.4f} (0.89+-0.03), "
-                        f"ber_ab={means['ber_ab']:.4f} (0.113+-0.03), "
-                        f"i_ab_given_e={means['i_ab_given_e']:.4f} (0.126+-0.05), "
-                        f"delta_rr={means['delta_rr']:.4f} (0.082+-0.06), {elapsed:.0f}s")
+          and abs(means["delta_rr"] - 0.082) < 0.06)
+    return ok, (f"mean r_be={means['r_be']:.4f} (0.89+-0.03), "
+                f"ber_ab={means['ber_ab']:.4f} (0.113+-0.03), "
+                f"i_ab_given_e={means['i_ab_given_e']:.4f} (0.126+-0.05), "
+                f"delta_rr={means['delta_rr']:.4f} (0.082+-0.06)")
+
+
+def test_criterion_6_calibrated_freespace():
+    assert run_check("6", _calibrated_freespace, 300)
 
 
 def test_criterion_7_symmetric_tap():
-    cfg = freespace_scenario(seed=77, n_symbols=3_000_000, ad_block=None)
-    cfg = dataclasses.replace(cfg, eve_link=cfg.bob_link, eve_transmittance=0.5)
-    report = run_scenario(cfg).report
-    gap = abs(report.i_ab - report.i_ae)
-    ok = gap < 0.01
-    assert _line(7, ok, f"|i_ab - i_ae| = {gap:.5f} bits (limit 0.01) at n=3e6")
+    assert run_check(*CRITERIA["7"])
 
 
 def test_criterion_8_advantage_distillation():
-    eps = 0.113
-    rng = np.random.default_rng(808)
-    n = 10 ** 6
-    a = rng.integers(0, 2, n, dtype=np.uint8)
-    b = a ^ (rng.random(n) < eps).astype(np.uint8)
-    a_kept, b_kept, kept_fraction = advantage_distill(a, b, 2, rng)
-    kept_err = bit_error_rate(a_kept, b_kept)
-    expect_frac = eps ** 2 + (1 - eps) ** 2
-    expect_err = eps ** 2 / expect_frac
-    ok = abs(kept_err - 0.016) < 0.002 and abs(kept_fraction - 0.80) < 0.01
-    assert _line(8, ok, f"kept error {kept_err:.5f} (want 0.016+-0.002, analytic "
-                        f"{expect_err:.5f}), kept fraction {kept_fraction:.4f} "
-                        f"(want 0.80+-0.01, analytic {expect_frac:.4f})")
+    assert run_check(*CRITERIA["8"])
 
 
-def test_criterion_9_determinism(tmp_path):
-    cfg = waveguide_scenario(seed=909, n_symbols=50_000)
-    dir_a = tmp_path / "a"
-    dir_b = tmp_path / "b"
-    run_scenario(cfg).write(dir_a)
-    run_scenario(cfg).write(dir_b)
-    files_equal = all(
-        (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
-        for name in ("alice.csv", "bob.csv", "eve.csv", "report.json", "config.cfg"))
-
-    base = waveguide_scenario(seed=910, n_symbols=20_000, ad_block=None)
-    values = [0.3, 0.5, 0.7]
-    serial = sweep_csv(sweep(base, "eve_transmittance", values, jobs=1),
-                       "eve_transmittance")
-    threaded = sweep_csv(sweep(base, "eve_transmittance", values, jobs=3),
-                         "eve_transmittance")
-    ok = files_equal and serial == threaded
-    assert _line(9, ok, f"byte-identical artifacts: {files_equal}, "
-                        f"sweep jobs 1 vs 3 identical: {serial == threaded}")
+def test_criterion_9_determinism():
+    assert run_check(*CRITERIA["9"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thermalqkd.channels import (ChannelParams, PhaseDriftParams, TapSpec,
-                                 apply_channel, eve_tap, make_freespace_preset,
+                                 apply_channel, make_freespace_preset,
                                  make_waveguide_preset, sample_phase_walk)
 
 
@@ -124,22 +124,6 @@ def test_hops_appear_at_stated_rate():
     n_hops = np.count_nonzero(np.abs(jumps) > 0.25)
     assert n_hops == pytest.approx(2000, abs=200)
     np.testing.assert_allclose(np.abs(jumps[np.abs(jumps) > 0.25]), 0.5, atol=1e-12)
-
-
-def test_eve_tap_limits_and_conservation():
-    rng = np.random.default_rng(10)
-    stream = rng.normal(size=200) + 1j * rng.normal(size=200)
-    bob, eve = eve_tap(stream, 1.0)
-    assert np.array_equal(bob, stream)
-    assert np.array_equal(eve, np.zeros_like(stream))
-    bob, eve = eve_tap(np.full(5, 1.0 + 0j), 0.5)
-    np.testing.assert_allclose(bob, np.full(5, np.sqrt(0.5)), atol=1e-14)
-    np.testing.assert_allclose(eve, np.full(5, np.sqrt(0.5)), atol=1e-14)
-    bob, eve = eve_tap(stream, 0.37)
-    np.testing.assert_allclose(np.abs(bob) ** 2 + np.abs(eve) ** 2,
-                               np.abs(stream) ** 2, atol=1e-12)
-    with pytest.raises(ValueError):
-        eve_tap(stream, -0.1)
 
 
 def test_presets_validate_and_have_documented_character():

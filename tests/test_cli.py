@@ -1,5 +1,6 @@
 import pytest
 
+from thermalqkd import selftest
 from thermalqkd.cli import main
 from thermalqkd.config import format_config, save_config
 from thermalqkd.harness import waveguide_scenario
@@ -58,6 +59,7 @@ def test_unknown_subcommand_exits_one(capsys):
 
 def test_usage_error_exits_one(capsys):
     assert main(["sweep", "eve_transmittance", "0.0"]) == 1
+    assert main(["selftest", "--full"]) == 1
 
 
 def test_sweep_writes_csv(tmp_path, config_file, capsys):
@@ -76,15 +78,22 @@ def test_sweep_prints_without_out(config_file, capsys):
     assert capsys.readouterr().out.startswith("eve_transmittance,")
 
 
-@pytest.mark.parametrize("param, start, stop, step, code, field", [
-    ("source.nbar", "-1", "0", "1", 1, "nbar"),
-    ("bob_link.drift.nope", "0", "1", "1", 1, "bob_link.drift.nope"),
-    ("bob_link.delay", "2.5", "2.5", "1", 1, "bob_link.delay"),
-    ("ad_block", "2", "3", "1", 0, None),
-], ids=["negative-nbar", "unknown-key", "fractional-delay", "int-ad-block"])
+@pytest.mark.parametrize("param, start, stop, step, extra, code, field", [
+    ("source.nbar", "-1", "0", "1", [], 1, "nbar"),
+    ("bob_link.drift.nope", "0", "1", "1", [], 1, "bob_link.drift.nope"),
+    ("bob_link.delay", "2.5", "2.5", "1", [], 1, "bob_link.delay"),
+    ("ad_block", "2", "3", "1", [], 0, None),
+    ("eve_transmittance", "0", "1", "0", [], 1, "step"),
+    ("eve_transmittance", "1", "0", "0.5", [], 1, "stop"),
+    ("eve_transmittance", "nan", "1", "0.5", [], 1, "start"),
+    ("eve_transmittance", "0", "inf", "0.5", [], 1, "stop"),
+    ("eve_transmittance", "0.3", "0.5", "0.2", ["--jobs", "0"], 1, "jobs"),
+], ids=["negative-nbar", "unknown-key", "fractional-delay", "int-ad-block", "zero-step",
+        "empty-grid", "nan-start", "inf-stop", "zero-jobs"])
 def test_sweep_values_checked_per_field(config_file, capsys, param, start, stop, step,
-                                        code, field):
-    assert main(["sweep", param, start, stop, step, "--config", str(config_file)]) == code
+                                        extra, code, field):
+    argv = ["sweep", param, start, stop, step, "--config", str(config_file), *extra]
+    assert main(argv) == code
     err = capsys.readouterr().err
     assert "runtime failure" not in err
     if field is not None:
@@ -95,3 +104,17 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_selftest_reports_failing_and_raising_criteria(monkeypatch, capsys):
+    def raises():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(selftest, "CRITERIA", {
+        "x": ("x", lambda: (False, "stub failed"), None),
+        "y": ("y", raises, 10),
+    })
+    assert main(["selftest"]) == 2
+    out = capsys.readouterr().out
+    assert "[FAIL] criterion x: stub failed" in out
+    assert "[FAIL] criterion y: raised RuntimeError: boom" in out

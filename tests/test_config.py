@@ -80,6 +80,8 @@ def test_scenario_invariants():
     with pytest.raises(ConfigError):
         dataclasses.replace(cfg, coherence_len=32)
     with pytest.raises(ConfigError):
+        dataclasses.replace(cfg, coherence_len=64)  # every symbol a pilot
+    with pytest.raises(ConfigError):
         dataclasses.replace(cfg, ad_block=1)
     with pytest.raises(ConfigError):
         dataclasses.replace(cfg, eve_transmittance=-0.2)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from thermalqkd.channels import eve_tap
 from thermalqkd.infotheory import g2
 from thermalqkd.optics import (SourceParams, apply_beamsplitter, heterodyne,
                                joint_covariance_oracle, sample_source_field)
@@ -62,6 +61,24 @@ def test_beamsplitter_rejects_bad_transmittance():
         apply_beamsplitter(1.0 + 0j, 0j, -0.1)
 
 
+def test_beamsplitter_vacuum_port_limits_and_conservation():
+    # The eavesdropper tap: Bob keeps sqrt(T) of the broadcast, Eve takes
+    # sqrt(1-T), and the second input port is vacuum (zero amplitude).
+    rng = np.random.default_rng(10)
+    stream = rng.normal(size=200) + 1j * rng.normal(size=200)
+    bob, eve = apply_beamsplitter(stream, 0.0, 1.0)
+    assert np.array_equal(bob, stream)
+    assert np.array_equal(eve, np.zeros_like(stream))
+    bob, eve = apply_beamsplitter(np.full(5, 1.0 + 0j), 0.0, 0.5)
+    np.testing.assert_allclose(bob, np.full(5, np.sqrt(0.5)), atol=1e-14)
+    np.testing.assert_allclose(eve, np.full(5, np.sqrt(0.5)), atol=1e-14)
+    bob, eve = apply_beamsplitter(stream, 0.0, 0.37)
+    np.testing.assert_allclose(np.abs(bob) ** 2 + np.abs(eve) ** 2,
+                               np.abs(stream) ** 2, atol=1e-12)
+    with pytest.raises(ValueError):
+        apply_beamsplitter(stream, 0.0, -0.1)
+
+
 def test_heterodyne_noiseless_and_moments():
     rng = np.random.default_rng(5)
     assert heterodyne(1.0 + 1.0j, 0.0, rng) == (1.0, 1.0)
@@ -105,7 +122,7 @@ def test_oracle_rejects_invalid():
 def _simulate_rounds(links, nbar, t_eve, n, rng, d0=0.0):
     field = sample_source_field(SourceParams(nbar=nbar, d0=d0), np.zeros(n), rng)
     alice, broadcast = apply_beamsplitter(field, 0.0, 0.5)
-    bob, eve = eve_tap(broadcast, t_eve)
+    bob, eve = apply_beamsplitter(broadcast, 0.0, t_eve)
     rows = []
     for arm, (eta, noise) in zip((alice, bob, eve), links):
         x, p = heterodyne(np.sqrt(eta) * arm, noise, rng)
