@@ -77,13 +77,21 @@ def advantage_distill(a, b, block: int = 2, rng=None):
     return a_kept, b_kept, kept / n_blocks
 
 
+def _key_bits(bits) -> np.ndarray:
+    """``bits`` as uint8; raises ValueError unless every value is 0 or 1."""
+    b = np.asarray(bits)
+    if np.any((b != 0) & (b != 1)):
+        raise ValueError("key bits must be 0 or 1")
+    return b.astype(np.uint8)
+
+
 def write_bits_text(bits, path) -> None:
     """One '0' or '1' character per line."""
-    b = np.asarray(bits, dtype=np.uint8)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(np.char.mod("%d", b).tolist()))
-        if b.size:
-            fh.write("\n")
+    b = _key_bits(bits)
+    text = np.full((b.size, 2), ord("\n"), dtype=np.uint8)
+    text[:, 0] = b + ord("0")
+    with open(path, "wb") as fh:
+        fh.write(text.tobytes())
 
 
 def read_bits_text(path) -> np.ndarray:
@@ -94,7 +102,7 @@ def read_bits_text(path) -> np.ndarray:
 def write_bits_packed(bits, path) -> None:
     """8 bits per byte, big-endian within the byte; a one-byte header keeps
     the count of padding bits in the final byte."""
-    b = np.asarray(bits, dtype=np.uint8)
+    b = _key_bits(bits)
     pad = (-b.size) % 8
     with open(path, "wb") as fh:
         fh.write(bytes([pad]))

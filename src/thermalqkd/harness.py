@@ -47,6 +47,10 @@ MIN_ALIGNMENT_LAG = 1024
 # Quadrant streams are compared over a window this size (or the whole run).
 ALIGNMENT_WINDOW = 65_536
 
+# Measurement CSV rows formatted per write; bounds the writer's memory.
+CSV_CHUNK_ROWS = 65_536
+_CSV_ROW = "%d,%.9g,%.9g,%.9g,%d\n"
+
 _STREAM_NAMES = ("bits", "source", "chan_alice", "chan_bob", "chan_eve",
                  "det_alice", "det_bob", "det_eve", "distill")
 
@@ -67,7 +71,7 @@ class RunArtifacts:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {}
-        rows = {len(rec) for rec in self.parties.values()}
+        rows = {len(rec) for rec in self.parties.values()} | {len(self.index)}
         if rows != {self.report.n_bits}:
             raise ValueError(f"row counts {rows} disagree with report n_bits {self.report.n_bits}")
         for name in PARTIES:
@@ -92,20 +96,12 @@ class RunArtifacts:
 
 def _write_measurement_csv(path: Path, index: np.ndarray, rec: PartyRecord) -> None:
     # 9 significant digits for the float columns, one row per kept symbol.
-    cols = [
-        np.char.mod("%d", index),
-        np.char.mod("%.9g", rec.x),
-        np.char.mod("%.9g", rec.p),
-        np.char.mod("%.9g", rec.z),
-        np.char.mod("%d", rec.bits),
-    ]
-    body = cols[0]
-    for col in cols[1:]:
-        body = np.char.add(np.char.add(body, ","), col)
+    columns = (index, rec.x, rec.p, rec.z, rec.bits)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("index,x,p,z,bit\n")
-        fh.write("\n".join(body.tolist()))
-        fh.write("\n")
+        for lo in range(0, len(index), CSV_CHUNK_ROWS):
+            rows = zip(*(col[lo:lo + CSV_CHUNK_ROWS].tolist() for col in columns))
+            fh.write("".join(map(_CSV_ROW.__mod__, rows)))
 
 
 def _rng_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -188,6 +184,12 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
         raise RuntimeError("alignment left no usable overlap between parties")
     index = np.arange(u_lo, u_hi + 1)
     index = index[index % config.coherence_len >= config.pilot_len]
+    # Slicing needs two symbols and distillation one whole block.
+    need = max(2, config.ad_block or 0)
+    if index.size < need:
+        raise ConfigError([
+            f"pilot_len: {config.pilot_len} pilots per segment and the alignment edges "
+            f"leave {index.size} data symbols of {n}; need at least {need}"])
 
     fold_phase = SYMBOL_PHASES[syms[index]]
     segments = index // config.coherence_len

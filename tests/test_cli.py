@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from thermalqkd import selftest
 from thermalqkd.cli import main
 from thermalqkd.config import format_config, save_config
-from thermalqkd.harness import waveguide_scenario
+from thermalqkd.harness import freespace_scenario, waveguide_scenario
 
 
 @pytest.fixture()
@@ -46,6 +48,16 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     bad.write_text(text.replace("n_symbols = 12000", "n_symbols = -3"))
     assert main(["run", str(bad)]) == 1
     assert "n_symbols" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factory", [waveguide_scenario, freespace_scenario])
+def test_pilots_leaving_no_data_exit_one(tmp_path, capsys, factory):
+    # pilots and alignment edges take every symbol but 1 (waveguide) or 0
+    path = tmp_path / "pilots.cfg"
+    save_config(dataclasses.replace(factory(seed=1, n_symbols=1000), pilot_len=990), path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "pilot_len" in err and "runtime failure" not in err
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):

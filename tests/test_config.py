@@ -2,10 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermalqkd.config import (ConfigError, format_config, parse_config,
-                               set_config_value)
+from thermalqkd.channels import ChannelParams, PhaseDriftParams, TapSpec
+from thermalqkd.config import (ConfigError, ScenarioConfig, format_config,
+                               parse_config, set_config_value)
 from thermalqkd.harness import freespace_scenario, waveguide_scenario
+from thermalqkd.optics import SourceParams
 
 
 def test_round_trip_preserves_config():
@@ -15,6 +19,53 @@ def test_round_trip_preserves_config():
         parsed = parse_config(text)
         assert parsed == cfg
         assert format_config(parsed) == text
+
+
+_unit = st.floats(0.0, 1.0)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _nonneg(high):
+    return st.floats(0.0, high)
+
+
+# Link depth (delay + deepest tap) stays within n_symbols / 8 at n_symbols >= 1000.
+_links = st.builds(
+    ChannelParams,
+    transmittance=_unit,
+    delay=st.integers(0, 100),
+    drift=st.builds(PhaseDriftParams, walk_sigma=_nonneg(1.0), hop_prob=_unit,
+                    hop_scale=_nonneg(10.0)),
+    taps=st.lists(st.builds(TapSpec, delay=st.integers(1, 25),
+                            amplitude=st.floats(0.0, 1.0, exclude_max=True), phase=_finite),
+                  max_size=3).map(tuple),
+    rx_noise_var=_nonneg(1e3),
+)
+
+
+@st.composite
+def _configs(draw):
+    pilot_len = draw(st.integers(16, 10_000))
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+        n_symbols=draw(st.integers(1000, 10 ** 9)),
+        source=draw(st.builds(SourceParams, nbar=_nonneg(1e6), d0=_nonneg(1e6))),
+        alice_link=draw(_links),
+        bob_link=draw(_links),
+        eve_link=draw(_links),
+        eve_transmittance=draw(_unit),
+        coherence_len=pilot_len + draw(st.integers(1, 10 ** 6)),
+        pilot_len=pilot_len,
+        ad_block=draw(st.none() | st.integers(2, 64)),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_configs())
+def test_round_trip_holds_for_generated_configs(cfg):
+    text = format_config(cfg)
+    assert parse_config(text) == cfg
+    assert format_config(parse_config(text)) == text
 
 
 def test_comments_and_blank_lines_are_ignored():

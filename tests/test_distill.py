@@ -126,6 +126,16 @@ def test_bit_export_round_trips(tmp_path):
         write_bits_packed(bits, bin_)
         assert np.array_equal(read_bits_text(txt), bits)
         assert np.array_equal(read_bits_packed(bin_), bits)
+        # the np.char formatter the text writer replaced, byte for byte
+        expected = "\n".join(np.char.mod("%d", bits)) + ("\n" if n else "")
+        assert txt.read_bytes() == expected.encode("ascii")
     bits = np.array([1, 0, 1], dtype=np.uint8)
     write_bits_text(bits, tmp_path / "k.txt")
     assert (tmp_path / "k.txt").read_text() == "1\n0\n1\n"
+    write_bits_text([True, False], tmp_path / "k.txt")
+    assert (tmp_path / "k.txt").read_text() == "1\n0\n"
+    # both key files must hold the same bits, so neither takes a non-bit
+    for bad in ([0, 1, 2, 1], [-1], np.array([0, 10], dtype=np.int64), [0.5], [np.nan]):
+        for write in (write_bits_text, write_bits_packed):
+            with pytest.raises(ValueError, match="0 or 1"):
+                write(bad, tmp_path / "bad")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from thermalqkd.config import set_config_value
-from thermalqkd.distill import read_bits_packed, read_bits_text
-from thermalqkd.harness import (CalibrationError, calibrate_preset,
+from thermalqkd.distill import PartyRecord, read_bits_packed, read_bits_text
+from thermalqkd.harness import (CSV_CHUNK_ROWS, CalibrationError,
+                                _write_measurement_csv, calibrate_preset,
                                 derive_trial_seed, freespace_scenario,
                                 run_scenario, sweep, sweep_csv, sweep_values,
                                 waveguide_scenario)
@@ -15,6 +16,52 @@ from thermalqkd.infotheory import build_report
 def _read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _csv_reference(index, rec):
+    """The np.char formatter the measurement CSV writer must match byte for byte."""
+    cols = [
+        np.char.mod("%d", index),
+        np.char.mod("%.9g", rec.x),
+        np.char.mod("%.9g", rec.p),
+        np.char.mod("%.9g", rec.z),
+        np.char.mod("%d", rec.bits),
+    ]
+    body = cols[0]
+    for col in cols[1:]:
+        body = np.char.add(np.char.add(body, ","), col)
+    return ("index,x,p,z,bit\n" + "\n".join(body.tolist()) + "\n").encode("utf-8")
+
+
+def _edge_record(n):
+    """``n`` rows cycling through signed zeros, subnormal, huge, tied and
+    non-finite values, with int64 indices up to 10**12."""
+    edges = np.array([-1.5, 0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300,
+                      1.0000000005, 0.1234567885, -0.1234567885, np.nan,
+                      np.inf, -np.inf, 123456789.5, -2.5e-7])
+    rng = np.random.default_rng(11)
+    index = np.linspace(0, 10 ** 12, n).astype(np.int64)
+    x = np.resize(edges, n)
+    p = np.roll(x, 3) * rng.choice([1.0, -1.0], n)
+    z = np.where(np.arange(n) % 2, rng.normal(0, 30, n), np.roll(x, 7))
+    bits = rng.integers(0, 2, n, dtype=np.uint8)
+    return index, PartyRecord(x=x, p=p, z=z, bits=bits)
+
+
+@pytest.mark.parametrize("n", [1, 15, CSV_CHUNK_ROWS + 1])
+def test_measurement_csv_matches_reference_formatter(tmp_path, n):
+    index, rec = _edge_record(n)
+    path = tmp_path / "m.csv"
+    _write_measurement_csv(path, index, rec)
+    assert path.read_bytes() == _csv_reference(index, rec)
+
+
+def test_measurement_csv_matches_reference_on_a_run(tmp_path):
+    art = run_scenario(freespace_scenario(seed=7, n_symbols=20_000))
+    for name in ("alice", "bob", "eve"):
+        path = tmp_path / f"{name}.csv"
+        _write_measurement_csv(path, art.index, art.parties[name])
+        assert path.read_bytes() == _csv_reference(art.index, art.parties[name]), name
 
 
 def test_run_is_deterministic(tmp_path):
