@@ -90,13 +90,16 @@ class ChannelParams:
 def sample_phase_walk(drift: PhaseDriftParams, n: int, rng) -> np.ndarray:
     """Phase trajectory theta(t) for one stream of length n."""
     theta0 = rng.uniform(0.0, 2.0 * np.pi)
-    steps = rng.normal(0.0, 1.0, n)
+    inc = rng.normal(0.0, 1.0, n)
+    inc *= drift.walk_sigma
     hop_u = rng.random(n)
-    hop_sign = rng.integers(0, 2, n) * 2.0 - 1.0
-    inc = drift.walk_sigma * steps
+    hop_sign = rng.integers(0, 2, n).astype(float)
+    hop_sign *= 2.0
+    hop_sign -= 1.0
     inc += (hop_u < drift.hop_prob) * drift.hop_scale * hop_sign
-    start = theta0 if drift.active else 0.0
-    return start + np.cumsum(inc)
+    np.cumsum(inc, out=inc)
+    inc += (theta0 if drift.active else 0.0)
+    return inc
 
 
 def apply_channel(stream, params: ChannelParams, rng) -> np.ndarray:
@@ -106,12 +109,15 @@ def apply_channel(stream, params: ChannelParams, rng) -> np.ndarray:
         raise ValueError("stream must be a nonempty 1-D sequence of amplitudes")
     n = src.size
     theta = sample_phase_walk(params.drift, n, rng)
-    noise = rng.normal(0.0, 1.0, (n, 2)) * np.sqrt(params.rx_noise_var)
+    noise = rng.normal(0.0, 1.0, (n, 2))
+    noise *= np.sqrt(params.rx_noise_var)
     amp = np.sqrt(params.transmittance)
     tap_delays = np.array([t.delay for t in params.taps], dtype=np.int64)
     tap_cr = np.array([t.amplitude * np.cos(t.phase) * amp for t in params.taps])
     tap_ci = np.array([t.amplitude * np.sin(t.phase) * amp for t in params.taps])
-    return kernels.channel_combine(src, amp, int(params.delay), np.cos(theta), np.sin(theta),
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta, out=theta)
+    return kernels.channel_combine(src, amp, int(params.delay), cos_t, sin_t,
                                    tap_delays, tap_cr, tap_ci, noise)
 
 

@@ -94,11 +94,6 @@ def write_bits_text(bits, path) -> None:
         fh.write(text.tobytes())
 
 
-def read_bits_text(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="ascii").split()
-    return np.array([int(tok) for tok in text], dtype=np.uint8)
-
-
 def write_bits_packed(bits, path) -> None:
     """8 bits per byte, big-endian within the byte; a one-byte header keeps
     the count of padding bits in the final byte."""
@@ -110,7 +105,18 @@ def write_bits_packed(bits, path) -> None:
 
 
 def read_bits_packed(path) -> np.ndarray:
+    """Bits of a file written by ``write_bits_packed``.
+
+    Raises ValueError for an empty file, a pad count above 7, or a nonzero
+    pad count with no payload byte to take it from.
+    """
     raw = Path(path).read_bytes()
+    if not raw:
+        raise ValueError(f"{path}: empty packed key file (no pad header)")
     pad = raw[0]
-    bits = np.unpackbits(np.frombuffer(raw[1:], dtype=np.uint8))
-    return bits[:bits.size - pad] if pad else bits
+    if pad > 7:
+        raise ValueError(f"{path}: pad count {pad} is not in 0..7")
+    if pad and len(raw) == 1:
+        raise ValueError(f"{path}: pad count {pad} with no payload byte")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8, offset=1))
+    return bits[:bits.size - pad]

@@ -11,6 +11,13 @@ Everything is deterministic given the config seed: all randomness flows from
 one SeedSequence spawned into fixed-order named streams, and the metric path
 avoids BLAS reductions so results do not depend on thread settings. Parallel
 sweep points derive their seeds from (scenario seed, point index).
+
+Within one run the three parties are received and folded on
+``PARTY_THREADS`` threads. Each party's step reads only its own input and
+draws only its own ``chan_<party>`` and ``det_<party>`` streams, so the
+output bytes do not depend on how the threads are scheduled. Pools do not
+nest: a ``_pool_map`` called from a pool worker (a sweep point or a
+calibration point) maps on the calling thread.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +54,9 @@ MIN_ALIGNMENT_LAG = 1024
 
 # Quadrant streams are compared over a window this size (or the whole run).
 ALIGNMENT_WINDOW = 65_536
+
+# Threads that receive and fold the three parties of one run.
+PARTY_THREADS = 2
 
 # Measurement CSV rows formatted per write; bounds the writer's memory.
 CSV_CHUNK_ROWS = 65_536
@@ -115,11 +126,24 @@ def derive_trial_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
+_pool_worker = threading.local()
+
+
+def _mark_pool_worker() -> None:
+    _pool_worker.active = True
+
+
 def _pool_map(fn, items, jobs: int) -> list:
-    """``fn`` over ``items`` on ``jobs`` threads; results in input order."""
+    """``fn`` over ``items`` on ``jobs`` threads; results in input order.
+
+    Called from one of its own workers, it maps on the calling thread, so
+    pools never nest and a run inside a sweep stays on one thread.
+    """
     if jobs < 1:
         raise ConfigError([f"jobs: must be >= 1, got {jobs}"])
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if getattr(_pool_worker, "active", False):
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs, initializer=_mark_pool_worker) as pool:
         return list(pool.map(fn, items))
 
 
@@ -146,6 +170,34 @@ def _segment_corrections(x, p, syms, lag, n_segments, coherence_len, pilot_len, 
     return psi
 
 
+def _receive_party(name, inputs, config, rngs, syms, window, max_lag):
+    """Channel, heterodyne, alignment and pilot phases of one party.
+
+    Pops the party's input from ``inputs`` and drops each field once used,
+    so that two parties received at once hold little besides their
+    quadratures. Returns ``(x, p, alignment, psi)``.
+    """
+    link = getattr(config, f"{name}_link")
+    rx_field = apply_channel(inputs.pop(name), link, rngs[f"chan_{name}"])
+    x, p = heterodyne(rx_field, DETECTION_NOISE_VAR, rngs[f"det_{name}"])
+    del rx_field
+    q_raw = quadrant_decision(x[:window], p[:window])
+    found = estimate_delay_and_rotation(syms[:window], q_raw, max_lag)
+    n = config.n_symbols
+    psi = _segment_corrections(x, p, syms, found.lag, -(-n // config.coherence_len),
+                               config.coherence_len, config.pilot_len, n)
+    return x, p, found, psi
+
+
+def _fold_party(received, index, segments, fold_phase) -> PartyRecord:
+    """Rotate one party's kept symbols onto one cluster and slice them."""
+    x, p, found, psi = received
+    rx_idx = index + found.lag
+    angle = psi[segments] + fold_phase
+    xf, pf, z = kernels.demod_fold(x[rx_idx], p[rx_idx], np.cos(angle), np.sin(angle))
+    return PartyRecord(x=xf, p=pf, z=z, bits=median_slice(z))
+
+
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     """Execute one scenario; fully deterministic given ``config.seed``."""
     rngs = _rng_streams(config.seed)
@@ -156,26 +208,21 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     field = sample_source_field(config.source, SYMBOL_PHASES[syms], rngs["source"])
 
     alice_in, broadcast = apply_beamsplitter(field, 0.0, 0.5)
+    del field
     bob_in, eve_in = apply_beamsplitter(broadcast, 0.0, config.eve_transmittance)
+    del broadcast
     inputs = {"alice": alice_in, "bob": bob_in, "eve": eve_in}
+    del alice_in, bob_in, eve_in
 
-    links = {"alice": config.alice_link, "bob": config.bob_link, "eve": config.eve_link}
-    max_lag = max(MIN_ALIGNMENT_LAG, 2 * max(l.max_history for l in links.values()))
+    links = (config.alice_link, config.bob_link, config.eve_link)
+    max_lag = max(MIN_ALIGNMENT_LAG, 2 * max(l.max_history for l in links))
     max_lag = min(max_lag, n // 4)
     window = min(n, max(8 * max_lag, ALIGNMENT_WINDOW))
-    n_segments = -(-n // config.coherence_len)
 
-    quadratures = {}
-    alignment = {}
-    psi_by_party = {}
-    for name in PARTIES:
-        rx_field = apply_channel(inputs[name], links[name], rngs[f"chan_{name}"])
-        x, p = heterodyne(rx_field, DETECTION_NOISE_VAR, rngs[f"det_{name}"])
-        quadratures[name] = (x, p)
-        q_raw = quadrant_decision(x[:window], p[:window])
-        alignment[name] = found = estimate_delay_and_rotation(syms[:window], q_raw, max_lag)
-        psi_by_party[name] = _segment_corrections(
-            x, p, syms, found.lag, n_segments, config.coherence_len, config.pilot_len, n)
+    received = dict(zip(PARTIES, _pool_map(
+        lambda name: _receive_party(name, inputs, config, rngs, syms, window, max_lag),
+        PARTIES, PARTY_THREADS)))
+    alignment = {name: received[name][2] for name in PARTIES}
 
     # Common aligned range on the transmitted clock, data symbols only.
     u_lo = max(0, *(-alignment[name].lag for name in PARTIES))
@@ -193,13 +240,9 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
 
     fold_phase = SYMBOL_PHASES[syms[index]]
     segments = index // config.coherence_len
-    records = {}
-    for name in PARTIES:
-        x, p = quadratures[name]
-        rx_idx = index + alignment[name].lag
-        angle = psi_by_party[name][segments] + fold_phase
-        xf, pf, z = kernels.demod_fold(x[rx_idx], p[rx_idx], np.cos(angle), np.sin(angle))
-        records[name] = PartyRecord(x=xf, p=pf, z=z, bits=median_slice(z))
+    records = dict(zip(PARTIES, _pool_map(
+        lambda name: _fold_party(received.pop(name), index, segments, fold_phase),
+        PARTIES, PARTY_THREADS)))
 
     report = build_report(records["alice"], records["bob"], records["eve"])
 

@@ -10,6 +10,7 @@ thread settings.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -77,6 +78,8 @@ def pearson_r(xs, ys) -> float:
     if vx == 0 or vy == 0:
         raise ValueError("correlation undefined: an input has zero variance")
     r = np.sum(dx * dy) / np.sqrt(vx * vy)
+    if not np.isfinite(r):
+        raise ValueError(f"correlation is not finite: {r}")
     return float(min(1.0, max(-1.0, r)))
 
 
@@ -117,6 +120,9 @@ class MetricsReport:
     n_bits: int
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} is not finite: {getattr(self, f.name)}")
         for name in ("r_ab", "r_be", "r_ae"):
             if abs(getattr(self, name)) > 1 + 1e-12:
                 raise ValueError(f"{name} outside [-1, 1]")

@@ -136,3 +136,53 @@ def test_presets_validate_and_have_documented_character():
     assert wg.rx_noise_var < fs.rx_noise_var
     override = make_waveguide_preset(delay=5, rx_noise_var=0.3)
     assert override.delay == 5 and override.rx_noise_var == 0.3
+
+
+def _phase_walk_reference(drift, n, rng):
+    """The phase walk written out of place, as one expression per step."""
+    theta0 = rng.uniform(0.0, 2.0 * np.pi)
+    steps = rng.normal(0.0, 1.0, n)
+    hop_u = rng.random(n)
+    hop_sign = rng.integers(0, 2, n) * 2.0 - 1.0
+    inc = drift.walk_sigma * steps
+    inc += (hop_u < drift.hop_prob) * drift.hop_scale * hop_sign
+    start = theta0 if drift.active else 0.0
+    return start + np.cumsum(inc)
+
+
+def test_phase_walk_matches_reference_byte_for_byte():
+    drifts = {
+        "waveguide": make_waveguide_preset().drift,
+        "freespace": make_freespace_preset().drift,
+        "inactive": PhaseDriftParams(),
+        "always-hop": PhaseDriftParams(walk_sigma=1e-3, hop_prob=1.0, hop_scale=0.3),
+    }
+    for seed, (name, drift) in enumerate(drifts.items()):
+        rng_new = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        theta = sample_phase_walk(drift, 50_001, rng_new)
+        expect = _phase_walk_reference(drift, 50_001, rng_ref)
+        assert theta.dtype == expect.dtype and theta.shape == expect.shape, name
+        assert theta.tobytes() == expect.tobytes(), name
+        # both consumed the same draws
+        assert rng_new.random() == rng_ref.random(), name
+
+
+def test_apply_channel_matches_scalar_reference_on_a_preset_link():
+    from test_kernels import _channel_reference
+    link = make_freespace_preset(delay=23, rx_noise_var=0.6)
+    n = 3000
+    rng = np.random.default_rng(12)
+    stream = rng.normal(size=n) + 1j * rng.normal(size=n)
+    out = apply_channel(stream, link, np.random.default_rng(13))
+    rng_ref = np.random.default_rng(13)
+    theta = _phase_walk_reference(link.drift, n, rng_ref)
+    noise = rng_ref.normal(0.0, 1.0, (n, 2)) * np.sqrt(link.rx_noise_var)
+    amp = np.sqrt(link.transmittance)
+    expect = _channel_reference(
+        stream, amp, link.delay, np.cos(theta), np.sin(theta),
+        np.array([t.delay for t in link.taps], dtype=np.int64),
+        np.array([t.amplitude * np.cos(t.phase) * amp for t in link.taps]),
+        np.array([t.amplitude * np.sin(t.phase) * amp for t in link.taps]),
+        noise)
+    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from thermalqkd.distill import (PartyRecord, advantage_distill, bit_error_rate,
-                                median_slice, read_bits_packed, read_bits_text,
-                                write_bits_packed, write_bits_text)
+                                median_slice, read_bits_packed, write_bits_packed,
+                                write_bits_text)
 
 
 def test_median_slice_examples():
@@ -124,7 +124,7 @@ def test_bit_export_round_trips(tmp_path):
         bin_ = tmp_path / f"k{n}.bin"
         write_bits_text(bits, txt)
         write_bits_packed(bits, bin_)
-        assert np.array_equal(read_bits_text(txt), bits)
+        assert txt.read_bytes() == "".join(f"{bit}\n" for bit in bits.tolist()).encode("ascii")
         assert np.array_equal(read_bits_packed(bin_), bits)
         # the np.char formatter the text writer replaced, byte for byte
         expected = "\n".join(np.char.mod("%d", bits)) + ("\n" if n else "")
@@ -139,3 +139,17 @@ def test_bit_export_round_trips(tmp_path):
         for write in (write_bits_text, write_bits_packed):
             with pytest.raises(ValueError, match="0 or 1"):
                 write(bad, tmp_path / "bad")
+
+
+def test_read_bits_packed_rejects_malformed_files(tmp_path):
+    path = tmp_path / "k.bin"
+    for raw, why in ((b"", "empty"), (bytes([9, 0xFF]), "pad count 9"),
+                     (bytes([8, 0xFF]), "pad count 8"), (bytes([3]), "no payload")):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=why):
+            read_bits_packed(path)
+    # a pad of 0 to 7 over at least one byte, or an empty key, reads back
+    path.write_bytes(bytes([7, 0x80]))
+    assert read_bits_packed(path).tolist() == [1]
+    path.write_bytes(bytes([0]))
+    assert read_bits_packed(path).size == 0

@@ -1,12 +1,16 @@
 import dataclasses
+import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from thermalqkd import harness
 from thermalqkd.config import set_config_value
-from thermalqkd.distill import PartyRecord, read_bits_packed, read_bits_text
-from thermalqkd.harness import (CSV_CHUNK_ROWS, CalibrationError,
-                                _write_measurement_csv, calibrate_preset,
+from thermalqkd.distill import PartyRecord, read_bits_packed
+from thermalqkd.harness import (CSV_CHUNK_ROWS, SCENARIO_PRESETS, CalibrationError,
+                                _pool_map, _write_measurement_csv, calibrate_preset,
                                 derive_trial_seed, freespace_scenario,
                                 run_scenario, sweep, sweep_csv, sweep_values,
                                 waveguide_scenario)
@@ -75,6 +79,94 @@ def test_run_is_deterministic(tmp_path):
     second.write(dir_b)
     for name in ("alice.csv", "bob.csv", "eve.csv", "report.json", "config.cfg"):
         assert _read_bytes(dir_a / name) == _read_bytes(dir_b / name), name
+
+
+def _artifact_bytes(art, out_dir):
+    art.write(out_dir)
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
+    # A run receives and folds its parties on party threads; inside a pool
+    # worker (a sweep or calibration point) the same run maps in place, with
+    # no nested pool. Every schedule must write the same nine files: two
+    # threads, three threads (one per party) and a 1 us switch interval.
+    receive = harness._receive_party
+    pool_class = harness.ThreadPoolExecutor
+    threads_used = set()
+
+    def traced_receive(*args):
+        threads_used.add(threading.get_ident())
+        return receive(*args)
+
+    def no_nested_pool(*args, **kwargs):
+        raise AssertionError("a pool worker started a nested pool")
+
+    def run_in_worker(cfg):
+        # The outer pool already runs; any executor made from here is nested.
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_nested_pool)
+        try:
+            return run_scenario(cfg), threading.get_ident()
+        finally:
+            monkeypatch.setattr(harness, "ThreadPoolExecutor", pool_class)
+
+    monkeypatch.setattr(harness, "_receive_party", traced_receive)
+    interval = sys.getswitchinterval()
+    thread_counts = (harness.PARTY_THREADS, 3)
+    for preset, make in SCENARIO_PRESETS.items():
+        cfg = make(seed=7, n_symbols=20_000, ad_block=2)
+        threads_used.clear()
+        (in_place, worker), = _pool_map(run_in_worker, [cfg], 1)
+        assert threads_used == {worker}, preset
+        expect = _artifact_bytes(in_place, tmp_path / preset / "in_place")
+        assert len(expect) == 9
+        for party_threads in thread_counts:
+            monkeypatch.setattr(harness, "PARTY_THREADS", party_threads)
+            threads_used.clear()
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = run_scenario(cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            assert threads_used and threading.get_ident() not in threads_used, preset
+            files = _artifact_bytes(threaded, tmp_path / preset / f"threads{party_threads}")
+            assert files == expect, (preset, party_threads)
+
+
+# sha256 of every artifact file of the presets at seed 7, 20k symbols,
+# ad_block=2. Any change here is a reproducibility break and must be announced.
+GOLDEN_DIGESTS = {
+    "waveguide": {
+        "alice.csv": "d8b19bd08ae141b718d1601aa5430d76480464a676133dd217b13699ab8f8063",
+        "bob.csv": "49b0366b813a83e9f64cda4bdbb9dfdd5aea46bb065fcd5611d5d7a41b4d56ab",
+        "config.cfg": "2991bb5e57ed4d5969ddf767a5bd658ae8d0d23a15000a1d7779283c9e7b8e79",
+        "eve.csv": "2b27022955a36b2ca07d072aec3f431afb8d721cb0039b3faae4582da4bb7e7b",
+        "key_alice.bin": "eedd0ee7fbba910be1353760911f7e17b1f370dcbfb165d0656c6d55cd9b6453",
+        "key_alice.txt": "80bd89b67f9e4691954334de5a68307e66944bb3d1b9bed7c25fa0cd13f7731a",
+        "key_bob.bin": "f64abe28226b72a1310db8b10ced6f074d20e5cf5fe20a8d9d43ad7572a76b7e",
+        "key_bob.txt": "4c785e159ca206eb2829de24c909641438674a515706d1747a92bdae95b6f1b2",
+        "report.json": "261588bb7f03127c02fe2c98693cc30f1f3fdb76028689a6d3208100b9269692",
+    },
+    "freespace": {
+        "alice.csv": "3581a0eb56f16080d106e59e16ba698384d36f66c5ae26997a2d8e4ac6f52976",
+        "bob.csv": "6c8812e1865ffc403752e20a692f5f7a0c7a649cf082266796fdd0ba510f295a",
+        "config.cfg": "be8c9311a65c2ac7bf95fe6bc6d3b5412f29fdd9ce10a8975492505da55b9827",
+        "eve.csv": "ca32b3ae5d00a2f019154818ca805b11088074dd9b09e6716da36861893a1869",
+        "key_alice.bin": "9a740e74888c69c96de259e7747afa5279b0f7a6c468d85b1a371f164da4a1d0",
+        "key_alice.txt": "407f38ac8a6bd7435d59ec21123eecb732bb383fbd8e7ff3c7a22e5dc7106bba",
+        "key_bob.bin": "11a9aef205709ccf167e5c1af7d68e6485f8ab3ea25e5ee67f6f3bd002a65c62",
+        "key_bob.txt": "cce5d53c08d41076f9146156470a4ca8a4ef14f983bb8f8b09e4be9d4651f9c0",
+        "report.json": "dfcfc514f7e91fe2be507f017bf82264b6f22ccb33a48387afbc88540382667e",
+    },
+}
+
+
+def test_preset_artifacts_match_golden_digests(tmp_path):
+    for preset, make in SCENARIO_PRESETS.items():
+        art = run_scenario(make(seed=7, n_symbols=20_000, ad_block=2))
+        files = _artifact_bytes(art, tmp_path / preset)
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+        assert digests == GOLDEN_DIGESTS[preset], preset
 
 
 def test_artifact_files_are_consistent(tmp_path):
@@ -180,10 +272,11 @@ def test_distilled_keys_are_exported(tmp_path):
     art = run_scenario(cfg)
     art.write(tmp_path)
     for party in ("alice", "bob"):
-        from_text = read_bits_text(tmp_path / f"key_{party}.txt")
+        key = art.distilled[f"{party}_key"]
+        text = "".join(f"{bit}\n" for bit in key.tolist()).encode("ascii")
+        assert (tmp_path / f"key_{party}.txt").read_bytes() == text
         from_packed = read_bits_packed(tmp_path / f"key_{party}.bin")
-        assert np.array_equal(from_text, art.distilled[f"{party}_key"])
-        assert np.array_equal(from_packed, art.distilled[f"{party}_key"])
+        assert np.array_equal(from_packed, key)
 
 
 def test_calibration_prefers_zero_noise_for_perfect_target():

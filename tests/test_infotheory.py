@@ -210,3 +210,23 @@ def test_report_validates_ranges():
         MetricsReport(r_ab=0.5, r_be=0.0, r_ae=0.0, i_ab=1.5, i_ae=0.4,
                       i_be=0.3, i_ab_given_e=0.1, delta_dr=0.1, delta_rr=0.2,
                       ber_ab=0.1, n_bits=10)
+
+
+def test_pearson_rejects_non_finite_result():
+    # float64 overflow in the sums makes the correlation NaN; clamping would
+    # turn it into -1.0
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            pearson_r([1e200, 2e200, 3e200], [1e200, 3e200, 2e200])
+        with pytest.raises(ValueError, match="not finite"):
+            pearson_r([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+
+
+def test_report_rejects_non_finite_fields():
+    good = dict(r_ab=0.9, r_be=0.8, r_ae=0.7, i_ab=0.5, i_ae=0.4, i_be=0.3,
+                i_ab_given_e=0.1, delta_dr=0.1, delta_rr=0.2, ber_ab=0.11, n_bits=100)
+    MetricsReport(**good)
+    for name in good.keys() - {"n_bits"}:
+        for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+            with pytest.raises(ValueError, match=name):
+                MetricsReport(**{**good, name: bad})
