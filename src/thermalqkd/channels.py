@@ -51,12 +51,13 @@ class PhaseDriftParams:
     hop_scale: float = 0.0    # rad per hop
 
     def __post_init__(self):
-        if not (np.isfinite(self.walk_sigma) and self.walk_sigma >= 0):
-            raise ValueError(f"walk_sigma must be >= 0, got {self.walk_sigma}")
+        # theta sums n steps of a few walk_sigma plus hop_scale: 1e6 rad keeps it finite.
+        if not 0.0 <= self.walk_sigma <= 1e6:
+            raise ValueError(f"walk_sigma must be in [0, 1e6], got {self.walk_sigma}")
         if not (0.0 <= self.hop_prob <= 1.0):
             raise ValueError(f"hop_prob must be in [0, 1], got {self.hop_prob}")
-        if not (np.isfinite(self.hop_scale) and self.hop_scale >= 0):
-            raise ValueError(f"hop_scale must be >= 0, got {self.hop_scale}")
+        if not 0.0 <= self.hop_scale <= 1e6:
+            raise ValueError(f"hop_scale must be in [0, 1e6], got {self.hop_scale}")
 
     @property
     def active(self) -> bool:
@@ -76,8 +77,9 @@ class ChannelParams:
             raise ValueError(f"transmittance must be in [0, 1], got {self.transmittance}")
         if int(self.delay) != self.delay or self.delay < 0:
             raise ValueError(f"delay must be an integer >= 0, got {self.delay}")
-        if not (np.isfinite(self.rx_noise_var) and self.rx_noise_var >= 0):
-            raise ValueError(f"rx_noise_var must be >= 0, got {self.rx_noise_var}")
+        # pearson_r multiplies two sums of n squares of order rx_noise_var; 1e12 keeps that finite.
+        if not 0.0 <= self.rx_noise_var <= 1e12:
+            raise ValueError(f"rx_noise_var must be in [0, 1e12], got {self.rx_noise_var}")
         object.__setattr__(self, "taps", tuple(self.taps))
 
     @property

@@ -58,9 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("step", type=float)
     p_sweep.add_argument("--config", default=None,
                          help="base config file (default: built-in waveguide preset)")
-    p_sweep.add_argument("--n-symbols", type=int, default=300_000,
-                         help="run length when no --config is given")
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--n-symbols", type=int, default=None,
+                         help="override the base run length (preset: 300000)")
+    p_sweep.add_argument("--seed", type=int, default=None,
+                         help="override the base seed (preset: 0)")
     p_sweep.add_argument("--out", default=None, help="output CSV path")
     p_sweep.add_argument("--jobs", type=int, default=1)
 
@@ -117,8 +118,9 @@ def _cmd_sweep(args) -> int:
     if args.config:
         base = load_config(args.config)
     else:
-        base = SCENARIO_PRESETS["waveguide"](seed=args.seed, n_symbols=args.n_symbols,
-                                             ad_block=None)
+        base = SCENARIO_PRESETS["waveguide"](seed=0, n_symbols=300_000, ad_block=None)
+    overrides = {"seed": args.seed, "n_symbols": args.n_symbols}
+    base = dataclasses.replace(base, **{k: v for k, v in overrides.items() if v is not None})
     values = sweep_values(args.start, args.stop, args.step)
     rows = sweep(base, args.param, values, jobs=args.jobs)
     text = sweep_csv(rows, args.param)

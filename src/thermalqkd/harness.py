@@ -362,21 +362,20 @@ def _stat_values(report: MetricsReport, names) -> dict[str, float]:
     return {name: float(getattr(report, name)) for name in names}
 
 
-def calibrate_preset(target, targets: dict | None = None, search: dict | None = None,
-                     n_symbols: int = 200_000, seed: int = 1_234_567,
+def calibrate_preset(target, n_symbols: int = 200_000, seed: int = 1_234_567,
                      jobs: int = 1) -> CalibrationResult:
     """Grid-search channel noises so simulated statistics hit named targets.
 
-    ``target`` names a preset ("waveguide" or "freespace"); ``targets`` and
-    ``search`` override the defaults in CALIBRATION_TARGETS and
-    CALIBRATION_RANGES. The objective is the summed squared deviation of the
-    achieved statistics. Raises CalibrationError when the best point misses
-    any target by more than its tolerance.
+    ``target`` names a preset ("waveguide" or "freespace"); its statistic
+    targets and parameter grid are CALIBRATION_TARGETS[target] and
+    CALIBRATION_RANGES[target]. The objective is the summed squared deviation
+    of the achieved statistics. Raises CalibrationError when the best point
+    misses any target by more than its tolerance.
     """
     if target not in SCENARIO_PRESETS:
         raise ValueError(f"unknown preset {target!r}; expected one of {sorted(SCENARIO_PRESETS)}")
-    targets = dict(CALIBRATION_TARGETS[target] if targets is None else targets)
-    search = dict(CALIBRATION_RANGES[target] if search is None else search)
+    targets = dict(CALIBRATION_TARGETS[target])
+    search = CALIBRATION_RANGES[target]
     base = SCENARIO_PRESETS[target](seed=seed, n_symbols=n_symbols, ad_block=None)
 
     keys = list(search.keys())

@@ -16,7 +16,6 @@ import numpy as np
 
 SYMBOL_PHASES = np.pi / 4 + (np.pi / 2) * np.arange(4)
 _GRAY_ENCODE = np.array([0, 1, 3, 2], dtype=np.uint8)      # index = 2*b0 + b1
-_GRAY_DECODE = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 _PHASE_COS = np.cos(SYMBOL_PHASES)
 _PHASE_SIN = np.sin(SYMBOL_PHASES)
 
@@ -40,36 +39,11 @@ def bits_to_symbols(bits) -> np.ndarray:
     return _GRAY_ENCODE[2 * b[0::2] + b[1::2]]
 
 
-def symbols_to_bits(symbols) -> np.ndarray:
-    """Inverse of bits_to_symbols."""
-    s = _check_symbols(symbols)
-    return _GRAY_DECODE[s].ravel()
-
-
 def quadrant_decision(x, p):
-    """Symbol whose quadrant contains (x, p); axis ties go to the positive side."""
+    """Symbols (uint8) whose quadrants contain (x, p); axis ties go to the positive side."""
     xn = np.asarray(x) < 0
     pn = np.asarray(p) < 0
-    sym = np.where(pn, np.where(xn, 2, 3), np.where(xn, 1, 0)).astype(np.uint8)
-    if sym.ndim == 0:
-        return int(sym)
-    return sym
-
-
-def estimate_delay(ref_symbols, rx_symbols, max_lag: int) -> AlignmentResult:
-    """Lag in [-max_lag, max_lag] maximizing the exact symbol-match fraction.
-
-    Lag L means rx[t] lines up with ref[t - L]. Ties resolve toward the
-    smallest |lag|, then toward the positive lag. No relabeling is searched,
-    so ``quarter_turns`` is 0.
-    """
-    ref, rx = _alignment_inputs(ref_symbols, rx_symbols, max_lag)
-    lags, counts, overlap = _match_counts(ref, rx, max_lag)
-    frac = counts[0] / overlap
-    order = np.lexsort((lags < 0, np.abs(lags)))
-    best = order[int(np.argmax(frac[order]))]
-    return AlignmentResult(lag=int(lags[best]), quarter_turns=0,
-                           match_fraction=float(frac[best]))
+    return np.where(pn, np.where(xn, 2, 3), np.where(xn, 1, 0)).astype(np.uint8)
 
 
 def estimate_delay_and_rotation(ref_symbols, rx_symbols, max_lag: int) -> AlignmentResult:
@@ -117,7 +91,7 @@ def _check_symbols(symbols) -> np.ndarray:
     s = np.asarray(symbols)
     if s.size and (s.min() < 0 or s.max() > 3):
         raise ValueError("symbols must lie in 0..3")
-    return s.astype(np.int64) if s.ndim else np.int64(s)
+    return s.astype(np.int64)
 
 
 def _alignment_inputs(ref_symbols, rx_symbols, max_lag):

@@ -30,10 +30,12 @@ class SourceParams:
     d0: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.nbar) and self.nbar >= 0):
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
-        if not (np.isfinite(self.d0) and self.d0 >= 0):
-            raise ValueError(f"d0 must be >= 0, got {self.d0}")
+        # pearson_r multiplies two sums of n squares of order nbar; 1e12 keeps that finite.
+        if not 0.0 <= self.nbar <= 1e12:
+            raise ValueError(f"nbar must be in [0, 1e12], got {self.nbar}")
+        # pearson_r centres z ~ d0 over unit detection noise; 1e6 costs <= 6 of 16 digits.
+        if not 0.0 <= self.d0 <= 1e6:
+            raise ValueError(f"d0 must be in [0, 1e6], got {self.d0}")
 
 
 def sample_source_field(params: SourceParams, symbol_phase, rng):
@@ -42,16 +44,12 @@ def sample_source_field(params: SourceParams, symbol_phase, rng):
     ``s`` is circular complex Gaussian with per-quadrature variance
     ``params.nbar``, so E|s|^2 = 2*nbar. ``d0`` is in the same field units:
     the coherent photon number is ``d0**2 / 2`` and the thermal photon number
-    is ``nbar``. ``symbol_phase`` may be a scalar or an array; the result
-    matches its shape.
+    is ``nbar``. The result is a complex array of ``symbol_phase``'s shape.
     """
     phase = np.asarray(symbol_phase, dtype=float)
     sigma = np.sqrt(params.nbar)
     fluct = rng.normal(0.0, 1.0, phase.shape + (2,)) * sigma
-    field = params.d0 * np.exp(1j * phase) + fluct[..., 0] + 1j * fluct[..., 1]
-    if phase.ndim == 0:
-        return complex(field)
-    return field
+    return params.d0 * np.exp(1j * phase) + fluct[..., 0] + 1j * fluct[..., 1]
 
 
 def apply_beamsplitter(a, b, transmittance: float):
@@ -76,8 +74,6 @@ def heterodyne(a, noise_var: float, rng):
     w = rng.normal(0.0, 1.0, field.shape + (2,)) * sigma
     x = field.real + w[..., 0]
     p = field.imag + w[..., 1]
-    if field.ndim == 0:
-        return float(x), float(p)
     return x, p
 
 

@@ -22,7 +22,7 @@ from .distill import advantage_distill, bit_error_rate
 from .harness import (freespace_scenario, run_scenario, sweep, sweep_csv,
                       waveguide_scenario)
 from .infotheory import conditional_mutual_information, g2, mutual_information
-from .modem import estimate_delay
+from .modem import estimate_delay_and_rotation
 from .optics import (SourceParams, apply_beamsplitter, heterodyne,
                      joint_covariance_oracle, sample_source_field)
 
@@ -113,7 +113,7 @@ def alignment_recovery():
             rx[:shift] = rng.integers(0, 4, shift)
         elif shift < 0:
             rx[shift:] = rng.integers(0, 4, -shift)
-        hits += estimate_delay(ref, rx, 1000).lag == shift
+        hits += estimate_delay_and_rotation(ref, rx, 1000).lag == shift
     return hits >= 999, f"{hits}/{trials} exact recoveries (need >= 999)"
 
 

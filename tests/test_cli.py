@@ -1,11 +1,14 @@
 import dataclasses
+import json
+import math
 
+import numpy as np
 import pytest
 
-from thermalqkd import selftest
+from thermalqkd import harness, selftest
 from thermalqkd.cli import main
-from thermalqkd.config import format_config, save_config
-from thermalqkd.harness import freespace_scenario, waveguide_scenario
+from thermalqkd.config import format_config, load_config, save_config
+from thermalqkd.harness import calibrate_preset, freespace_scenario, waveguide_scenario
 
 
 @pytest.fixture()
@@ -60,6 +63,42 @@ def test_pilots_leaving_no_data_exit_one(tmp_path, capsys, factory):
     assert "pilot_len" in err and "runtime failure" not in err
 
 
+def _edit_config(path, values):
+    """Replace the values of some ``key = value`` lines of a config file."""
+    lines = (line.split(" = ", 1) for line in path.read_text().splitlines())
+    path.write_text("".join(f"{key} = {values.get(key, value)}\n" for key, value in lines))
+
+
+_LINKS = ("alice_link", "bob_link", "eve_link")
+_BOUNDS = {"source.nbar": 1e12, "source.d0": 1e6, "bob_link.rx_noise_var": 1e12,
+           "bob_link.drift.walk_sigma": 1e6, "bob_link.drift.hop_scale": 1e6}
+_AT_BOUNDS = {key.replace("bob_link", link): bound
+              for key, bound in _BOUNDS.items() for link in _LINKS}
+_AT_BOUNDS.update({f"{link}.drift.hop_prob": 1.0 for link in _LINKS})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values, code", [
+    *(({key: float(np.nextafter(bound, np.inf))}, 1) for key, bound in _BOUNDS.items()),
+    (_AT_BOUNDS, 0),
+], ids=[*(f"above-{key}" for key in _BOUNDS), "all-at-bounds"])
+def test_field_bounds_keep_runs_finite(tmp_path, config_file, capsys, values, code):
+    # Just above its bound a field is rejected by name; at every bound at
+    # once, with a hop on every symbol, the run reports finite metrics.
+    _edit_config(config_file, {k: repr(v) for k, v in values.items()})
+    out = tmp_path / "out"
+    assert main(["run", str(config_file), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "runtime failure" not in err
+    if code:
+        [(key, _)] = values.items()
+        section, field = key.split(".")[0], key.rsplit(".", 1)[1]
+        assert f"{section}: {field} must be" in err
+    else:
+        report = json.loads((out / "report.json").read_text())
+        assert all(math.isfinite(v) for v in report.values())
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 1
 
@@ -88,6 +127,37 @@ def test_sweep_prints_without_out(config_file, capsys):
     assert main(["sweep", "eve_transmittance", "0.4", "0.6", "0.2",
                  "--config", str(config_file)]) == 0
     assert capsys.readouterr().out.startswith("eve_transmittance,")
+
+
+def test_sweep_seed_and_n_symbols_override_config(config_file, capsys):
+    def sweep_csv(*extra):
+        argv = ["sweep", "eve_transmittance", "0.5", "0.5", "0.1", "--config", str(config_file)]
+        assert main([*argv, *extra]) == 0
+        return capsys.readouterr().out
+
+    def n_bits(text):
+        header, row = text.splitlines()
+        return int(dict(zip(header.split(","), row.split(",")))["n_bits"])
+
+    base = sweep_csv()
+    assert sweep_csv("--seed", "5") != sweep_csv("--seed", "6")
+    assert sweep_csv("--seed", "1") == base
+    assert n_bits(sweep_csv("--n-symbols", "20000")) > n_bits(base)
+
+
+def test_calibrate_writes_loadable_preset(tmp_path):
+    out = tmp_path / "waveguide.cfg"
+    assert main(["calibrate", "waveguide", "--n-symbols", "20000", "--out", str(out)]) == 0
+    assert "# target r_ab" in out.read_text()
+    assert load_config(out) == calibrate_preset("waveguide", n_symbols=20_000).config
+
+
+def test_calibrate_unreachable_target_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(harness.CALIBRATION_TARGETS, "waveguide", {"r_ab": 1.0})
+    out = tmp_path / "waveguide.cfg"
+    assert main(["calibrate", "waveguide", "--n-symbols", "20000", "--out", str(out)]) == 2
+    assert "best r_ab" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("param, start, stop, step, extra, code, field", [

@@ -279,13 +279,14 @@ def test_distilled_keys_are_exported(tmp_path):
         assert np.array_equal(from_packed, key)
 
 
-def test_calibration_prefers_zero_noise_for_perfect_target():
+def test_calibration_prefers_zero_noise_for_perfect_target(monkeypatch):
     # r_ab = 1 is unreachable (detection noise remains), so the search must
     # end at the quietest corner and raise with the best-found result.
+    monkeypatch.setitem(harness.CALIBRATION_TARGETS, "waveguide", {"r_ab": 1.0})
+    monkeypatch.setitem(harness.CALIBRATION_RANGES, "waveguide",
+                        {"alice_link.rx_noise_var": [0.0, 0.4, 0.8]})
     with pytest.raises(CalibrationError) as err:
-        calibrate_preset("waveguide", targets={"r_ab": 1.0},
-                         search={"alice_link.rx_noise_var": [0.0, 0.4, 0.8]},
-                         n_symbols=40_000)
+        calibrate_preset("waveguide", n_symbols=40_000)
     best = err.value.best
     assert best.config.alice_link.rx_noise_var == 0.0
     assert best.achieved["r_ab"] < 1.0
