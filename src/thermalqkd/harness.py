@@ -55,6 +55,9 @@ MIN_ALIGNMENT_LAG = 1024
 # Quadrant streams are compared over a window this size (or the whole run).
 ALIGNMENT_WINDOW = 65_536
 
+# Largest sweep grid; every point is a whole run.
+MAX_SWEEP_POINTS = 10_000
+
 # Threads that receive and fold the three parties of one run.
 PARTY_THREADS = 2
 
@@ -189,12 +192,19 @@ def _receive_party(name, inputs, config, rngs, syms, window, max_lag):
     return x, p, found, psi
 
 
-def _fold_party(received, index, segments, fold_phase) -> PartyRecord:
-    """Rotate one party's kept symbols onto one cluster and slice them."""
+def _fold_party(received, index, cells) -> PartyRecord:
+    """Rotate one party's kept symbols onto one cluster and slice them.
+
+    ``cells`` holds ``4 * segment + symbol`` per kept symbol. Its fold angle
+    is ``psi[segment] + SYMBOL_PHASES[symbol]``, so the cosines and sines
+    are taken once per (segment, symbol) cell and gathered; each cell's
+    angle is the same double sum as the per-symbol one, so the bytes are too.
+    """
     x, p, found, psi = received
     rx_idx = index + found.lag
-    angle = psi[segments] + fold_phase
-    xf, pf, z = kernels.demod_fold(x[rx_idx], p[rx_idx], np.cos(angle), np.sin(angle))
+    angle = (psi[:, None] + SYMBOL_PHASES).ravel()
+    xf, pf, z = kernels.demod_fold(x[rx_idx], p[rx_idx],
+                                   np.cos(angle)[cells], np.sin(angle)[cells])
     return PartyRecord(x=xf, p=pf, z=z, bits=median_slice(z))
 
 
@@ -238,10 +248,9 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
             f"pilot_len: {config.pilot_len} pilots per segment and the alignment edges "
             f"leave {index.size} data symbols of {n}; need at least {need}"])
 
-    fold_phase = SYMBOL_PHASES[syms[index]]
-    segments = index // config.coherence_len
+    cells = 4 * (index // config.coherence_len) + syms[index]
     records = dict(zip(PARTIES, _pool_map(
-        lambda name: _fold_party(received.pop(name), index, segments, fold_phase),
+        lambda name: _fold_party(received.pop(name), index, cells),
         PARTIES, PARTY_THREADS)))
 
     report = build_report(records["alice"], records["bob"], records["eve"])
@@ -454,7 +463,8 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
     """Inclusive arithmetic grid: start, start+step, ..., stop.
 
     Raises ConfigError naming the field when a bound or the step is not
-    finite, the step is not positive, or ``stop < start`` (an empty grid).
+    finite, the step is not positive, ``stop < start`` (an empty grid), or
+    the step gives more than MAX_SWEEP_POINTS points.
     """
     for name, value in (("start", start), ("stop", stop), ("step", step)):
         if not math.isfinite(value):
@@ -463,5 +473,9 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
         raise ConfigError([f"step: must be > 0, got {step}"])
     if stop < start:
         raise ConfigError([f"stop: must be >= start, got {stop} < {start}"])
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step
+    if not span < MAX_SWEEP_POINTS:   # also an infinite span
+        raise ConfigError([f"step: {step} gives {span + 1:.6g} points from {start} to "
+                           f"{stop}; at most {MAX_SWEEP_POINTS} are allowed"])
+    count = int(round(span)) + 1
     return [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]

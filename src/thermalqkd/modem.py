@@ -6,6 +6,17 @@ Gray code 00->0, 01->1, 11->2, 10->3, making adjacent clusters differ in one
 bit. Delay estimation counts exact symbol matches at every candidate lag via
 FFT cross-correlation of indicator phasors, which also yields the match
 counts under all four quarter-turn relabelings at no extra cost.
+
+The FFT length only has to keep the lags that are read apart from their
+circular aliases, not hold the whole linear correlation. The linear
+correlation of an ``n_rx`` stream against an ``n_ref`` stream is supported on
+lags ``-(n_ref - 1) .. n_rx - 1``; a length-``N`` circular correlation at lag
+``L`` adds in the values at ``L +/- N``. With ``N >= max(n_ref, n_rx) +
+max_lag`` and ``|L| <= max_lag``, ``L + N >= n_rx`` and ``L - N <= -n_ref``
+both fall outside that support, so every kept lag is exact. ``N`` is the
+smallest 5-smooth number (``2^a 3^b 5^c``) at least that large: 67,500
+rather than the power of two 131,072 above ``n_ref + n_rx - 1`` for a
+65,536-symbol window.
 """
 
 from __future__ import annotations
@@ -18,6 +29,9 @@ SYMBOL_PHASES = np.pi / 4 + (np.pi / 2) * np.arange(4)
 _GRAY_ENCODE = np.array([0, 1, 3, 2], dtype=np.uint8)      # index = 2*b0 + b1
 _PHASE_COS = np.cos(SYMBOL_PHASES)
 _PHASE_SIN = np.sin(SYMBOL_PHASES)
+
+# Largest distance of an FFT match count from its integer that is trusted.
+_COUNT_TOLERANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -41,9 +55,11 @@ def bits_to_symbols(bits) -> np.ndarray:
 
 def quadrant_decision(x, p):
     """Symbols (uint8) whose quadrants contain (x, p); axis ties go to the positive side."""
-    xn = np.asarray(x) < 0
-    pn = np.asarray(p) < 0
-    return np.where(pn, np.where(xn, 2, 3), np.where(xn, 1, 0)).astype(np.uint8)
+    # Quadrants 0, 1, 2, 3 are the sign pairs (+,+), (-,+), (-,-), (+,-) of
+    # (x, p): bit 1 is "p < 0" and bit 0 is "x < 0" xor "p < 0".
+    xn = (np.asarray(x) < 0).view(np.uint8)
+    pn = (np.asarray(p) < 0).view(np.uint8)
+    return np.asarray((pn << 1) | (xn ^ pn))
 
 
 def estimate_delay_and_rotation(ref_symbols, rx_symbols, max_lag: int) -> AlignmentResult:
@@ -114,11 +130,12 @@ def _match_counts(ref, rx, max_lag):
     C(L) = sum_t u[t] * conj(v[t-L]) equals sum_k m_k(L) * i^k where m_k(L)
     counts positions with (rx - ref) mod 4 == k. Together with the same
     correlation of (-1)^symbol sequences and the known overlap length this
-    linear system yields every m_k exactly; FFT round-off is far below the
-    0.5 needed for integer rounding.
+    linear system yields every m_k exactly. FFT round-off is far below the
+    0.5 needed for integer rounding; a count further than
+    ``_COUNT_TOLERANCE`` from an integer raises RuntimeError.
     """
     n_ref, n_rx = ref.size, rx.size
-    nfft = 1 << int(np.ceil(np.log2(n_ref + n_rx - 1)))
+    nfft = _fft_size(max(n_ref, n_rx) + max_lag)
     phasor = np.array([1, 1j, -1, -1j])
     u = phasor[rx]
     v = phasor[ref]
@@ -134,10 +151,30 @@ def _match_counts(ref, rx, max_lag):
         raise ValueError("empty overlap inside the lag window")
     even = (overlap + d_l) / 4.0
     odd = (overlap - d_l) / 4.0
-    counts = np.rint(np.stack([
+    raw = np.stack([
         even + c_l.real / 2.0,
         odd + c_l.imag / 2.0,
         even - c_l.real / 2.0,
         odd - c_l.imag / 2.0,
-    ])).astype(np.int64)
-    return lags, counts, overlap.astype(np.int64)
+    ])
+    counts = np.rint(raw)
+    off = float(np.max(np.abs(raw - counts)))
+    if not off <= _COUNT_TOLERANCE:
+        raise RuntimeError(
+            f"FFT match counts are {off:.3g} from an integer (nfft={nfft}); "
+            f"tolerance is {_COUNT_TOLERANCE}")
+    return lags, counts.astype(np.int64), overlap.astype(np.int64)
+
+
+def _fft_size(m: int) -> int:
+    """Smallest 2^a * 3^b * 5^c that is >= m (1 for m <= 1)."""
+    best = 1 << max(m - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5                      # 3^b * 5^c
+        while odd < best:
+            # odd times the smallest power of two >= ceil(m / odd)
+            best = min(best, odd << max(-(-m // odd) - 1, 0).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best

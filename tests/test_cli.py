@@ -170,8 +170,10 @@ def test_calibrate_unreachable_target_exits_two(tmp_path, capsys, monkeypatch):
     ("eve_transmittance", "nan", "1", "0.5", [], 1, "start"),
     ("eve_transmittance", "0", "inf", "0.5", [], 1, "stop"),
     ("eve_transmittance", "0.3", "0.5", "0.2", ["--jobs", "0"], 1, "jobs"),
+    ("eve_transmittance", "0", "1", "1e-300", [], 1, "step"),
+    ("eve_transmittance", "0", "1e300", "1e-300", [], 1, "step"),
 ], ids=["negative-nbar", "unknown-key", "fractional-delay", "int-ad-block", "zero-step",
-        "empty-grid", "nan-start", "inf-stop", "zero-jobs"])
+        "empty-grid", "nan-start", "inf-stop", "zero-jobs", "huge-grid", "overflowing-grid"])
 def test_sweep_values_checked_per_field(config_file, capsys, param, start, stop, step,
                                         extra, code, field):
     argv = ["sweep", param, start, stop, step, "--config", str(config_file), *extra]

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from thermalqkd import harness
+from thermalqkd import harness, kernels
 from thermalqkd.config import set_config_value
 from thermalqkd.distill import PartyRecord, read_bits_packed
 from thermalqkd.harness import (CSV_CHUNK_ROWS, SCENARIO_PRESETS, CalibrationError,
@@ -15,6 +15,7 @@ from thermalqkd.harness import (CSV_CHUNK_ROWS, SCENARIO_PRESETS, CalibrationErr
                                 run_scenario, sweep, sweep_csv, sweep_values,
                                 waveguide_scenario)
 from thermalqkd.infotheory import build_report
+from thermalqkd.modem import SYMBOL_PHASES, bits_to_symbols
 
 
 def _read_bytes(path):
@@ -167,6 +168,36 @@ def test_preset_artifacts_match_golden_digests(tmp_path):
         files = _artifact_bytes(art, tmp_path / preset)
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
         assert digests == GOLDEN_DIGESTS[preset], preset
+
+
+def test_fold_table_matches_per_symbol_trig(monkeypatch):
+    # 250 coherence segments of 200 symbols and non-zero lags: the fold's
+    # (segment, symbol) trig table gives the bytes of the per-symbol angles.
+    cfg = dataclasses.replace(freespace_scenario(seed=3, n_symbols=50_000, ad_block=None),
+                              coherence_len=200, pilot_len=20)
+    received = {}
+    receive = harness._receive_party
+
+    def keep(name, *args):
+        received[name] = receive(name, *args)
+        return received[name]
+
+    monkeypatch.setattr(harness, "_receive_party", keep)
+    art = run_scenario(cfg)
+    rng = harness._rng_streams(cfg.seed)["bits"]
+    syms = bits_to_symbols(rng.integers(0, 2, size=2 * cfg.n_symbols, dtype=np.uint8))
+    index = art.index
+    assert np.unique(index // cfg.coherence_len).size == 250
+    for name in harness.PARTIES:
+        x, p, found, psi = received[name]
+        assert np.unique(psi).size == psi.size == 250
+        angle = psi[index // cfg.coherence_len] + SYMBOL_PHASES[syms[index]]
+        rx_idx = index + found.lag
+        want = kernels.demod_fold(x[rx_idx], p[rx_idx], np.cos(angle), np.sin(angle))
+        rec = art.parties[name]
+        for got, ref in zip((rec.x, rec.p, rec.z), want):
+            assert got.tobytes() == ref.tobytes(), name
+    assert [received[name][2].lag for name in ("bob", "eve")] == [23, 31]
 
 
 def test_artifact_files_are_consistent(tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from thermalqkd import modem
 from thermalqkd.modem import (SYMBOL_PHASES, bits_to_symbols, estimate_delay_and_rotation,
                               estimate_global_phase, quadrant_decision)
 
@@ -48,6 +49,37 @@ def test_quadrant_decision():
     assert quadrant_decision(0.3, 0.0) == 0
     assert quadrant_decision(0.0, -1.0) == 3
     assert quadrant_decision(0.0, 0.0) == 0
+
+
+def _quadrant_reference(x, p):
+    """The nested np.where that quadrant_decision's bit arithmetic replaced."""
+    xn = np.asarray(x) < 0
+    pn = np.asarray(p) < 0
+    return np.where(pn, np.where(xn, 2, 3), np.where(xn, 1, 0)).astype(np.uint8)
+
+
+_EDGE_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -1.5, 5e-324, -5e-324]
+
+
+def test_quadrant_decision_edge_values_match_reference():
+    # +-0.0 and NaN are not < 0, so they take the positive side like any tie
+    for xv, pv in itertools.product(_EDGE_VALUES, repeat=2):
+        got = quadrant_decision(xv, pv)
+        want = _quadrant_reference(xv, pv)
+        assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == np.uint8
+        assert got.tobytes() == want.tobytes(), (xv, pv)
+    x, p = np.meshgrid(np.array(_EDGE_VALUES), np.array(_EDGE_VALUES))
+    got = quadrant_decision(x, p)
+    assert got.shape == x.shape and got.dtype == np.uint8
+    assert got.tobytes() == _quadrant_reference(x, p).tobytes()
+    # non-contiguous views, integer input and broadcasting against a scalar
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(6, 40))
+    b = rng.integers(-3, 4, size=(6, 40))
+    for xv, pv in ((a[:, ::3], a.T[::3].T), (b, a), (a, 0.0), (-0.0, b[2])):
+        got = quadrant_decision(xv, pv)
+        assert got.dtype == np.uint8
+        assert got.tobytes() == _quadrant_reference(xv, pv).tobytes()
 
 
 def test_fold_then_unfold_recovers_quadrant():
@@ -103,6 +135,88 @@ def test_estimate_delay_agrees_with_bruteforce():
     rx = np.resize([1, 0], 100)
     got = estimate_delay_and_rotation(ref, rx, 10)
     assert (got.lag, got.quarter_turns, got.match_fraction) == (1, 0, 1.0)
+
+
+def _naive_counts(ref, rx, max_lag):
+    """Brute-force (4, 2*max_lag+1) count matrix: positions with (rx - ref) % 4 == k."""
+    counts = np.zeros((4, 2 * max_lag + 1), dtype=np.int64)
+    for j, lag in enumerate(range(-max_lag, max_lag + 1)):
+        lo, hi = max(0, lag), min(len(rx), len(ref) + lag)
+        counts[:, j] = np.bincount((rx[lo:hi] - ref[lo - lag:hi - lag]) % 4, minlength=4)
+    return counts
+
+
+def _smooth(m):
+    for f in (2, 3, 5):
+        while m % f == 0:
+            m //= f
+    return m == 1
+
+
+def _count_cases():
+    """(ref, rx, max_lag) with max(n) + max_lag just below, at and just above a
+    5-smooth number, unequal lengths either way round, and the planted
+    shift at +-max_lag."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for target in (12, 100, 243, 1000, 1024, 1125, 2187):
+        for delta in (-1, 0, 1):
+            m = target + delta
+            max_lag = max(1, m // 9)
+            n_long = m - max_lag
+            n_short = n_long - int(rng.integers(0, n_long // 3 + 1))
+            for n_ref, n_rx in ((n_long, n_short), (n_short, n_long)):
+                for shift in (max_lag, -max_lag, 0):
+                    base = rng.integers(0, 4, max(n_ref, n_rx) + max_lag)
+                    ref = base[max_lag:max_lag + n_ref]
+                    rx = (base[max_lag - shift:max_lag - shift + n_rx] + 1) % 4
+                    cases.append((ref, rx, max_lag))
+    return cases
+
+
+def test_fft_size_is_smallest_5_smooth_at_least_m():
+    smooth = [k for k in range(1, 8193) if _smooth(k)]
+    for m in range(1, 4097):
+        assert modem._fft_size(m) == next(k for k in smooth if k >= m), m
+    assert modem._fft_size(65_536 + 1024) == 67_500
+
+
+def test_match_counts_equal_bruteforce_matrix():
+    for ref, rx, max_lag in _count_cases():
+        assert _smooth(modem._fft_size(max(ref.size, rx.size) + max_lag))
+        lags, counts, overlap = modem._match_counts(ref, rx, max_lag)
+        assert lags.tolist() == list(range(-max_lag, max_lag + 1))
+        np.testing.assert_array_equal(counts, _naive_counts(ref, rx, max_lag))
+        np.testing.assert_array_equal(overlap, counts.sum(axis=0))
+
+
+def test_match_counts_need_the_whole_size(monkeypatch):
+    # max(n) + max_lag bins are enough, 5-smooth or not. One bin short, the
+    # lag at -max_lag (or +max_lag) picks up a wrapped term: its counts come
+    # out wrong, or off an integer, which raises.
+    monkeypatch.setattr(modem, "_fft_size", lambda m: m)
+    for ref, rx, max_lag in _count_cases():
+        np.testing.assert_array_equal(modem._match_counts(ref, rx, max_lag)[1],
+                                      _naive_counts(ref, rx, max_lag))
+    monkeypatch.setattr(modem, "_fft_size", lambda m: m - 1)
+    for ref, rx, max_lag in _count_cases():
+        try:
+            counts = modem._match_counts(ref, rx, max_lag)[1]
+        except RuntimeError:
+            continue
+        assert not np.array_equal(counts, _naive_counts(ref, rx, max_lag))
+
+
+def test_match_counts_reject_inexact_transform(monkeypatch):
+    rng = np.random.default_rng(13)
+    ref = rng.integers(0, 4, 500)
+    rx = rng.integers(0, 4, 500)
+    ifft, irfft = np.fft.ifft, np.fft.irfft
+    # +0.4 on both inverse transforms moves the k = 0 count by 0.4/4 + 0.4/2
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: ifft(*a, **k) + 0.4)
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.4)
+    with pytest.raises(RuntimeError, match="from an integer"):
+        modem._match_counts(ref, rx, 20)
 
 
 def test_estimate_delay_identical_streams():
