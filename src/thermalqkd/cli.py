@@ -4,14 +4,17 @@ Subcommands: ``run`` a scenario config, ``calibrate`` a named preset,
 ``sweep`` one parameter, ``selftest`` the acceptance criteria that need no
 calibration (1-4 and 7-9, about 11 s). Exit codes: 0 success, 1 usage or
 validation error (including an empty or non-finite sweep grid and
-``--jobs`` below 1), 2 runtime failure or a failed selftest criterion. The
-default output directory comes from ``THERMALQKD_OUT`` (falling back to
-./runs).
+``--jobs`` below 1, or a path argument that cannot be read or created,
+named by its argument), 2 runtime failure or a failed selftest criterion.
+The default output directory comes from ``THERMALQKD_OUT`` (falling back to
+./runs). ``run`` writes its measurement CSVs in forked processes, so it
+needs ``os.fork`` (Linux, macOS).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -28,6 +31,19 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+class _PathArgError(Exception):
+    """A path argument that cannot be opened or created (exit 1)."""
+
+
+@contextlib.contextmanager
+def _path_arg(arg: str, path):
+    """Re-raise an OSError on ``path`` as a _PathArgError naming ``arg``."""
+    try:
+        yield
+    except OSError as exc:
+        raise _PathArgError(f"{arg}: cannot use {path}: {exc.strerror or exc}") from exc
 
 
 def _default_out() -> Path:
@@ -70,12 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    with _path_arg("config", args.config):
+        cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    artifacts = run_scenario(cfg)
     stem = Path(args.config).stem
     out_dir = Path(args.out) if args.out else _default_out() / f"{stem}-seed{cfg.seed}"
+    # Made before the run, so a bad --out fails before the compute.
+    with _path_arg("--out", out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    artifacts = run_scenario(cfg)
     paths = artifacts.write(out_dir)
     rep = artifacts.report
     print(f"wrote {out_dir}")
@@ -109,14 +129,16 @@ def _cmd_calibrate(args) -> int:
     for k, v in result.targets.items():
         print(f"{k}: achieved {result.achieved[k]:.5f} (target {v})")
     if args.out:
-        write_preset_file(result, args.out)
+        with _path_arg("--out", args.out):
+            write_preset_file(result, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     if args.config:
-        base = load_config(args.config)
+        with _path_arg("--config", args.config):
+            base = load_config(args.config)
     else:
         base = SCENARIO_PRESETS["waveguide"](seed=0, n_symbols=300_000, ad_block=None)
     overrides = {"seed": args.seed, "n_symbols": args.n_symbols}
@@ -125,7 +147,8 @@ def _cmd_sweep(args) -> int:
     rows = sweep(base, args.param, values, jobs=args.jobs)
     text = sweep_csv(rows, args.param)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _path_arg("--out", args.out):
+            Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out} ({len(values)} rows)")
     else:
         print(text, end="")
@@ -147,10 +170,7 @@ def main(argv=None) -> int:
                 "sweep": _cmd_sweep, "selftest": _cmd_selftest}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"thermalqkd: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, _PathArgError) as exc:
         print(f"thermalqkd: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

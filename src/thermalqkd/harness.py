@@ -18,6 +18,12 @@ draws only its own ``chan_<party>`` and ``det_<party>`` streams, so the
 output bytes do not depend on how the threads are scheduled. Pools do not
 nest: a ``_pool_map`` called from a pool worker (a sweep point or a
 calibration point) maps on the calling thread.
+
+``RunArtifacts.write`` formats two of the three measurement CSVs in forked
+child processes (``os.fork``, so POSIX only). It forks only after
+``run_scenario`` has returned, when its party pools are shut down and their
+threads joined; a fork in a process with other live threads could copy a
+lock that one of them holds.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
 import threading
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,30 +89,49 @@ class RunArtifacts:
     distilled: dict | None = None
 
     def write(self, out_dir) -> dict[str, Path]:
-        """Write per-party CSVs, the JSON report and the config echo."""
+        """Write per-party CSVs, the JSON report and the config echo.
+
+        ``alice.csv`` and ``bob.csv`` are formatted in forked child
+        processes while this process formats ``eve.csv`` and writes the
+        rest, so the three ``%.9g`` loops share the cores; the GIL rules
+        out threads. Call it from a process running no other threads.
+        Every CSV is created here first, so a bad path raises in the
+        caller; a child that fails raises RuntimeError naming its file.
+        """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        paths = {}
         rows = {len(rec) for rec in self.parties.values()} | {len(self.index)}
         if rows != {self.report.n_bits}:
             raise ValueError(f"row counts {rows} disagree with report n_bits {self.report.n_bits}")
-        for name in PARTIES:
-            rec = self.parties[name]
-            path = out / f"{name}.csv"
-            _write_measurement_csv(path, self.index, rec)
-            paths[name] = path
-        report_path = out / "report.json"
-        report_path.write_text(self.report.to_json(), encoding="utf-8")
-        paths["report"] = report_path
-        config_path = out / "config.cfg"
-        config_path.write_text(format_config(self.config), encoding="utf-8")
-        paths["config"] = config_path
-        if self.distilled is not None:
-            for party in ("alice", "bob"):
-                bits = self.distilled[f"{party}_key"]
-                write_bits_text(bits, out / f"key_{party}.txt")
-                write_bits_packed(bits, out / f"key_{party}.bin")
-                paths[f"key_{party}"] = out / f"key_{party}.txt"
+        paths = {name: out / f"{name}.csv" for name in PARTIES}
+        for path in paths.values():
+            open(path, "w").close()
+        *forked, own = PARTIES
+        children = {}
+        try:
+            for name in forked:
+                children[name] = _fork_measurement_csv(paths[name], self.index,
+                                                       self.parties[name])
+            _write_measurement_csv(paths[own], self.index, self.parties[own])
+            report_path = out / "report.json"
+            report_path.write_text(self.report.to_json(), encoding="utf-8")
+            paths["report"] = report_path
+            config_path = out / "config.cfg"
+            config_path.write_text(format_config(self.config), encoding="utf-8")
+            paths["config"] = config_path
+            if self.distilled is not None:
+                for party in ("alice", "bob"):
+                    bits = self.distilled[f"{party}_key"]
+                    write_bits_text(bits, out / f"key_{party}.txt")
+                    write_bits_packed(bits, out / f"key_{party}.bin")
+                    paths[f"key_{party}"] = out / f"key_{party}.txt"
+        finally:
+            codes = {name: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                     for name, pid in children.items()}
+        failed = [f"{paths[name]} (exit status {code})"
+                  for name, code in codes.items() if code != 0]
+        if failed:
+            raise RuntimeError("measurement CSV writer process failed: " + ", ".join(failed))
         return paths
 
 
@@ -116,6 +143,26 @@ def _write_measurement_csv(path: Path, index: np.ndarray, rec: PartyRecord) -> N
         for lo in range(0, len(index), CSV_CHUNK_ROWS):
             rows = zip(*(col[lo:lo + CSV_CHUNK_ROWS].tolist() for col in columns))
             fh.write("".join(map(_CSV_ROW.__mod__, rows)))
+
+
+def _fork_measurement_csv(path: Path, index: np.ndarray, rec: PartyRecord) -> int:
+    """Write one measurement CSV in a forked child; returns its pid.
+
+    The child leaves only through ``os._exit``, so it runs no atexit hook
+    and flushes none of the stdio buffers it shares with the parent. A
+    failure prints its traceback straight to file descriptor 2 and exits 1.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        _write_measurement_csv(path, index, rec)
+        code = 0
+    except BaseException:
+        os.write(2, traceback.format_exc().encode("utf-8", "replace"))
+    finally:
+        os._exit(code)
 
 
 def _rng_streams(seed: int) -> dict[str, np.random.Generator]:

@@ -103,6 +103,26 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 1
 
 
+@pytest.mark.parametrize("argv, arg", [
+    (["run", "{dir}"], "config"),
+    (["sweep", "eve_transmittance", "0.5", "0.5", "0.1", "--config", "{dir}"], "--config"),
+    (["run", "{cfg}", "--out", "{file}"], "--out"),
+    (["run", "{cfg}", "--out", "{file}/sub"], "--out"),
+    (["sweep", "eve_transmittance", "0.5", "0.5", "0.1", "--config", "{cfg}",
+      "--out", "{dir}"], "--out"),
+    (["calibrate", "waveguide", "--n-symbols", "20000", "--out", "{dir}"], "--out"),
+], ids=["run-config-dir", "sweep-config-dir", "run-out-file", "run-out-under-file",
+        "sweep-out-dir", "calibrate-out-dir"])
+def test_path_arguments_exit_one_naming_the_argument(tmp_path, config_file, capsys,
+                                                     argv, arg):
+    (tmp_path / "file").write_text("not a directory\n")
+    names = {"dir": tmp_path, "file": tmp_path / "file", "cfg": config_file}
+    assert main([a.format(**names) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"thermalqkd: {arg}: cannot use" in err and "runtime failure" not in err
+    assert (tmp_path / "file").read_text() == "not a directory\n"
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err.lower()

@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import io
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermalqkd.channels import ChannelParams, PhaseDriftParams, TapSpec
-from thermalqkd.config import (ConfigError, ScenarioConfig, format_config,
+from thermalqkd.cli import main
+from thermalqkd.config import (ConfigError, ScenarioConfig, config_from_dict, format_config,
                                parse_config, set_config_value)
 from thermalqkd.harness import freespace_scenario, waveguide_scenario
 from thermalqkd.optics import SourceParams
@@ -66,6 +70,49 @@ def test_round_trip_holds_for_generated_configs(cfg):
     text = format_config(cfg)
     assert parse_config(text) == cfg
     assert format_config(parse_config(text)) == text
+
+
+# Closed range of every bounded float field; the links share theirs.
+_FIELD_RANGES = {"source.nbar": (0.0, 1e12), "source.d0": (0.0, 1e6),
+                 "eve_transmittance": (0.0, 1.0)}
+_FIELD_RANGES.update({f"{link}.{leaf}": bounds for link in ("alice_link", "bob_link", "eve_link")
+                      for leaf, bounds in (("transmittance", (0.0, 1.0)),
+                                           ("rx_noise_var", (0.0, 1e12)),
+                                           ("drift.walk_sigma", (0.0, 1e6)),
+                                           ("drift.hop_prob", (0.0, 1.0)),
+                                           ("drift.hop_scale", (0.0, 1e6)))})
+
+
+@st.composite
+def _out_of_range(draw):
+    key = draw(st.sampled_from(sorted(_FIELD_RANGES)))
+    low, high = _FIELD_RANGES[key]
+    value = draw(st.floats(max_value=low, exclude_max=True)
+                 | st.floats(min_value=high, exclude_min=True)
+                 | st.sampled_from([math.nan, math.inf, -math.inf]))
+    return key, value
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_out_of_range())
+def test_out_of_range_fields_are_rejected_by_name(tmp_path_factory, bad):
+    # The parser and the CLI both reject the value, naming section and leaf.
+    key, value = bad
+    raw = dict(line.split(" = ", 1)
+               for line in format_config(waveguide_scenario(seed=1, n_symbols=10_000))
+               .splitlines())
+    raw[key] = repr(value)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    section, leaf = key.split(".")[0], key.split(".")[-1]
+    [problem] = err.value.problems
+    assert problem.startswith(f"{section}:") and leaf in problem
+    path = tmp_path_factory.mktemp("cfg") / "bad.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        assert main(["run", str(path), "--out", str(path.parent / "out")]) == 1
+    assert leaf in stderr.getvalue() and "runtime failure" not in stderr.getvalue()
 
 
 def test_comments_and_blank_lines_are_ignored():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import sys
 import threading
 
@@ -14,7 +15,7 @@ from thermalqkd.harness import (CSV_CHUNK_ROWS, SCENARIO_PRESETS, CalibrationErr
                                 derive_trial_seed, freespace_scenario,
                                 run_scenario, sweep, sweep_csv, sweep_values,
                                 waveguide_scenario)
-from thermalqkd.infotheory import build_report
+from thermalqkd.infotheory import MetricsReport, build_report
 from thermalqkd.modem import SYMBOL_PHASES, bits_to_symbols
 
 
@@ -38,13 +39,13 @@ def _csv_reference(index, rec):
     return ("index,x,p,z,bit\n" + "\n".join(body.tolist()) + "\n").encode("utf-8")
 
 
-def _edge_record(n):
+def _edge_record(n, seed=11):
     """``n`` rows cycling through signed zeros, subnormal, huge, tied and
     non-finite values, with int64 indices up to 10**12."""
     edges = np.array([-1.5, 0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300,
                       1.0000000005, 0.1234567885, -0.1234567885, np.nan,
                       np.inf, -np.inf, 123456789.5, -2.5e-7])
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(seed)
     index = np.linspace(0, 10 ** 12, n).astype(np.int64)
     x = np.resize(edges, n)
     p = np.roll(x, 3) * rng.choice([1.0, -1.0], n)
@@ -59,6 +60,80 @@ def test_measurement_csv_matches_reference_formatter(tmp_path, n):
     path = tmp_path / "m.csv"
     _write_measurement_csv(path, index, rec)
     assert path.read_bytes() == _csv_reference(index, rec)
+
+
+def _edge_artifacts(n):
+    """RunArtifacts of ``n`` edge-value rows, a different record per party."""
+    records = {name: _edge_record(n, seed)[1] for seed, name in enumerate(harness.PARTIES)}
+    report = MetricsReport(r_ab=0.9, r_be=0.8, r_ae=0.7, i_ab=0.5, i_ae=0.4, i_be=0.3,
+                           i_ab_given_e=0.2, delta_dr=0.1, delta_rr=0.2, ber_ab=0.1,
+                           n_bits=n)
+    return harness.RunArtifacts(config=waveguide_scenario(seed=1, n_symbols=10_000),
+                                report=report, parties=records, index=_edge_record(n)[0],
+                                alignment={})
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_matches_reference_across_chunks(tmp_path):
+    # The forked and in-process writers each cross a chunk boundary.
+    art = _edge_artifacts(CSV_CHUNK_ROWS + 1)
+    paths = art.write(tmp_path)
+    for name in harness.PARTIES:
+        assert paths[name].read_bytes() == _csv_reference(art.index, art.parties[name]), name
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", ["alice", "bob"])
+def test_unwritable_csv_raises_before_any_fork(tmp_path, monkeypatch, name):
+    forks = []
+    monkeypatch.setattr(harness, "_fork_measurement_csv", lambda *args: forks.append(args))
+    (tmp_path / f"{name}.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        _edge_artifacts(15).write(tmp_path)
+    assert not forks and not (tmp_path / "report.json").exists()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", ["alice", "bob", "eve"])
+def test_failed_csv_writer_is_reaped_and_named(tmp_path, monkeypatch, capfd, name):
+    # alice and bob fail in a child, which exits 1 and is named by the
+    # parent; eve fails in the parent, which still reaps both children.
+    write_csv = harness._write_measurement_csv
+
+    def fail_one(path, index, rec):
+        if path.name == f"{name}.csv":
+            raise ValueError(f"formatter broke on {path.name}")
+        write_csv(path, index, rec)
+
+    monkeypatch.setattr(harness, "_write_measurement_csv", fail_one)
+    art = _edge_artifacts(15)
+    if name == "eve":
+        with pytest.raises(ValueError, match="formatter broke on eve.csv"):
+            art.write(tmp_path)
+    else:
+        with pytest.raises(RuntimeError, match=rf"{name}\.csv \(exit status 1\)"):
+            art.write(tmp_path)
+        assert "ValueError: formatter broke on" in capfd.readouterr().err
+    _assert_no_child_left()
+    for other in harness.PARTIES:
+        if other != name:
+            want = _csv_reference(art.index, art.parties[other])
+            assert (tmp_path / f"{other}.csv").read_bytes() == want, other
+
+
+def test_csv_writer_children_flush_no_parent_stdio(tmp_path, monkeypatch):
+    # A child that left through a normal interpreter exit would flush this
+    # block-buffered stdout, writing its pending text once more.
+    with open(tmp_path / "stdout.txt", "w", encoding="utf-8") as buffered:
+        monkeypatch.setattr(sys, "stdout", buffered)
+        print("pending", end="")
+        _edge_artifacts(15).write(tmp_path / "out")
+        monkeypatch.undo()
+    assert (tmp_path / "stdout.txt").read_text(encoding="utf-8") == "pending"
 
 
 def test_measurement_csv_matches_reference_on_a_run(tmp_path):
