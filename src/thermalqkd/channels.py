@@ -121,35 +121,3 @@ def apply_channel(stream, params: ChannelParams, rng) -> np.ndarray:
     sin_t = np.sin(theta, out=theta)
     return kernels.channel_combine(src, amp, int(params.delay), cos_t, sin_t,
                                    tap_delays, tap_cr, tap_ci, noise)
-
-
-def make_waveguide_preset(**overrides) -> ChannelParams:
-    """Low-loss guided link: tiny drift, rare hops, one faint ghost tap.
-
-    Keyword overrides replace individual fields; the defaults are the
-    starting point the calibration search perturbs.
-    """
-    defaults = dict(
-        transmittance=0.9,
-        delay=0,
-        drift=PhaseDriftParams(walk_sigma=2e-4, hop_prob=1e-5, hop_scale=0.2),
-        taps=(TapSpec(delay=12, amplitude=0.02, phase=0.6),),
-        rx_noise_var=0.1,
-    )
-    defaults.update(overrides)
-    return ChannelParams(**defaults)
-
-
-def make_freespace_preset(**overrides) -> ChannelParams:
-    """Lossy broadcast link: larger drift, several multipath taps, more noise."""
-    defaults = dict(
-        transmittance=0.25,
-        delay=0,
-        drift=PhaseDriftParams(walk_sigma=8e-4, hop_prob=5e-5, hop_scale=0.35),
-        taps=(TapSpec(delay=3, amplitude=0.05, phase=1.9),
-              TapSpec(delay=7, amplitude=0.035, phase=-2.4),
-              TapSpec(delay=19, amplitude=0.02, phase=0.7)),
-        rx_noise_var=1.0,
-    )
-    defaults.update(overrides)
-    return ChannelParams(**defaults)

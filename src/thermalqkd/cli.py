@@ -39,10 +39,13 @@ class _PathArgError(Exception):
 
 @contextlib.contextmanager
 def _path_arg(arg: str, path):
-    """Re-raise an OSError on ``path`` as a _PathArgError naming ``arg``."""
+    """Re-raise an OSError on a file (not, say, a failed fork) as a
+    _PathArgError naming ``arg`` and ``path``."""
     try:
         yield
     except OSError as exc:
+        if exc.filename is None:
+            raise
         raise _PathArgError(f"{arg}: cannot use {path}: {exc.strerror or exc}") from exc
 
 
@@ -96,7 +99,8 @@ def _cmd_run(args) -> int:
     with _path_arg("--out", out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = run_scenario(cfg)
-    paths = artifacts.write(out_dir)
+    with _path_arg("--out", out_dir):
+        paths = artifacts.write(out_dir)
     rep = artifacts.report
     print(f"wrote {out_dir}")
     print(f"  r_ab={rep.r_ab:.5f} r_be={rep.r_be:.5f} r_ae={rep.r_ae:.5f}")

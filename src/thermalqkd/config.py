@@ -3,35 +3,41 @@
 Grammar: one ``key = value`` pair per line; ``#`` starts a comment; blank
 lines are ignored. Keys use dotted section names (``bob_link.rx_noise_var``).
 Tap lists are comma-separated ``delay:amplitude:phase`` triples, or empty.
-Example::
+Example, in the order ``format_config`` writes the keys::
 
     seed = 7
     n_symbols = 3000000
-    source.nbar = 60.0
-    source.d0 = 40.0
     eve_transmittance = 0.5
     coherence_len = 10000
     pilot_len = 64
     ad_block = 2
+    source.nbar = 60.0
+    source.d0 = 40.0
+    ...
     bob_link.transmittance = 0.9
     bob_link.delay = 7
     bob_link.rx_noise_var = 0.1
-    bob_link.drift.walk_sigma = 2e-4
-    bob_link.drift.hop_prob = 1e-5
+    bob_link.drift.walk_sigma = 0.0002
+    bob_link.drift.hop_prob = 1e-05
     bob_link.drift.hop_scale = 0.2
-    bob_link.taps = 12:0.02:0.6
+    bob_link.taps = 9:0.02:-0.8
     ...
 
-``ad_block`` may be omitted or set to ``none`` to skip distillation.
+``seed``, ``n_symbols``, ``source.nbar`` and ``source.d0`` are required; an
+omitted key takes its dataclass default (``ad_block = none``: no distillation).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
+import typing
 from dataclasses import dataclass
 from numbers import Integral
+from operator import attrgetter
 
-from .channels import ChannelParams, PhaseDriftParams, TapSpec
+from .channels import ChannelParams, TapSpec
 from .optics import SourceParams
 
 _LINKS = ("alice_link", "bob_link", "eve_link")
@@ -83,37 +89,80 @@ class ScenarioConfig:
             raise ConfigError(problems)
 
 
+_int = functools.partial(int, base=0)
+
+
+def _ad_block(text: str) -> int | None:
+    return None if text.strip().lower() in ("none", "") else _int(text)
+
+
+def _parse_taps(text: str) -> tuple[TapSpec, ...]:
+    taps = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        pieces = part.split(":")
+        if len(pieces) != 3:
+            raise ValueError(f"tap must be delay:amplitude:phase, got {part!r}")
+        taps.append(TapSpec(delay=int(pieces[0]), amplitude=float(pieces[1]),
+                            phase=float(pieces[2])))
+    return tuple(taps)
+
+
+# Every file key and its parser, in the order format_config writes them. A
+# key is the dotted path of a field below ScenarioConfig: an absent key keeps
+# that field's dataclass default, and a field with no default is required.
+_KEYS = {
+    "seed": _int,
+    "n_symbols": _int,
+    "eve_transmittance": float,
+    "coherence_len": _int,
+    "pilot_len": _int,
+    "ad_block": _ad_block,
+    "source.nbar": float,
+    "source.d0": float,
+    **{f"{link}.{leaf}": parse for link in _LINKS for leaf, parse in (
+        ("transmittance", float), ("delay", _int), ("rx_noise_var", float),
+        ("drift.walk_sigma", float), ("drift.hop_prob", float), ("drift.hop_scale", float),
+        ("taps", _parse_taps))},
+}
+
+
+def _sections(cls, prefix: str = "") -> dict:
+    """Each dataclass below ``cls`` by dotted prefix ("" is ``cls``), with its
+    fields as (name, dotted key, is a dataclass, has no default)."""
+    hints = typing.get_type_hints(cls)
+    fields = tuple((f.name, prefix + f.name, dataclasses.is_dataclass(hints[f.name]),
+                    f.default is f.default_factory is dataclasses.MISSING)
+                   for f in dataclasses.fields(cls))
+    sections = {prefix: (cls, fields)}
+    for name, key, nested, _ in fields:
+        if nested:
+            sections.update(_sections(hints[name], key + "."))
+    return sections
+
+
+_SECTIONS = _sections(ScenarioConfig)
+_REQUIRED = {key for _, fields in _SECTIONS.values()
+             for _, key, nested, required in fields if required and not nested}
+# The (key, parser) pairs of each top-level field of ScenarioConfig, in table order.
+_GROUPS = {name: tuple(items) for name, items in
+           itertools.groupby(_KEYS.items(), lambda item: item[0].split(".")[0])}
+_GETTERS = {key: attrgetter(key) for key in _KEYS}
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    if isinstance(value, tuple):
+        return ", ".join(f"{t.delay}:{_fmt(t.amplitude)}:{_fmt(t.phase)}" for t in value)
+    return "none" if value is None else str(value)
 
 
 def format_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; parsing it back reproduces ``cfg`` exactly."""
-    lines = [
-        f"seed = {cfg.seed}",
-        f"n_symbols = {cfg.n_symbols}",
-        f"eve_transmittance = {_fmt(cfg.eve_transmittance)}",
-        f"coherence_len = {cfg.coherence_len}",
-        f"pilot_len = {cfg.pilot_len}",
-        f"ad_block = {'none' if cfg.ad_block is None else cfg.ad_block}",
-        f"source.nbar = {_fmt(cfg.source.nbar)}",
-        f"source.d0 = {_fmt(cfg.source.d0)}",
-    ]
-    for name in _LINKS:
-        link: ChannelParams = getattr(cfg, name)
-        taps = ", ".join(f"{t.delay}:{_fmt(t.amplitude)}:{_fmt(t.phase)}" for t in link.taps)
-        lines += [
-            f"{name}.transmittance = {_fmt(link.transmittance)}",
-            f"{name}.delay = {link.delay}",
-            f"{name}.rx_noise_var = {_fmt(link.rx_noise_var)}",
-            f"{name}.drift.walk_sigma = {_fmt(link.drift.walk_sigma)}",
-            f"{name}.drift.hop_prob = {_fmt(link.drift.hop_prob)}",
-            f"{name}.drift.hop_scale = {_fmt(link.drift.hop_scale)}",
-            f"{name}.taps = {taps}",
-        ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_fmt(get(cfg))}\n" for key, get in _GETTERS.items())
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -137,87 +186,50 @@ def parse_config(text: str) -> ScenarioConfig:
     return config_from_dict(raw)
 
 
-def _parse_taps(value: str):
-    taps = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(":")
-        if len(pieces) != 3:
-            raise ValueError(f"tap must be delay:amplitude:phase, got {part!r}")
-        taps.append(TapSpec(delay=int(pieces[0]), amplitude=float(pieces[1]),
-                            phase=float(pieces[2])))
-    return tuple(taps)
+def _build(prefix: str, values: dict):
+    """The section at ``prefix`` from parsed values; absent keys keep defaults."""
+    cls, fields = _SECTIONS[prefix]
+    kwargs = {}
+    for name, key, nested, _ in fields:
+        if nested:
+            kwargs[name] = _build(key + ".", values)
+        elif key in values:
+            kwargs[name] = values[key]
+    return cls(**kwargs)
 
 
 def config_from_dict(raw: dict[str, str]) -> ScenarioConfig:
-    """Build a ScenarioConfig from string values, collecting field errors."""
+    """Build a ScenarioConfig from string values, collecting field errors.
+
+    A section (``source`` or a link) is built only when all its keys parse;
+    a value its dataclass rejects is reported under the section's name.
+    """
     problems = []
-    consumed = set()
-
-    def take(key, conv, default=dataclasses.MISSING):
-        if key in raw:
-            consumed.add(key)
-            try:
-                return conv(raw[key])
-            except (ValueError, TypeError) as exc:
-                problems.append(f"{key}: {exc}")
-                return None
-        if default is dataclasses.MISSING:
-            problems.append(f"{key}: missing required key")
-            return None
-        return default
-
-    def to_int(s):
-        return int(s, 0)
-
-    def to_ad(s):
-        return None if s.strip().lower() in ("none", "") else int(s, 0)
-
-    kwargs = dict(
-        seed=take("seed", to_int),
-        n_symbols=take("n_symbols", to_int),
-        eve_transmittance=take("eve_transmittance", float, 0.5),
-        coherence_len=take("coherence_len", to_int, 10_000),
-        pilot_len=take("pilot_len", to_int, 64),
-        ad_block=take("ad_block", to_ad, None),
-    )
-    nbar = take("source.nbar", float)
-    d0 = take("source.d0", float)
-    if nbar is not None and d0 is not None:
-        try:
-            kwargs["source"] = SourceParams(nbar=nbar, d0=d0)
-        except ValueError as exc:
-            problems.append(f"source: {exc}")
-    for name in _LINKS:
-        fields = dict(
-            transmittance=take(f"{name}.transmittance", float, 1.0),
-            delay=take(f"{name}.delay", to_int, 0),
-            rx_noise_var=take(f"{name}.rx_noise_var", float, 0.0),
-            taps=take(f"{name}.taps", _parse_taps, ()),
-        )
-        drift_fields = dict(
-            walk_sigma=take(f"{name}.drift.walk_sigma", float, 0.0),
-            hop_prob=take(f"{name}.drift.hop_prob", float, 0.0),
-            hop_scale=take(f"{name}.drift.hop_scale", float, 0.0),
-        )
-        if any(v is None for v in fields.values()) or any(v is None for v in drift_fields.values()):
+    kwargs = {}
+    for name, items in _GROUPS.items():
+        before = len(problems)
+        values = {}
+        for key, parse in items:
+            if key in raw:
+                try:
+                    values[key] = parse(raw[key])
+                except (ValueError, TypeError) as exc:
+                    problems.append(f"{key}: {exc}")
+            elif key in _REQUIRED:
+                problems.append(f"{key}: missing required key")
+        if len(problems) > before:
+            continue
+        if name + "." not in _SECTIONS:
+            kwargs.update(values)
             continue
         try:
-            kwargs[name] = ChannelParams(drift=PhaseDriftParams(**drift_fields), **fields)
+            kwargs[name] = _build(name + ".", values)
         except ValueError as exc:
             problems.append(f"{name}: {exc}")
-    unknown = sorted(set(raw) - consumed)
-    problems += [f"{key}: unknown key" for key in unknown]
+    problems += [f"{key}: unknown key" for key in sorted(raw.keys() - _KEYS.keys())]
     if problems:
         raise ConfigError(problems)
-    try:
-        return ScenarioConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([str(exc)]) from exc
+    return ScenarioConfig(**kwargs)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -249,6 +261,6 @@ def set_config_value(cfg: ScenarioConfig, dotted_key: str, value) -> ScenarioCon
     The value goes through the parser, so unknown keys and bad values raise
     ConfigError.
     """
-    raw = dict(line.split(" = ", 1) for line in format_config(cfg).splitlines())
+    raw = {key: _fmt(get(cfg)) for key, get in _GETTERS.items()}
     raw[dotted_key] = _value_text(value)
     return config_from_dict(raw)

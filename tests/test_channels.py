@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from thermalqkd.channels import (ChannelParams, PhaseDriftParams, TapSpec,
-                                 apply_channel, make_freespace_preset,
-                                 make_waveguide_preset, sample_phase_walk)
+                                 apply_channel, sample_phase_walk)
+from thermalqkd.harness import freespace_scenario, waveguide_scenario
 
 
 def test_param_validation():
@@ -127,15 +127,13 @@ def test_hops_appear_at_stated_rate():
 
 
 def test_presets_validate_and_have_documented_character():
-    wg = make_waveguide_preset()
-    fs = make_freespace_preset()
+    wg = waveguide_scenario().bob_link
+    fs = freespace_scenario().bob_link
     assert wg.transmittance > fs.transmittance
     assert wg.drift.walk_sigma < fs.drift.walk_sigma
     assert len(wg.taps) == 1
     assert 2 <= len(fs.taps) <= 3
     assert wg.rx_noise_var < fs.rx_noise_var
-    override = make_waveguide_preset(delay=5, rx_noise_var=0.3)
-    assert override.delay == 5 and override.rx_noise_var == 0.3
 
 
 def _phase_walk_reference(drift, n, rng):
@@ -152,8 +150,8 @@ def _phase_walk_reference(drift, n, rng):
 
 def test_phase_walk_matches_reference_byte_for_byte():
     drifts = {
-        "waveguide": make_waveguide_preset().drift,
-        "freespace": make_freespace_preset().drift,
+        "waveguide": waveguide_scenario().alice_link.drift,
+        "freespace": freespace_scenario().bob_link.drift,
         "inactive": PhaseDriftParams(),
         "always-hop": PhaseDriftParams(walk_sigma=1e-3, hop_prob=1.0, hop_scale=0.3),
     }
@@ -170,7 +168,7 @@ def test_phase_walk_matches_reference_byte_for_byte():
 
 def test_apply_channel_matches_scalar_reference_on_a_preset_link():
     from test_kernels import _channel_reference
-    link = make_freespace_preset(delay=23, rx_noise_var=0.6)
+    link = freespace_scenario().bob_link
     n = 3000
     rng = np.random.default_rng(12)
     stream = rng.normal(size=n) + 1j * rng.normal(size=n)

@@ -111,16 +111,28 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     (["sweep", "eve_transmittance", "0.5", "0.5", "0.1", "--config", "{cfg}",
       "--out", "{dir}"], "--out"),
     (["calibrate", "waveguide", "--n-symbols", "20000", "--out", "{dir}"], "--out"),
+    (["run", "{cfg}", "--out", "{taken}"], "--out"),
 ], ids=["run-config-dir", "sweep-config-dir", "run-out-file", "run-out-under-file",
-        "sweep-out-dir", "calibrate-out-dir"])
+        "sweep-out-dir", "calibrate-out-dir", "run-out-csv-is-dir"])
 def test_path_arguments_exit_one_naming_the_argument(tmp_path, config_file, capsys,
                                                      argv, arg):
     (tmp_path / "file").write_text("not a directory\n")
-    names = {"dir": tmp_path, "file": tmp_path / "file", "cfg": config_file}
+    (tmp_path / "taken" / "alice.csv").mkdir(parents=True)   # run's first CSV
+    names = {"dir": tmp_path, "file": tmp_path / "file", "cfg": config_file,
+             "taken": tmp_path / "taken"}
     assert main([a.format(**names) for a in argv]) == 1
     err = capsys.readouterr().err
     assert f"thermalqkd: {arg}: cannot use" in err and "runtime failure" not in err
     assert (tmp_path / "file").read_text() == "not a directory\n"
+
+
+def test_failed_fork_is_a_runtime_failure(tmp_path, config_file, capsys, monkeypatch):
+    # An OSError that names no file says nothing about --out.
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(harness.os, "fork", no_fork)
+    assert main(["run", str(config_file), "--out", str(tmp_path / "out")]) == 2
+    assert "runtime failure" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_one(capsys):

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,13 +123,41 @@ def test_comments_and_blank_lines_are_ignored():
     assert parse_config(text) == cfg
 
 
-def test_missing_required_key_is_reported():
+_REQUIRED_KEYS = ("seed", "n_symbols", "source.nbar", "source.d0")
+
+
+@pytest.mark.parametrize("key", _REQUIRED_KEYS)
+def test_missing_required_key_is_reported(key):
     text = format_config(waveguide_scenario(seed=1, n_symbols=10_000))
     text = "\n".join(line for line in text.splitlines()
-                     if not line.startswith("source.nbar"))
+                     if not line.startswith(f"{key} = "))
     with pytest.raises(ConfigError) as err:
         parse_config(text)
-    assert "source.nbar" in str(err.value)
+    assert err.value.problems == [f"{key}: missing required key"]
+
+
+def test_required_keys_alone_give_the_dataclass_defaults():
+    text = "seed = 3\nn_symbols = 5000\nsource.nbar = 2.0\nsource.d0 = 1.5\n"
+    assert parse_config(text) == ScenarioConfig(3, 5000, SourceParams(2.0, 1.5), ChannelParams(),
+                                                ChannelParams(), ChannelParams())
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_configs())
+def test_setting_a_key_to_its_own_text_is_the_identity(cfg):
+    for line in format_config(cfg).splitlines():
+        key, text = line.split(" = ", 1)
+        assert set_config_value(cfg, key, text) == cfg, key
+
+
+def test_readme_config_block_is_format_config_output():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1]
+    block = section.split("```\n", 2)[1].splitlines()
+    shown = block[:block.index("...")]
+    expect = format_config(waveguide_scenario(seed=7, n_symbols=3_000_000, ad_block=2))
+    assert shown == expect.splitlines()[:len(shown)]
+    assert len(shown) > 8   # past the scalar keys, into the links
 
 
 def test_bad_values_collected_per_field():

@@ -398,6 +398,11 @@ def test_calibration_prefers_zero_noise_for_perfect_target(monkeypatch):
     assert best.achieved["r_ab"] < 1.0
 
 
+def test_every_calibration_target_has_a_tolerance():
+    for target, stats in harness.CALIBRATION_TARGETS.items():
+        assert set(stats) <= set(harness.CALIBRATION_TOLERANCE), target
+
+
 def test_trial_seed_derivation_is_stable():
     assert derive_trial_seed(7, 0) == derive_trial_seed(7, 0)
     assert derive_trial_seed(7, 0) != derive_trial_seed(7, 1)
