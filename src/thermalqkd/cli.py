@@ -49,8 +49,9 @@ def _path_arg(arg: str, path):
         raise _PathArgError(f"{arg}: cannot use {path}: {exc.strerror or exc}") from exc
 
 
-def _default_out() -> Path:
-    return Path(os.environ.get("THERMALQKD_OUT", "runs"))
+def _given(args, *names) -> dict:
+    """The options among ``names`` that the command line set."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,26 +64,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="output directory")
 
-    p_cal = sub.add_parser("calibrate", help="grid-search a preset against its targets")
+    # An option left out is not passed on, so the library default holds.
+    p_cal = sub.add_parser("calibrate", help="grid-search a preset against its targets",
+                           argument_default=argparse.SUPPRESS)
     p_cal.add_argument("preset", choices=sorted(SCENARIO_PRESETS))
     p_cal.add_argument("--out", default=None, help="write the calibrated preset file here")
-    p_cal.add_argument("--n-symbols", type=int, default=200_000)
-    p_cal.add_argument("--seed", type=int, default=1_234_567)
-    p_cal.add_argument("--jobs", type=int, default=1)
+    p_cal.add_argument("--n-symbols", type=int)
+    p_cal.add_argument("--seed", type=int)
+    p_cal.add_argument("--jobs", type=int)
 
-    p_sweep = sub.add_parser("sweep", help="vary one parameter and emit metric-vs-value CSV")
+    p_sweep = sub.add_parser("sweep", help="vary one parameter and emit metric-vs-value CSV",
+                             argument_default=argparse.SUPPRESS)
     p_sweep.add_argument("param", help="dotted config key, e.g. eve_transmittance")
     p_sweep.add_argument("start", type=float)
     p_sweep.add_argument("stop", type=float)
     p_sweep.add_argument("step", type=float)
     p_sweep.add_argument("--config", default=None,
                          help="base config file (default: built-in waveguide preset)")
-    p_sweep.add_argument("--n-symbols", type=int, default=None,
-                         help="override the base run length (preset: 300000)")
-    p_sweep.add_argument("--seed", type=int, default=None,
-                         help="override the base seed (preset: 0)")
+    p_sweep.add_argument("--n-symbols", type=int, help="override the base run length")
+    p_sweep.add_argument("--seed", type=int, help="override the base seed")
     p_sweep.add_argument("--out", default=None, help="output CSV path")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int)
 
     sub.add_parser("selftest", help="run acceptance criteria 1-4 and 7-9")
     return parser
@@ -94,7 +96,8 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     stem = Path(args.config).stem
-    out_dir = Path(args.out) if args.out else _default_out() / f"{stem}-seed{cfg.seed}"
+    default_out = Path(os.environ.get("THERMALQKD_OUT", "runs"), f"{stem}-seed{cfg.seed}")
+    out_dir = Path(args.out or default_out)
     # Made before the run, so a bad --out fails before the compute.
     with _path_arg("--out", out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -122,8 +125,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     try:
-        result = calibrate_preset(args.preset, n_symbols=args.n_symbols,
-                                  seed=args.seed, jobs=args.jobs)
+        result = calibrate_preset(args.preset, **_given(args, "n_symbols", "seed", "jobs"))
     except CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         best = exc.best
@@ -145,10 +147,9 @@ def _cmd_sweep(args) -> int:
             base = load_config(args.config)
     else:
         base = SCENARIO_PRESETS["waveguide"](seed=0, n_symbols=300_000, ad_block=None)
-    overrides = {"seed": args.seed, "n_symbols": args.n_symbols}
-    base = dataclasses.replace(base, **{k: v for k, v in overrides.items() if v is not None})
+    base = dataclasses.replace(base, **_given(args, "seed", "n_symbols"))
     values = sweep_values(args.start, args.stop, args.step)
-    rows = sweep(base, args.param, values, jobs=args.jobs)
+    rows = sweep(base, args.param, values, **_given(args, "jobs"))
     text = sweep_csv(rows, args.param)
     if args.out:
         with _path_arg("--out", args.out):

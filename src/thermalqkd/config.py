@@ -25,6 +25,8 @@ Example, in the order ``format_config`` writes the keys::
 
 ``seed``, ``n_symbols``, ``source.nbar`` and ``source.d0`` are required; an
 omitted key takes its dataclass default (``ad_block = none``: no distillation).
+``eve_transmittance`` is the power transmittance ``t`` of the tap's
+through-port, which goes to Bob; Eve takes ``1 - t``.
 """
 
 from __future__ import annotations
@@ -153,11 +155,12 @@ _GETTERS = {key: attrgetter(key) for key in _KEYS}
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    """File text of a field value; numpy scalars are written as Python numbers."""
     if isinstance(value, tuple):
         return ", ".join(f"{t.delay}:{_fmt(t.amplitude)}:{_fmt(t.phase)}" for t in value)
-    return "none" if value is None else str(value)
+    if value is None:
+        return "none"
+    return str(int(value)) if isinstance(value, Integral) else repr(float(value))
 
 
 def format_config(cfg: ScenarioConfig) -> str:

@@ -53,11 +53,11 @@ def bit_error_rate(a, b) -> float:
     return float(np.count_nonzero(a != b) / a.size)
 
 
-def advantage_distill(a, b, block: int = 2, rng=None):
+def advantage_distill(a, b, block: int, rng: np.random.Generator):
     """Repetition-protocol distillation over blocks of size ``block``.
 
-    Alice publishes each block XORed with a fresh random bit repeated
-    blockwise; Bob accepts when his block XOR the published string is
+    Alice publishes each block XORed with a fresh random bit from ``rng``
+    repeated blockwise; Bob accepts when his block XOR the published string is
     constant and decodes that constant. Returns (alice_kept, bob_kept,
     kept_fraction). A trailing partial block is dropped.
     """
@@ -70,8 +70,6 @@ def advantage_distill(a, b, block: int = 2, rng=None):
     n_blocks = a_bits.size // block
     if n_blocks == 0:
         raise ValueError(f"need at least one block of {block} bits, got {a_bits.size}")
-    if rng is None:
-        rng = np.random.default_rng()
     r = rng.integers(0, 2, n_blocks, dtype=np.uint8)
     a_kept, b_kept, kept = kernels.distill_scan(a_bits, b_bits, r, block)
     return a_kept, b_kept, kept / n_blocks

@@ -12,12 +12,20 @@ one SeedSequence spawned into fixed-order named streams, and the metric path
 avoids BLAS reductions so results do not depend on thread settings. Parallel
 sweep points derive their seeds from (scenario seed, point index).
 
-Within one run the three parties are received and folded on
-``PARTY_THREADS`` threads. Each party's step reads only its own input and
-draws only its own ``chan_<party>`` and ``det_<party>`` streams, so the
-output bytes do not depend on how the threads are scheduled. Pools do not
-nest: a ``_pool_map`` called from a pool worker (a sweep point or a
-calibration point) maps on the calling thread.
+``run_scenario`` composes three stages, the protocol's three phases:
+``_transmit`` (bits, symbols, source, 50:50 split and tap; draws ``bits``
+and ``source``), ``_receive_party`` per party (channel, heterodyne,
+alignment and pilot phases; draws only ``chan_<party>`` and
+``det_<party>``) and ``_finish`` (common index, fold, report and
+distillation; draws ``distill`` only when ``ad_block`` is set).
+
+The three parties are received and folded on ``PARTY_THREADS`` threads.
+Each party's step reads only its own input and draws only its own streams,
+so the output bytes do not depend on how the threads are scheduled. Pools
+do not nest: a ``_pool_map`` called from a pool worker (a sweep point or a
+calibration point run at ``jobs >= 2``) maps on the calling thread. At
+``jobs == 1`` a sweep or calibration maps its points on the caller's
+thread, unmarked, so each run still receives its parties on party threads.
 
 ``RunArtifacts.write`` formats two of the three measurement CSVs in forked
 child processes (``os.fork``, so POSIX only). It forks only after
@@ -185,23 +193,26 @@ def _mark_pool_worker() -> None:
 def _pool_map(fn, items, jobs: int) -> list:
     """``fn`` over ``items`` on ``jobs`` threads; results in input order.
 
-    Called from one of its own workers, it maps on the calling thread, so
-    pools never nest and a run inside a sweep stays on one thread.
+    At ``jobs == 1`` it maps on the calling thread without marking it, so a
+    run there still receives its parties on ``PARTY_THREADS``. Called from
+    one of its own workers, it maps on the calling thread, so pools never
+    nest and a run inside a sweep stays on one thread.
     """
     if jobs < 1:
         raise ConfigError([f"jobs: must be >= 1, got {jobs}"])
-    if getattr(_pool_worker, "active", False):
+    if jobs == 1 or getattr(_pool_worker, "active", False):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs, initializer=_mark_pool_worker) as pool:
         return list(pool.map(fn, items))
 
 
-def _segment_corrections(x, p, syms, lag, n_segments, coherence_len, pilot_len, n):
+def _segment_corrections(x, p, syms, lag, config):
     """Per-segment correction angle: folded pilot phase plus k*pi/2 from pilots."""
-    psi = np.zeros(n_segments)
-    for s in range(n_segments):
-        tx0 = s * coherence_len
-        pilots_tx = np.arange(tx0, min(tx0 + pilot_len, n))
+    n = config.n_symbols
+    psi = np.zeros(-(-n // config.coherence_len))
+    for s in range(psi.size):
+        tx0 = s * config.coherence_len
+        pilots_tx = np.arange(tx0, min(tx0 + config.pilot_len, n))
         rx_idx = pilots_tx + lag
         valid = (rx_idx >= 0) & (rx_idx < n)
         if np.count_nonzero(valid) < 16:
@@ -219,22 +230,38 @@ def _segment_corrections(x, p, syms, lag, n_segments, coherence_len, pilot_len, 
     return psi
 
 
-def _receive_party(name, inputs, config, rngs, syms, window, max_lag):
+def _transmit(config, rngs):
+    """Bits, QPSK symbols and source fields, split 50:50 between Alice and
+    the broadcast, whose tap passes ``eve_transmittance`` to Bob and the rest
+    to Eve. Returns ``(syms, inputs)``, one input field per party."""
+    bits = rngs["bits"].integers(0, 2, size=2 * config.n_symbols, dtype=np.uint8)
+    syms = bits_to_symbols(bits)
+    # The source field is an argument only, so it is freed once split.
+    alice_in, broadcast = apply_beamsplitter(
+        sample_source_field(config.source, SYMBOL_PHASES[syms], rngs["source"]), 0.0, 0.5)
+    bob_in, eve_in = apply_beamsplitter(broadcast, 0.0, config.eve_transmittance)
+    return syms, {"alice": alice_in, "bob": bob_in, "eve": eve_in}
+
+
+def _receive_party(name, inputs, config, rngs, syms):
     """Channel, heterodyne, alignment and pilot phases of one party.
 
     Pops the party's input from ``inputs`` and drops each field once used,
     so that two parties received at once hold little besides their
     quadratures. Returns ``(x, p, alignment, psi)``.
     """
+    n = config.n_symbols
+    links = (config.alice_link, config.bob_link, config.eve_link)
+    max_lag = max(MIN_ALIGNMENT_LAG, 2 * max(l.max_history for l in links))
+    max_lag = min(max_lag, n // 4)
+    window = min(n, max(8 * max_lag, ALIGNMENT_WINDOW))
     link = getattr(config, f"{name}_link")
     rx_field = apply_channel(inputs.pop(name), link, rngs[f"chan_{name}"])
     x, p = heterodyne(rx_field, DETECTION_NOISE_VAR, rngs[f"det_{name}"])
     del rx_field
     q_raw = quadrant_decision(x[:window], p[:window])
     found = estimate_delay_and_rotation(syms[:window], q_raw, max_lag)
-    n = config.n_symbols
-    psi = _segment_corrections(x, p, syms, found.lag, -(-n // config.coherence_len),
-                               config.coherence_len, config.pilot_len, n)
+    psi = _segment_corrections(x, p, syms, found.lag, config)
     return x, p, found, psi
 
 
@@ -254,32 +281,14 @@ def _fold_party(received, index, cells) -> PartyRecord:
     return PartyRecord(x=xf, p=pf, z=z, bits=median_slice(z))
 
 
-def run_scenario(config: ScenarioConfig) -> RunArtifacts:
-    """Execute one scenario; fully deterministic given ``config.seed``."""
-    rngs = _rng_streams(config.seed)
+def _finish(config, rngs, syms, received) -> RunArtifacts:
+    """Post-processing over the public channel: common index, fold, report
+    and distillation.
+
+    Pops each party's quadratures from ``received`` as its fold takes them.
+    """
     n = config.n_symbols
-
-    bits = rngs["bits"].integers(0, 2, size=2 * n, dtype=np.uint8)
-    syms = bits_to_symbols(bits)
-    field = sample_source_field(config.source, SYMBOL_PHASES[syms], rngs["source"])
-
-    alice_in, broadcast = apply_beamsplitter(field, 0.0, 0.5)
-    del field
-    bob_in, eve_in = apply_beamsplitter(broadcast, 0.0, config.eve_transmittance)
-    del broadcast
-    inputs = {"alice": alice_in, "bob": bob_in, "eve": eve_in}
-    del alice_in, bob_in, eve_in
-
-    links = (config.alice_link, config.bob_link, config.eve_link)
-    max_lag = max(MIN_ALIGNMENT_LAG, 2 * max(l.max_history for l in links))
-    max_lag = min(max_lag, n // 4)
-    window = min(n, max(8 * max_lag, ALIGNMENT_WINDOW))
-
-    received = dict(zip(PARTIES, _pool_map(
-        lambda name: _receive_party(name, inputs, config, rngs, syms, window, max_lag),
-        PARTIES, PARTY_THREADS)))
     alignment = {name: received[name][2] for name in PARTIES}
-
     # Common aligned range on the transmitted clock, data symbols only.
     u_lo = max(0, *(-alignment[name].lag for name in PARTIES))
     u_hi = min(n - 1 - max(0, alignment[name].lag) for name in PARTIES)
@@ -316,6 +325,15 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
 
     return RunArtifacts(config=config, report=report, parties=records,
                         index=index, alignment=alignment, distilled=distilled)
+
+
+def run_scenario(config: ScenarioConfig) -> RunArtifacts:
+    """Execute one scenario; fully deterministic given ``config.seed``."""
+    rngs = _rng_streams(config.seed)
+    syms, inputs = _transmit(config, rngs)
+    received = dict(zip(PARTIES, _pool_map(
+        lambda name: _receive_party(name, inputs, config, rngs, syms), PARTIES, PARTY_THREADS)))
+    return _finish(config, rngs, syms, received)
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +413,15 @@ CALIBRATION_TARGETS = {
     "freespace": {"r_be": 0.89, "ber_ab": 0.113},
 }
 
-# Default parameter grids. A tuple key sets several dotted fields together
+# Default parameter grids. Each key is a tuple of dotted fields set together
 # (Bob and Eve stay symmetric in the free-space search).
 CALIBRATION_RANGES = {
     "waveguide": {
-        "alice_link.rx_noise_var": np.linspace(0.05, 0.6, 12),
+        ("alice_link.rx_noise_var",): np.linspace(0.05, 0.6, 12),
     },
     "freespace": {
         ("bob_link.rx_noise_var", "eve_link.rx_noise_var"): np.linspace(0.3, 1.5, 9),
-        "alice_link.rx_noise_var": np.linspace(0.3, 1.9, 9),
+        ("alice_link.rx_noise_var",): np.linspace(0.3, 1.9, 9),
     },
 }
 
@@ -418,10 +436,6 @@ class CalibrationResult:
     targets: dict[str, float]
     objective: float
     table: list
-
-
-def _stat_values(report: MetricsReport, names) -> dict[str, float]:
-    return {name: float(getattr(report, name)) for name in names}
 
 
 def calibrate_preset(target, n_symbols: int = 200_000, seed: int = 1_234_567,
@@ -446,10 +460,10 @@ def calibrate_preset(target, n_symbols: int = 200_000, seed: int = 1_234_567,
     def evaluate(point):
         cfg = base
         for key, value in zip(keys, point):
-            for dotted in (key if isinstance(key, tuple) else (key,)):
+            for dotted in key:
                 cfg = set_config_value(cfg, dotted, value)
         report = run_scenario(cfg).report
-        achieved = _stat_values(report, targets)
+        achieved = {k: float(getattr(report, k)) for k in targets}
         objective = sum((achieved[k] - targets[k]) ** 2 for k in targets)
         return cfg, achieved, objective
 

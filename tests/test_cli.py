@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thermalqkd import harness, selftest
+from thermalqkd import cli, harness, selftest
 from thermalqkd.cli import main
 from thermalqkd.config import format_config, load_config, save_config
 from thermalqkd.harness import calibrate_preset, freespace_scenario, waveguide_scenario
@@ -175,6 +175,38 @@ def test_sweep_seed_and_n_symbols_override_config(config_file, capsys):
     assert sweep_csv("--seed", "5") != sweep_csv("--seed", "6")
     assert sweep_csv("--seed", "1") == base
     assert n_bits(sweep_csv("--n-symbols", "20000")) > n_bits(base)
+
+
+@pytest.mark.parametrize("flags, kwargs", [
+    ([], {}),
+    (["--n-symbols", "5000"], {"n_symbols": 5000}),
+    (["--seed", "3"], {"seed": 3}),
+    (["--jobs", "2"], {"jobs": 2}),
+    (["--jobs", "2", "--seed", "3", "--n-symbols", "5000"],
+     {"n_symbols": 5000, "seed": 3, "jobs": 2}),
+], ids=["none", "n-symbols", "seed", "jobs", "all"])
+def test_cli_passes_on_only_the_options_given(monkeypatch, capsys, flags, kwargs):
+    # The library's defaults hold unless a flag sets the value.
+    calls = []
+
+    def record(result):
+        def fake(*args, **kw):
+            calls.append((args, kw))
+            return result
+        return fake
+
+    best = harness.CalibrationResult(config=None, achieved={}, targets={}, objective=0.0,
+                                     table=[])
+    monkeypatch.setattr(cli, "calibrate_preset", record(best))
+    monkeypatch.setattr(cli, "sweep", record([]))
+    assert main(["calibrate", "waveguide", *flags]) == 0
+    assert calls.pop() == (("waveguide",), kwargs)
+    assert main(["sweep", "eve_transmittance", "0.5", "0.5", "0.1", *flags]) == 0
+    (base, *_), sweep_kwargs = calls.pop()
+    preset = waveguide_scenario(seed=0, n_symbols=300_000, ad_block=None)
+    assert base == dataclasses.replace(preset, seed=kwargs.get("seed", 0),
+                                       n_symbols=kwargs.get("n_symbols", 300_000))
+    assert sweep_kwargs == {k: v for k, v in kwargs.items() if k == "jobs"}
 
 
 def test_calibrate_writes_loadable_preset(tmp_path):

@@ -116,6 +116,23 @@ def test_out_of_range_fields_are_rejected_by_name(tmp_path_factory, bad):
     assert leaf in stderr.getvalue() and "runtime failure" not in stderr.getvalue()
 
 
+def test_round_trip_holds_for_numpy_scalars():
+    # A config built through the API may hold numpy scalars; they are saved
+    # as plain numbers, which parse back to an equal config.
+    cfg = dataclasses.replace(
+        freespace_scenario(seed=np.uint64(7), n_symbols=np.int64(20_000)),
+        eve_transmittance=np.float64(0.3), coherence_len=np.int32(5_000),
+        pilot_len=np.int64(32), ad_block=np.int64(3),
+        source=SourceParams(nbar=np.float64(295.0), d0=np.float32(40.5)),
+        bob_link=dataclasses.replace(freespace_scenario().bob_link,
+                                     transmittance=np.float64(0.1), delay=np.int64(5),
+                                     taps=(TapSpec(np.int64(3), np.float64(0.05),
+                                                   np.float64(-1.1)),)))
+    text = format_config(cfg)
+    assert "np." not in text
+    assert parse_config(text) == cfg
+
+
 def test_comments_and_blank_lines_are_ignored():
     cfg = waveguide_scenario(seed=1, n_symbols=10_000)
     text = "# header comment\n\n" + format_config(cfg).replace(

@@ -92,12 +92,13 @@ def test_distill_strictly_reduces_error():
 
 def test_distill_validation_and_determinism():
     a = np.zeros(10, dtype=np.uint8)
+    rng = np.random.default_rng(7)
     with pytest.raises(ValueError):
-        advantage_distill(a, np.zeros(9, dtype=np.uint8))
+        advantage_distill(a, np.zeros(9, dtype=np.uint8), 2, rng)
     with pytest.raises(ValueError):
-        advantage_distill(a, a, block=1)
+        advantage_distill(a, a, block=1, rng=rng)
     with pytest.raises(ValueError):
-        advantage_distill(a[:1], a[:1], block=2)
+        advantage_distill(a[:1], a[:1], block=2, rng=rng)
     rng1 = np.random.default_rng(7)
     rng2 = np.random.default_rng(7)
     b = np.ones(10, dtype=np.uint8)

@@ -162,6 +162,15 @@ def _artifact_bytes(art, out_dir):
     return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
 
 
+def test_one_job_maps_on_the_calling_thread_unmarked():
+    # An unmarked caller lets each run of a jobs=1 calibration or sweep
+    # still receive its parties on party threads.
+    def where(_):
+        return threading.get_ident(), getattr(harness._pool_worker, "active", False)
+
+    assert _pool_map(where, range(3), 1) == [(threading.get_ident(), False)] * 3
+
+
 def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
     # A run receives and folds its parties on party threads; inside a pool
     # worker (a sweep or calibration point) the same run maps in place, with
@@ -192,7 +201,7 @@ def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
     for preset, make in SCENARIO_PRESETS.items():
         cfg = make(seed=7, n_symbols=20_000, ad_block=2)
         threads_used.clear()
-        (in_place, worker), = _pool_map(run_in_worker, [cfg], 1)
+        (in_place, worker), = _pool_map(run_in_worker, [cfg], 2)
         assert threads_used == {worker}, preset
         expect = _artifact_bytes(in_place, tmp_path / preset / "in_place")
         assert len(expect) == 9
@@ -207,6 +216,39 @@ def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
             assert threads_used and threading.get_ident() not in threads_used, preset
             files = _artifact_bytes(threaded, tmp_path / preset / f"threads{party_threads}")
             assert files == expect, (preset, party_threads)
+
+
+@pytest.mark.parametrize("t, dark", [(1.0, "eve"), (0.0, "bob")])
+def test_tap_through_port_goes_to_bob(t, dark):
+    # eve_transmittance is the power transmittance of the tap's through-port,
+    # which feeds Bob; Eve takes 1 - t.
+    cfg = dataclasses.replace(waveguide_scenario(seed=2, n_symbols=5_000), eve_transmittance=t)
+    _, inputs = harness._transmit(cfg, harness._rng_streams(cfg.seed))
+    lit, = {"bob", "eve"} - {dark}
+    assert not np.any(inputs[dark])
+    assert np.all(inputs[lit] != 0) and np.all(inputs["alice"] != 0)
+
+
+@pytest.mark.parametrize("ad_block", [None, 2])
+def test_each_stage_draws_only_its_own_streams(ad_block):
+    # A party can be received again from the same transmission only if no
+    # other stage moves its streams.
+    cfg = freespace_scenario(seed=5, n_symbols=20_000, ad_block=ad_block)
+    rngs = harness._rng_streams(cfg.seed)
+
+    def advanced(stage, *args):
+        before = {name: rng.bit_generator.state for name, rng in rngs.items()}
+        out = stage(*args)
+        return out, {name for name, rng in rngs.items() if rng.bit_generator.state != before[name]}
+
+    (syms, inputs), moved = advanced(harness._transmit, cfg, rngs)
+    assert moved == {"bits", "source"}
+    received = {}
+    for name in harness.PARTIES:
+        received[name], moved = advanced(harness._receive_party, name, inputs, cfg, rngs, syms)
+        assert moved == {f"chan_{name}", f"det_{name}"}, name
+    _, moved = advanced(harness._finish, cfg, rngs, syms, received)
+    assert moved == ({"distill"} if ad_block else set())
 
 
 # sha256 of every artifact file of the presets at seed 7, 20k symbols,
@@ -390,7 +432,7 @@ def test_calibration_prefers_zero_noise_for_perfect_target(monkeypatch):
     # end at the quietest corner and raise with the best-found result.
     monkeypatch.setitem(harness.CALIBRATION_TARGETS, "waveguide", {"r_ab": 1.0})
     monkeypatch.setitem(harness.CALIBRATION_RANGES, "waveguide",
-                        {"alice_link.rx_noise_var": [0.0, 0.4, 0.8]})
+                        {("alice_link.rx_noise_var",): [0.0, 0.4, 0.8]})
     with pytest.raises(CalibrationError) as err:
         calibrate_preset("waveguide", n_symbols=40_000)
     best = err.value.best
