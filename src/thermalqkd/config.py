@@ -40,6 +40,7 @@ from numbers import Integral
 from operator import attrgetter
 
 from .channels import ChannelParams, TapSpec
+from .modem import MIN_PILOTS
 from .optics import SourceParams
 
 _LINKS = ("alice_link", "bob_link", "eve_link")
@@ -70,12 +71,13 @@ class ScenarioConfig:
         problems = []
         if not 0 <= self.seed < 2 ** 64:
             problems.append(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
-        if self.n_symbols < 1000:
-            problems.append(f"n_symbols: must be >= 1000, got {self.n_symbols}")
+        # A run holds about 230 B per symbol, so 1e9 symbols is about 230 GB.
+        if not 1000 <= self.n_symbols <= 10 ** 9:
+            problems.append(f"n_symbols: must be in [1000, 1e9], got {self.n_symbols}")
         if not 0.0 <= self.eve_transmittance <= 1.0:
             problems.append(f"eve_transmittance: must be in [0, 1], got {self.eve_transmittance}")
-        if self.pilot_len < 16:
-            problems.append(f"pilot_len: must be >= 16, got {self.pilot_len}")
+        if self.pilot_len < MIN_PILOTS:
+            problems.append(f"pilot_len: must be >= {MIN_PILOTS}, got {self.pilot_len}")
         if self.coherence_len <= self.pilot_len:
             problems.append(
                 f"coherence_len: must be > pilot_len, got {self.coherence_len} <= {self.pilot_len}")

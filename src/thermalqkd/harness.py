@@ -7,17 +7,19 @@ pilot-based phase recovery per coherence segment -> quadrant-bit delay and
 rotation alignment -> cluster folding -> amplitudes -> median slicing ->
 secrecy metrics, with optional advantage distillation afterwards.
 
-Everything is deterministic given the config seed: all randomness flows from
-one SeedSequence spawned into fixed-order named streams, and the metric path
-avoids BLAS reductions so results do not depend on thread settings. Parallel
-sweep points derive their seeds from (scenario seed, point index).
+Everything is deterministic given the config seed: each random stream is
+made from ``(seed, name)`` by ``_stream``, and the metric path avoids BLAS
+reductions so results do not depend on thread settings. Parallel sweep
+points derive their seeds from (scenario seed, point index).
 
-``run_scenario`` composes three stages, the protocol's three phases:
+``run_scenario`` composes three stages, the protocol's three phases. Each
+stage makes the streams it draws and takes no others, so receiving a party
+again from the same transmission draws what the run drew:
 ``_transmit`` (bits, symbols, source, 50:50 split and tap; draws ``bits``
 and ``source``), ``_receive_party`` per party (channel, heterodyne,
-alignment and pilot phases; draws only ``chan_<party>`` and
-``det_<party>``) and ``_finish`` (common index, fold, report and
-distillation; draws ``distill`` only when ``ad_block`` is set).
+alignment and pilot phases; draws ``chan_<party>`` and ``det_<party>``)
+and ``_finish`` (common index, fold, report and distillation; draws
+``distill`` only when ``ad_block`` is set).
 
 The three parties are received and folded on ``PARTY_THREADS`` threads.
 Each party's step reads only its own input and draws only its own streams,
@@ -54,7 +56,7 @@ from .config import ConfigError, ScenarioConfig, format_config, set_config_value
 from .distill import (PartyRecord, advantage_distill, bit_error_rate, median_slice,
                       write_bits_packed, write_bits_text)
 from .infotheory import MetricsReport, build_report
-from .modem import (SYMBOL_PHASES, AlignmentResult, bits_to_symbols,
+from .modem import (MIN_PILOTS, SYMBOL_PHASES, AlignmentResult, bits_to_symbols,
                     estimate_delay_and_rotation, estimate_global_phase,
                     quadrant_decision)
 from .optics import SourceParams, apply_beamsplitter, heterodyne, sample_source_field
@@ -80,6 +82,7 @@ PARTY_THREADS = 2
 CSV_CHUNK_ROWS = 65_536
 _CSV_ROW = "%d,%.9g,%.9g,%.9g,%d\n"
 
+# A stream's index here is its spawn key, so this order is part of every output.
 _STREAM_NAMES = ("bits", "source", "chan_alice", "chan_bob", "chan_eve",
                  "det_alice", "det_bob", "det_eve", "distill")
 
@@ -172,10 +175,11 @@ def _fork_measurement_csv(path: Path, index: np.ndarray, rec: PartyRecord) -> in
         os._exit(code)
 
 
-def _rng_streams(seed: int) -> dict[str, np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(len(_STREAM_NAMES))
-    return {name: np.random.default_rng(child)
-            for name, child in zip(_STREAM_NAMES, children)}
+def _stream(seed: int, name: str) -> np.random.Generator:
+    """Stream ``name`` of ``seed``: child ``_STREAM_NAMES.index(name)`` of
+    ``SeedSequence(seed)``, made afresh on every call."""
+    key = (_STREAM_NAMES.index(name),)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def derive_trial_seed(seed: int, index: int) -> int:
@@ -215,7 +219,7 @@ def _segment_corrections(x, p, syms, lag, config):
         pilots_tx = np.arange(tx0, min(tx0 + config.pilot_len, n))
         rx_idx = pilots_tx + lag
         valid = (rx_idx >= 0) & (rx_idx < n)
-        if np.count_nonzero(valid) < 16:
+        if np.count_nonzero(valid) < MIN_PILOTS:
             psi[s] = psi[s - 1] if s else 0.0
             continue
         pilots_tx = pilots_tx[valid]
@@ -230,20 +234,20 @@ def _segment_corrections(x, p, syms, lag, config):
     return psi
 
 
-def _transmit(config, rngs):
+def _transmit(config):
     """Bits, QPSK symbols and source fields, split 50:50 between Alice and
     the broadcast, whose tap passes ``eve_transmittance`` to Bob and the rest
     to Eve. Returns ``(syms, inputs)``, one input field per party."""
-    bits = rngs["bits"].integers(0, 2, size=2 * config.n_symbols, dtype=np.uint8)
+    bits = _stream(config.seed, "bits").integers(0, 2, 2 * config.n_symbols, dtype=np.uint8)
     syms = bits_to_symbols(bits)
     # The source field is an argument only, so it is freed once split.
-    alice_in, broadcast = apply_beamsplitter(
-        sample_source_field(config.source, SYMBOL_PHASES[syms], rngs["source"]), 0.0, 0.5)
-    bob_in, eve_in = apply_beamsplitter(broadcast, 0.0, config.eve_transmittance)
+    alice_in, broadcast = apply_beamsplitter(sample_source_field(
+        config.source, SYMBOL_PHASES[syms], _stream(config.seed, "source")), 0.5)
+    bob_in, eve_in = apply_beamsplitter(broadcast, config.eve_transmittance)
     return syms, {"alice": alice_in, "bob": bob_in, "eve": eve_in}
 
 
-def _receive_party(name, inputs, config, rngs, syms):
+def _receive_party(name, inputs, config, syms):
     """Channel, heterodyne, alignment and pilot phases of one party.
 
     Pops the party's input from ``inputs`` and drops each field once used,
@@ -256,8 +260,8 @@ def _receive_party(name, inputs, config, rngs, syms):
     max_lag = min(max_lag, n // 4)
     window = min(n, max(8 * max_lag, ALIGNMENT_WINDOW))
     link = getattr(config, f"{name}_link")
-    rx_field = apply_channel(inputs.pop(name), link, rngs[f"chan_{name}"])
-    x, p = heterodyne(rx_field, DETECTION_NOISE_VAR, rngs[f"det_{name}"])
+    rx_field = apply_channel(inputs.pop(name), link, _stream(config.seed, f"chan_{name}"))
+    x, p = heterodyne(rx_field, DETECTION_NOISE_VAR, _stream(config.seed, f"det_{name}"))
     del rx_field
     q_raw = quadrant_decision(x[:window], p[:window])
     found = estimate_delay_and_rotation(syms[:window], q_raw, max_lag)
@@ -281,7 +285,7 @@ def _fold_party(received, index, cells) -> PartyRecord:
     return PartyRecord(x=xf, p=pf, z=z, bits=median_slice(z))
 
 
-def _finish(config, rngs, syms, received) -> RunArtifacts:
+def _finish(config, syms, received) -> RunArtifacts:
     """Post-processing over the public channel: common index, fold, report
     and distillation.
 
@@ -289,11 +293,10 @@ def _finish(config, rngs, syms, received) -> RunArtifacts:
     """
     n = config.n_symbols
     alignment = {name: received[name][2] for name in PARTIES}
-    # Common aligned range on the transmitted clock, data symbols only.
+    # Common aligned range on the transmitted clock, data symbols only. Every
+    # |lag| <= max_lag <= n // 4, so it holds at least n/2 - 1 symbols.
     u_lo = max(0, *(-alignment[name].lag for name in PARTIES))
     u_hi = min(n - 1 - max(0, alignment[name].lag) for name in PARTIES)
-    if u_hi - u_lo < 2:
-        raise RuntimeError("alignment left no usable overlap between parties")
     index = np.arange(u_lo, u_hi + 1)
     index = index[index % config.coherence_len >= config.pilot_len]
     # Slicing needs two symbols and distillation one whole block.
@@ -313,7 +316,8 @@ def _finish(config, rngs, syms, received) -> RunArtifacts:
     distilled = None
     if config.ad_block is not None:
         a_kept, b_kept, kept_fraction = advantage_distill(
-            records["alice"].bits, records["bob"].bits, config.ad_block, rngs["distill"])
+            records["alice"].bits, records["bob"].bits, config.ad_block,
+            _stream(config.seed, "distill"))
         distilled = {
             "block": config.ad_block,
             "kept_fraction": kept_fraction,
@@ -329,11 +333,10 @@ def _finish(config, rngs, syms, received) -> RunArtifacts:
 
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     """Execute one scenario; fully deterministic given ``config.seed``."""
-    rngs = _rng_streams(config.seed)
-    syms, inputs = _transmit(config, rngs)
+    syms, inputs = _transmit(config)
     received = dict(zip(PARTIES, _pool_map(
-        lambda name: _receive_party(name, inputs, config, rngs, syms), PARTIES, PARTY_THREADS)))
-    return _finish(config, rngs, syms, received)
+        lambda name: _receive_party(name, inputs, config, syms), PARTIES, PARTY_THREADS)))
+    return _finish(config, syms, received)
 
 
 # ---------------------------------------------------------------------------

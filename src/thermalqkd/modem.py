@@ -30,6 +30,10 @@ _GRAY_ENCODE = np.array([0, 1, 3, 2], dtype=np.uint8)      # index = 2*b0 + b1
 _PHASE_COS = np.cos(SYMBOL_PHASES)
 _PHASE_SIN = np.sin(SYMBOL_PHASES)
 
+# Fewest pilots a phase estimate takes; a segment with fewer keeps the
+# previous segment's phase.
+MIN_PILOTS = 16
+
 # Largest distance of an FFT match count from its integer that is trusted.
 _COUNT_TOLERANCE = 0.25
 
@@ -93,8 +97,8 @@ def estimate_global_phase(pilot_x, pilot_y, pilot_symbols) -> float:
     syms = _check_symbols(pilot_symbols)
     if not (x.shape == y.shape == syms.shape):
         raise ValueError("pilot sequences must have matching lengths")
-    if x.size < 16:
-        raise ValueError(f"need at least 16 pilot samples, got {x.size}")
+    if x.size < MIN_PILOTS:
+        raise ValueError(f"need at least {MIN_PILOTS} pilot samples, got {x.size}")
     c = _PHASE_COS[syms]
     s = _PHASE_SIN[syms]
     re = np.sum(x * c + y * s)
@@ -146,9 +150,9 @@ def _match_counts(ref, rx, max_lag):
     lags = np.arange(-max_lag, max_lag + 1)
     c_l = corr[lags % nfft]
     d_l = dcorr[lags % nfft]
+    # Both streams hold at least 4*max_lag symbols (_alignment_inputs), so
+    # every overlap is at least 3*max_lag, and at least 1 at max_lag = 0.
     overlap = np.minimum(n_rx, n_ref + lags) - np.maximum(0, lags)
-    if overlap.min() <= 0:
-        raise ValueError("empty overlap inside the lag window")
     even = (overlap + d_l) / 4.0
     odd = (overlap - d_l) / 4.0
     raw = np.stack([

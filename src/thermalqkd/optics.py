@@ -6,7 +6,8 @@ a thermal state with mean photon number ``nbar`` has covariance
 complex Gaussian fluctuation with per-quadrature variance ``nbar``.
 Heterodyne detection adds one vacuum unit of noise per quadrature by
 default. Field amplitudes are plain complex numbers; streams of symbols are
-1-D complex128 arrays.
+1-D complex128 arrays. Every beam splitter's second input is vacuum, the zero
+amplitude in this positive-P sampling, so a splitter takes one input.
 """
 
 from __future__ import annotations
@@ -52,17 +53,13 @@ def sample_source_field(params: SourceParams, symbol_phase, rng):
     return params.d0 * np.exp(1j * phase) + fluct[..., 0] + 1j * fluct[..., 1]
 
 
-def apply_beamsplitter(a, b, transmittance: float):
-    """Two-port beam splitter with the real orthogonal convention.
-
-    out1 = sqrt(T)*a + sqrt(1-T)*b, out2 = sqrt(1-T)*a - sqrt(T)*b.
-    A vacuum port is the zero amplitude. Accepts scalars or arrays.
+def apply_beamsplitter(a, transmittance: float):
+    """Beam splitter with vacuum at its second input: the through-port and
+    reflected amplitudes ``(sqrt(T)*a, sqrt(1-T)*a)``. Accepts scalars or arrays.
     """
     if not (0.0 <= transmittance <= 1.0):
         raise ValueError(f"transmittance must be in [0, 1], got {transmittance}")
-    t = np.sqrt(transmittance)
-    r = np.sqrt(1.0 - transmittance)
-    return t * a + r * b, r * a - t * b
+    return np.sqrt(transmittance) * a, np.sqrt(1.0 - transmittance) * a
 
 
 def heterodyne(a, noise_var: float, rng):

@@ -68,8 +68,8 @@ def sampler_matches_oracle():
         links = list(zip(etas, noises))
         oracle = joint_covariance_oracle(links, nbar, t_eve)
         field = sample_source_field(SourceParams(nbar=nbar, d0=0.0), np.zeros(n), rng)
-        alice, broadcast = apply_beamsplitter(field, 0.0, 0.5)
-        bob, eve = apply_beamsplitter(broadcast, 0.0, t_eve)
+        alice, broadcast = apply_beamsplitter(field, 0.5)
+        bob, eve = apply_beamsplitter(broadcast, t_eve)
         rows = []
         for arm, (eta, noise) in zip((alice, bob, eve), links):
             x, p = heterodyne(np.sqrt(eta) * arm, noise, rng)

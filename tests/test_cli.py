@@ -1,14 +1,21 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermalqkd import cli, harness, selftest
+from thermalqkd import cli, config, harness, selftest
 from thermalqkd.cli import main
 from thermalqkd.config import format_config, load_config, save_config
-from thermalqkd.harness import calibrate_preset, freespace_scenario, waveguide_scenario
+from thermalqkd.harness import (MAX_SWEEP_POINTS, calibrate_preset, freespace_scenario,
+                                waveguide_scenario)
+from thermalqkd.modem import MIN_PILOTS
 
 
 @pytest.fixture()
@@ -48,9 +55,10 @@ def test_run_uses_env_output_dir(tmp_path, config_file, monkeypatch):
 def test_malformed_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     text = format_config(waveguide_scenario(seed=1, n_symbols=12_000))
-    bad.write_text(text.replace("n_symbols = 12000", "n_symbols = -3"))
-    assert main(["run", str(bad)]) == 1
-    assert "n_symbols" in capsys.readouterr().err
+    for n_symbols in ("-3", str(10 ** 30)):
+        bad.write_text(text.replace("n_symbols = 12000", f"n_symbols = {n_symbols}"))
+        assert main(["run", str(bad)]) == 1
+        assert "n_symbols" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("factory", [waveguide_scenario, freespace_scenario])
@@ -246,6 +254,68 @@ def test_sweep_values_checked_per_field(config_file, capsys, param, start, stop,
     assert "runtime failure" not in err
     if field is not None:
         assert field in err
+
+
+# Values each field rejects, one grid point each.
+_REJECTED = {
+    "n_symbols": st.integers(10 ** 9 + 1, 10 ** 30) | st.integers(-10 ** 6, 999),
+    "pilot_len": st.integers(-100, MIN_PILOTS - 1),
+    "ad_block": st.integers(-100, 1),
+    "eve_transmittance": st.floats(1.0, 1e300, exclude_min=True) | st.floats(-1e300, -1e-9),
+    "source.nbar": st.floats(1e12, 1e300, exclude_min=True) | st.floats(-1e300, -1e-9),
+    "bob_link.delay": st.floats(0.0, 1000.0).filter(lambda v: not v.is_integer()),
+}
+
+
+_BAD_SWEEPS = ["non-finite", "step", "order", "size", "key", "jobs",
+               *(f"value:{key}" for key in _REJECTED)]
+
+
+@st.composite
+def _bad_sweep_argv(draw, kind):
+    """``sweep`` arguments of one ``kind`` that validation rejects before any run."""
+    param, flags = "eve_transmittance", []
+    start = draw(st.floats(0.0, 1.0))
+    stop, step = start, 0.5
+    if kind == "non-finite":
+        grid = [start, stop, step]
+        grid[draw(st.integers(0, 2))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        start, stop, step = grid
+    elif kind == "step":
+        step = draw(st.floats(max_value=0.0))
+    elif kind == "order":
+        stop = draw(st.floats(-1e300, start, exclude_max=True))
+    elif kind == "size":
+        start, step = 0.0, draw(st.floats(1e-9, 1.0))
+        stop = step * draw(st.integers(MAX_SWEEP_POINTS + 1, 10 ** 9))
+    elif kind == "key":
+        param = draw(st.text("abcdefghijklmnopqrstuvwxyz_.", min_size=1, max_size=30)
+                     .filter(lambda key: key not in config._KEYS))
+    elif kind == "jobs":
+        flags = ["--jobs", str(draw(st.integers(-10, 0)))]
+    else:
+        param = kind.split(":", 1)[1]
+        start = stop = float(draw(_REJECTED[param]))
+    # After "--", a value such as "-1e+30" or "-inf" is positional, not an option.
+    return ["sweep", "--n-symbols", "2000", *flags, "--",
+            param, repr(start), repr(stop), repr(step)]
+
+
+def _no_run(cfg):
+    raise AssertionError(f"a rejected sweep ran a scenario of {cfg.n_symbols} symbols")
+
+
+@pytest.mark.parametrize("kind", _BAD_SWEEPS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_bad_sweep_arguments_exit_one(kind, data):
+    # Rejected before any point runs: a run here would be a runtime failure.
+    argv = data.draw(_bad_sweep_argv(kind))
+    err = io.StringIO()
+    with mock.patch.object(harness, "run_scenario", _no_run), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 1, err.getvalue()
+    assert "runtime failure" not in err.getvalue()
 
 
 def test_selftest_passes(capsys):

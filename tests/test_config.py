@@ -219,6 +219,9 @@ def test_scenario_invariants():
     cfg = waveguide_scenario(seed=1, n_symbols=10_000)
     with pytest.raises(ConfigError):
         dataclasses.replace(cfg, n_symbols=500)
+    assert dataclasses.replace(cfg, n_symbols=10 ** 9).n_symbols == 10 ** 9
+    with pytest.raises(ConfigError, match=r"n_symbols: must be in \[1000, 1e9\]"):
+        dataclasses.replace(cfg, n_symbols=10 ** 9 + 1)   # about 230 GB of run state
     with pytest.raises(ConfigError):
         dataclasses.replace(cfg, pilot_len=8)
     with pytest.raises(ConfigError):

@@ -223,32 +223,66 @@ def test_tap_through_port_goes_to_bob(t, dark):
     # eve_transmittance is the power transmittance of the tap's through-port,
     # which feeds Bob; Eve takes 1 - t.
     cfg = dataclasses.replace(waveguide_scenario(seed=2, n_symbols=5_000), eve_transmittance=t)
-    _, inputs = harness._transmit(cfg, harness._rng_streams(cfg.seed))
+    _, inputs = harness._transmit(cfg)
     lit, = {"bob", "eve"} - {dark}
     assert not np.any(inputs[dark])
     assert np.all(inputs[lit] != 0) and np.all(inputs["alice"] != 0)
 
 
 @pytest.mark.parametrize("ad_block", [None, 2])
-def test_each_stage_draws_only_its_own_streams(ad_block):
-    # A party can be received again from the same transmission only if no
-    # other stage moves its streams.
+def test_each_stage_draws_only_its_own_streams(monkeypatch, ad_block):
+    # Each stage makes its own streams from (seed, name) and draws every
+    # stream it makes, so no stage depends on what another one drew.
     cfg = freespace_scenario(seed=5, n_symbols=20_000, ad_block=ad_block)
-    rngs = harness._rng_streams(cfg.seed)
+    stream = harness._stream
+    made = []
 
-    def advanced(stage, *args):
-        before = {name: rng.bit_generator.state for name, rng in rngs.items()}
+    def recorded(seed, name):
+        assert seed == cfg.seed
+        rng = stream(seed, name)
+        made.append((name, rng, rng.bit_generator.state))
+        return rng
+
+    monkeypatch.setattr(harness, "_stream", recorded)
+
+    def drawn(stage, *args):
+        made.clear()
         out = stage(*args)
-        return out, {name for name, rng in rngs.items() if rng.bit_generator.state != before[name]}
+        assert all(rng.bit_generator.state != state for _, rng, state in made)
+        return out, sorted(name for name, _, _ in made)
 
-    (syms, inputs), moved = advanced(harness._transmit, cfg, rngs)
-    assert moved == {"bits", "source"}
+    (syms, inputs), names = drawn(harness._transmit, cfg)
+    assert names == ["bits", "source"]
     received = {}
     for name in harness.PARTIES:
-        received[name], moved = advanced(harness._receive_party, name, inputs, cfg, rngs, syms)
-        assert moved == {f"chan_{name}", f"det_{name}"}, name
-    _, moved = advanced(harness._finish, cfg, rngs, syms, received)
-    assert moved == ({"distill"} if ad_block else set())
+        received[name], names = drawn(harness._receive_party, name, inputs, cfg, syms)
+        assert names == [f"chan_{name}", f"det_{name}"], name
+    _, names = drawn(harness._finish, cfg, syms, received)
+    assert names == (["distill"] if ad_block else [])
+
+
+@pytest.mark.parametrize("preset", sorted(SCENARIO_PRESETS))
+def test_receiving_a_party_again_gives_the_same_bytes(monkeypatch, preset):
+    # A party received twice more from one transmission gets the quadratures,
+    # alignment and pilot phases it got in the run.
+    cfg = SCENARIO_PRESETS[preset](seed=7, n_symbols=20_000, ad_block=2)
+    receive = harness._receive_party
+    in_run = {}
+
+    def keep(name, *args):
+        in_run[name] = receive(name, *args)
+        return in_run[name]
+
+    monkeypatch.setattr(harness, "_receive_party", keep)
+    run_scenario(cfg)
+    syms, inputs = harness._transmit(cfg)
+    for name in harness.PARTIES:
+        x, p, found, psi = in_run[name]
+        for _ in range(2):
+            again = receive(name, dict(inputs), cfg, syms)
+            assert [a.tobytes() for a in (again[0], again[1], again[3])] == \
+                [x.tobytes(), p.tobytes(), psi.tobytes()], name
+            assert again[2] == found, name
 
 
 # sha256 of every artifact file of the presets at seed 7, 20k symbols,
@@ -301,7 +335,7 @@ def test_fold_table_matches_per_symbol_trig(monkeypatch):
 
     monkeypatch.setattr(harness, "_receive_party", keep)
     art = run_scenario(cfg)
-    rng = harness._rng_streams(cfg.seed)["bits"]
+    rng = harness._stream(cfg.seed, "bits")
     syms = bits_to_symbols(rng.integers(0, 2, size=2 * cfg.n_symbols, dtype=np.uint8))
     index = art.index
     assert np.unique(index // cfg.coherence_len).size == 250
