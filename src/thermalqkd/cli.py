@@ -17,10 +17,11 @@ import argparse
 import contextlib
 import dataclasses
 import os
+import re
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import PARTIES, ConfigError, load_config
 from .harness import (CalibrationError, SCENARIO_PRESETS, calibrate_preset,
                       run_scenario, sweep, sweep_csv, sweep_values,
                       write_preset_file)
@@ -79,6 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("start", type=float)
     p_sweep.add_argument("stop", type=float)
     p_sweep.add_argument("step", type=float)
+    # argparse reads an argument as a value, not an option, when its private
+    # _negative_number_matcher matches it. Its own matches only -<digits> and
+    # -<digits>.<digits>, which would make "-1e-05" and "-inf" options.
+    p_sweep._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
     p_sweep.add_argument("--config", default=None,
                          help="base config file (default: built-in waveguide preset)")
     p_sweep.add_argument("--n-symbols", type=int, help="override the base run length")
@@ -111,7 +116,7 @@ def _cmd_run(args) -> int:
           f"i_ab_given_e={rep.i_ab_given_e:.5f}")
     print(f"  delta_dr={rep.delta_dr:.5f} delta_rr={rep.delta_rr:.5f} "
           f"ber_ab={rep.ber_ab:.5f} n_bits={rep.n_bits}")
-    for name in ("alice", "bob", "eve"):
+    for name in PARTIES:
         al = artifacts.alignment[name]
         print(f"  {name}: lag={al.lag} quarter_turns={al.quarter_turns} "
               f"match={al.match_fraction:.4f}")

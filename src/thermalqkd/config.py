@@ -43,7 +43,9 @@ from .channels import ChannelParams, TapSpec
 from .modem import MIN_PILOTS
 from .optics import SourceParams
 
-_LINKS = ("alice_link", "bob_link", "eve_link")
+# The receiving parties, in the order every per-party output lists them.
+PARTIES = ("alice", "bob", "eve")
+_LINKS = tuple(f"{name}_link" for name in PARTIES)
 
 
 class ConfigError(ValueError):

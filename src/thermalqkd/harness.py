@@ -22,15 +22,16 @@ and ``_finish`` (common index, fold, report and distillation; draws
 ``distill`` only when ``ad_block`` is set).
 
 The three parties are received and folded on ``PARTY_THREADS`` threads.
-Each party's step reads only its own input and draws only its own streams,
-so the output bytes do not depend on how the threads are scheduled. Pools
-do not nest: a ``_pool_map`` called from a pool worker (a sweep point or a
-calibration point run at ``jobs >= 2``) maps on the calling thread. At
-``jobs == 1`` a sweep or calibration maps its points on the caller's
-thread, unmarked, so each run still receives its parties on party threads.
+Each party's step reads only its own input and link and draws only its own
+streams, so the output bytes do not depend on how the threads are
+scheduled. Pools do not nest: a ``_pool_map`` called from a pool worker (a
+sweep point or a calibration point run at ``jobs >= 2``) maps on the
+calling thread. At ``jobs == 1`` a sweep or calibration maps its points on
+the caller's thread, unmarked, so each run still receives its parties on
+party threads.
 
-``RunArtifacts.write`` formats two of the three measurement CSVs in forked
-child processes (``os.fork``, so POSIX only). It forks only after
+``RunArtifacts.write`` formats each measurement CSV in its own forked child
+process (``os.fork``, so POSIX only). It forks only after
 ``run_scenario`` has returned, when its party pools are shut down and their
 threads joined; a fork in a process with other live threads could copy a
 lock that one of them holds.
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import kernels
 from .channels import ChannelParams, PhaseDriftParams, TapSpec, apply_channel
-from .config import ConfigError, ScenarioConfig, format_config, set_config_value
+from .config import PARTIES, ConfigError, ScenarioConfig, format_config, set_config_value
 from .distill import (PartyRecord, advantage_distill, bit_error_rate, median_slice,
                       write_bits_packed, write_bits_text)
 from .infotheory import MetricsReport, build_report
@@ -60,8 +61,6 @@ from .modem import (MIN_PILOTS, SYMBOL_PHASES, AlignmentResult, bits_to_symbols,
                     estimate_delay_and_rotation, estimate_global_phase,
                     quadrant_decision)
 from .optics import SourceParams, apply_beamsplitter, heterodyne, sample_source_field
-
-PARTIES = ("alice", "bob", "eve")
 
 # One vacuum unit of detection noise per quadrature at every receiver.
 DETECTION_NOISE_VAR = 1.0
@@ -101,12 +100,12 @@ class RunArtifacts:
     def write(self, out_dir) -> dict[str, Path]:
         """Write per-party CSVs, the JSON report and the config echo.
 
-        ``alice.csv`` and ``bob.csv`` are formatted in forked child
-        processes while this process formats ``eve.csv`` and writes the
-        rest, so the three ``%.9g`` loops share the cores; the GIL rules
-        out threads. Call it from a process running no other threads.
-        Every CSV is created here first, so a bad path raises in the
-        caller; a child that fails raises RuntimeError naming its file.
+        Each party's CSV is formatted in its own forked child process while
+        this process writes the rest, so the three ``%.9g`` loops share the
+        cores; the GIL rules out threads. Call it from a process running no
+        other threads. Every CSV is created here first, so a bad path raises
+        in the caller before any fork; a child that fails raises
+        RuntimeError naming its file.
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -116,13 +115,11 @@ class RunArtifacts:
         paths = {name: out / f"{name}.csv" for name in PARTIES}
         for path in paths.values():
             open(path, "w").close()
-        *forked, own = PARTIES
         children = {}
         try:
-            for name in forked:
+            for name in PARTIES:
                 children[name] = _fork_measurement_csv(paths[name], self.index,
                                                        self.parties[name])
-            _write_measurement_csv(paths[own], self.index, self.parties[own])
             report_path = out / "report.json"
             report_path.write_text(self.report.to_json(), encoding="utf-8")
             paths["report"] = report_path
@@ -250,16 +247,16 @@ def _transmit(config):
 def _receive_party(name, inputs, config, syms):
     """Channel, heterodyne, alignment and pilot phases of one party.
 
-    Pops the party's input from ``inputs`` and drops each field once used,
-    so that two parties received at once hold little besides their
-    quadratures. Returns ``(x, p, alignment, psi)``.
+    Reads no other party's link, its delay search included, so a receive
+    depends only on the transmission and this party's link. Pops the party's
+    input from ``inputs`` and drops each field once used, so that two
+    parties received at once hold little besides their quadratures.
+    Returns ``(x, p, alignment, psi)``.
     """
     n = config.n_symbols
-    links = (config.alice_link, config.bob_link, config.eve_link)
-    max_lag = max(MIN_ALIGNMENT_LAG, 2 * max(l.max_history for l in links))
-    max_lag = min(max_lag, n // 4)
-    window = min(n, max(8 * max_lag, ALIGNMENT_WINDOW))
     link = getattr(config, f"{name}_link")
+    max_lag = min(max(MIN_ALIGNMENT_LAG, 2 * link.max_history), n // 4)
+    window = min(n, max(8 * max_lag, ALIGNMENT_WINDOW))
     rx_field = apply_channel(inputs.pop(name), link, _stream(config.seed, f"chan_{name}"))
     x, p = heterodyne(rx_field, DETECTION_NOISE_VAR, _stream(config.seed, f"det_{name}"))
     del rx_field

@@ -90,7 +90,8 @@ def estimate_global_phase(pilot_x, pilot_y, pilot_symbols) -> float:
 
     Estimated as the angle of the mean received sample after derotating each
     pilot by its known cluster phase. The residual k*pi/2 ambiguity is left
-    to the quadrant-bit alignment stage.
+    to the caller; a run resolves it per coherence segment by a quadrant vote
+    over that segment's pilots (``harness._segment_corrections``).
     """
     x = np.asarray(pilot_x, dtype=float)
     y = np.asarray(pilot_y, dtype=float)

@@ -4,10 +4,11 @@ Conventions (shot-noise units): the vacuum state has identity covariance,
 a thermal state with mean photon number ``nbar`` has covariance
 ``(2*nbar + 1) * I``, and its sampled field amplitude carries a circular
 complex Gaussian fluctuation with per-quadrature variance ``nbar``.
-Heterodyne detection adds one vacuum unit of noise per quadrature by
-default. Field amplitudes are plain complex numbers; streams of symbols are
-1-D complex128 arrays. Every beam splitter's second input is vacuum, the zero
-amplitude in this positive-P sampling, so a splitter takes one input.
+Heterodyne detection adds the noise variance it is given per quadrature;
+a run gives it one vacuum unit (``harness.DETECTION_NOISE_VAR``). Field
+amplitudes are plain complex numbers; streams of symbols are 1-D complex128
+arrays. Every beam splitter's second input is vacuum, the zero amplitude in
+this positive-P sampling, so a splitter takes one input.
 """
 
 from __future__ import annotations

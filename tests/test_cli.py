@@ -55,10 +55,15 @@ def test_run_uses_env_output_dir(tmp_path, config_file, monkeypatch):
 def test_malformed_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     text = format_config(waveguide_scenario(seed=1, n_symbols=12_000))
-    for n_symbols in ("-3", str(10 ** 30)):
-        bad.write_text(text.replace("n_symbols = 12000", f"n_symbols = {n_symbols}"))
+    for old, new, field in [("n_symbols = 12000", "n_symbols = -3", "n_symbols"),
+                            ("n_symbols = 12000", f"n_symbols = {10 ** 30}", "n_symbols"),
+                            ("seed = 1", "seed = -1", "seed"),
+                            ("bob_link.taps = 9:0.02:-0.8", "bob_link.taps = 1:0.1:nan",
+                             "bob_link.taps")]:
+        assert old in text
+        bad.write_text(text.replace(old, new))
         assert main(["run", str(bad)]) == 1
-        assert "n_symbols" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("factory", [waveguide_scenario, freespace_scenario])
@@ -244,8 +249,11 @@ def test_calibrate_unreachable_target_exits_two(tmp_path, capsys, monkeypatch):
     ("eve_transmittance", "0.3", "0.5", "0.2", ["--jobs", "0"], 1, "jobs"),
     ("eve_transmittance", "0", "1", "1e-300", [], 1, "step"),
     ("eve_transmittance", "0", "1e300", "1e-300", [], 1, "step"),
+    ("eve_transmittance", "-1e-05", "0", "1", [], 1, "eve_transmittance"),
+    ("eve_transmittance", "0", "1", "-inf", [], 1, "step: must be finite"),
 ], ids=["negative-nbar", "unknown-key", "fractional-delay", "int-ad-block", "zero-step",
-        "empty-grid", "nan-start", "inf-stop", "zero-jobs", "huge-grid", "overflowing-grid"])
+        "empty-grid", "nan-start", "inf-stop", "zero-jobs", "huge-grid", "overflowing-grid",
+        "exponent-negative-start", "negative-inf-step"])
 def test_sweep_values_checked_per_field(config_file, capsys, param, start, stop, step,
                                         extra, code, field):
     argv = ["sweep", param, start, stop, step, "--config", str(config_file), *extra]

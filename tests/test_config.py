@@ -205,6 +205,8 @@ def test_unknown_and_duplicate_keys_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config(base + "seed = 2\n")
     assert "duplicate" in str(err.value)
+    with pytest.raises(ConfigError, match="line 3: expected 'key = value', got 'seed 2'"):
+        parse_config("# header\n\nseed 2\n")
 
 
 def test_malformed_taps_rejected():

@@ -79,7 +79,7 @@ def _assert_no_child_left():
 
 
 def test_write_matches_reference_across_chunks(tmp_path):
-    # The forked and in-process writers each cross a chunk boundary.
+    # Each party's forked writer crosses a chunk boundary.
     art = _edge_artifacts(CSV_CHUNK_ROWS + 1)
     paths = art.write(tmp_path)
     for name in harness.PARTIES:
@@ -87,7 +87,7 @@ def test_write_matches_reference_across_chunks(tmp_path):
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("name", ["alice", "bob"])
+@pytest.mark.parametrize("name", ["alice", "bob", "eve"])
 def test_unwritable_csv_raises_before_any_fork(tmp_path, monkeypatch, name):
     forks = []
     monkeypatch.setattr(harness, "_fork_measurement_csv", lambda *args: forks.append(args))
@@ -98,10 +98,20 @@ def test_unwritable_csv_raises_before_any_fork(tmp_path, monkeypatch, name):
     _assert_no_child_left()
 
 
+def test_disagreeing_row_counts_raise_before_any_fork(tmp_path, monkeypatch):
+    forks = []
+    monkeypatch.setattr(harness, "_fork_measurement_csv", lambda *args: forks.append(args))
+    art = _edge_artifacts(15)
+    art.index = art.index[:-1]
+    with pytest.raises(ValueError, match="row counts"):
+        art.write(tmp_path)
+    assert not forks and not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("name", ["alice", "bob", "eve"])
 def test_failed_csv_writer_is_reaped_and_named(tmp_path, monkeypatch, capfd, name):
-    # alice and bob fail in a child, which exits 1 and is named by the
-    # parent; eve fails in the parent, which still reaps both children.
+    # Every CSV is written in a child, which exits 1 and is named by the
+    # parent once all three children are reaped.
     write_csv = harness._write_measurement_csv
 
     def fail_one(path, index, rec):
@@ -111,18 +121,31 @@ def test_failed_csv_writer_is_reaped_and_named(tmp_path, monkeypatch, capfd, nam
 
     monkeypatch.setattr(harness, "_write_measurement_csv", fail_one)
     art = _edge_artifacts(15)
-    if name == "eve":
-        with pytest.raises(ValueError, match="formatter broke on eve.csv"):
-            art.write(tmp_path)
-    else:
-        with pytest.raises(RuntimeError, match=rf"{name}\.csv \(exit status 1\)"):
-            art.write(tmp_path)
-        assert "ValueError: formatter broke on" in capfd.readouterr().err
+    with pytest.raises(RuntimeError, match=rf"{name}\.csv \(exit status 1\)"):
+        art.write(tmp_path)
+    assert "ValueError: formatter broke on" in capfd.readouterr().err
     _assert_no_child_left()
     for other in harness.PARTIES:
         if other != name:
             want = _csv_reference(art.index, art.parties[other])
             assert (tmp_path / f"{other}.csv").read_bytes() == want, other
+
+
+def test_failed_key_writer_still_reaps_every_csv_child(tmp_path, monkeypatch):
+    # A failure in the parent, after all three forks, still reaps every
+    # child, and each CSV is complete.
+    def broken(bits, path):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(harness, "write_bits_packed", broken)
+    art = _edge_artifacts(CSV_CHUNK_ROWS + 1)
+    art.distilled = {"alice_key": np.ones(5, np.uint8), "bob_key": np.ones(5, np.uint8)}
+    with pytest.raises(OSError, match="key_alice.bin"):
+        art.write(tmp_path)
+    _assert_no_child_left()
+    for name in harness.PARTIES:
+        want = _csv_reference(art.index, art.parties[name])
+        assert (tmp_path / f"{name}.csv").read_bytes() == want, name
 
 
 def test_csv_writer_children_flush_no_parent_stdio(tmp_path, monkeypatch):
@@ -283,6 +306,22 @@ def test_receiving_a_party_again_gives_the_same_bytes(monkeypatch, preset):
             assert [a.tobytes() for a in (again[0], again[1], again[3])] == \
                 [x.tobytes(), p.tobytes(), psi.tobytes()], name
             assert again[2] == found, name
+
+
+def test_a_receive_reads_only_its_own_link():
+    # Eve's link moves from 9 to 5,000 symbols deep; Alice's and Bob's
+    # receives from one transmission, their alignment search included, must
+    # not change.
+    shallow = freespace_scenario(seed=3, n_symbols=200_000, ad_block=None)
+    shallow = set_config_value(shallow, "eve_link.delay", 9)
+    deep = set_config_value(shallow, "eve_link.delay", 5_000)
+    syms, inputs = harness._transmit(shallow)
+    for name in ("alice", "bob"):
+        x, p, found, psi = harness._receive_party(name, dict(inputs), shallow, syms)
+        again = harness._receive_party(name, dict(inputs), deep, syms)
+        assert [a.tobytes() for a in (again[0], again[1], again[3])] == \
+            [x.tobytes(), p.tobytes(), psi.tobytes()], name
+        assert again[2] == found, name
 
 
 # sha256 of every artifact file of the presets at seed 7, 20k symbols,
@@ -472,6 +511,11 @@ def test_calibration_prefers_zero_noise_for_perfect_target(monkeypatch):
     best = err.value.best
     assert best.config.alice_link.rx_noise_var == 0.0
     assert best.achieved["r_ab"] < 1.0
+
+
+def test_calibrating_an_unknown_preset_raises():
+    with pytest.raises(ValueError, match="unknown preset 'nope'"):
+        calibrate_preset("nope")
 
 
 def test_every_calibration_target_has_a_tolerance():

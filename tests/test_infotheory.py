@@ -17,6 +17,11 @@ def test_joint_counts_small_cases():
     assert counts.tolist() == [[1, 1], [1, 2]]
     c3 = joint_counts(a, b, np.array([1, 1, 0, 0, 1]))
     assert c3.sum() == 5 and c3[1, 1, 1] == 1 and c3[0, 1, 1] == 1
+    for arrays in ([], [a] * 4):
+        with pytest.raises(ValueError, match="1 to 3 arrays"):
+            joint_counts(*arrays)
+    with pytest.raises(ValueError, match="one nonzero length"):
+        joint_counts(a, b[:4])
 
 
 def test_entropy_values():
@@ -28,11 +33,17 @@ def test_entropy_values():
     assert expect == pytest.approx(0.81127812445913283, abs=1e-14)
     with pytest.raises(ValueError):
         entropy([0, 0])
+    with pytest.raises(ValueError, match="non-negative"):
+        entropy([3, -1])
 
 
 def test_mutual_information_limits():
     assert mutual_information([[1, 0], [0, 1]]) == pytest.approx(1.0, abs=1e-12)
     assert mutual_information([[5, 5], [5, 5]]) == 0.0
+    with pytest.raises(ValueError, match="2-D table"):
+        mutual_information(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="3-D"):
+        conditional_mutual_information(np.ones((2, 2)))
 
 
 def test_mutual_information_bsc_analytic():
@@ -106,6 +117,8 @@ def test_pearson_values():
     assert pearson_r(xs, ys) == pytest.approx(expect, abs=1e-12)
     with pytest.raises(ValueError):
         pearson_r(np.ones(5), np.arange(5.0))
+    with pytest.raises(ValueError, match="equal-length"):
+        pearson_r(np.arange(5.0), np.arange(4.0))
 
 
 def test_g2_constant_and_validation():
@@ -176,6 +189,8 @@ def test_build_report_identical_parties():
     assert report.delta_rr == pytest.approx(0.0, abs=1e-9)
     assert report.ber_ab == 0.0
     assert report.n_bits == 4000
+    with pytest.raises(ValueError, match="aligned"):
+        build_report(_record(bits, z), _record(bits, z), _record(bits[1:], z[1:]))
 
 
 def test_build_report_uninformative_eve():
@@ -210,6 +225,10 @@ def test_report_validates_ranges():
         MetricsReport(r_ab=0.5, r_be=0.0, r_ae=0.0, i_ab=1.5, i_ae=0.4,
                       i_be=0.3, i_ab_given_e=0.1, delta_dr=0.1, delta_rr=0.2,
                       ber_ab=0.1, n_bits=10)
+    with pytest.raises(ValueError, match="ber_ab outside"):
+        MetricsReport(r_ab=0.5, r_be=0.0, r_ae=0.0, i_ab=0.5, i_ae=0.4,
+                      i_be=0.3, i_ab_given_e=0.1, delta_dr=0.1, delta_rr=0.2,
+                      ber_ab=1.5, n_bits=10)
 
 
 def test_pearson_rejects_non_finite_result():

@@ -18,6 +18,8 @@ def test_gray_mapping_examples():
     assert bits_to_symbols([1]).tolist() == [3]
     for pair in itertools.product((0, 1), repeat=2):
         assert bits_to_symbols(pair).tolist() == [_GRAY[pair]]
+    with pytest.raises(ValueError, match="0/1"):
+        bits_to_symbols([2])
 
 
 def test_gray_round_trip():
@@ -270,6 +272,8 @@ def test_estimate_delay_rejects_short_streams():
         estimate_delay_and_rotation(np.zeros(30, dtype=int), np.zeros(30, dtype=int), 10)
     with pytest.raises(ValueError):
         estimate_delay_and_rotation(np.zeros(100, dtype=int), np.zeros(100, dtype=int), -1)
+    with pytest.raises(ValueError, match="0..3"):
+        estimate_delay_and_rotation(np.zeros(100, dtype=int), np.full(100, 4), 10)
 
 
 def test_rotation_search_recovers_relabeling():

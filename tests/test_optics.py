@@ -116,6 +116,10 @@ def test_oracle_rejects_invalid():
         joint_covariance_oracle([(1.0, 1.0), (1.0, 1.0)], 1.0)
     with pytest.raises(ValueError):
         joint_covariance_oracle([(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)], 1.0, 1.4)
+    with pytest.raises(ValueError, match="nbar"):
+        joint_covariance_oracle([(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)], -1.0)
+    with pytest.raises(ValueError, match="link 1 noise_var"):
+        joint_covariance_oracle([(1.0, 1.0), (1.0, -0.5), (1.0, 1.0)], 1.0)
 
 
 def _simulate_rounds(links, nbar, t_eve, n, rng, d0=0.0):
