@@ -55,6 +55,9 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
+_JOBS_HELP = "threads that run the grid points (default 1), capped at the CPU count"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="thermalqkd",
                      description="Central-broadcast displaced-thermal QKD simulator")
@@ -72,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--out", default=None, help="write the calibrated preset file here")
     p_cal.add_argument("--n-symbols", type=int)
     p_cal.add_argument("--seed", type=int)
-    p_cal.add_argument("--jobs", type=int)
+    p_cal.add_argument("--jobs", type=int, help=_JOBS_HELP)
 
     p_sweep = sub.add_parser("sweep", help="vary one parameter and emit metric-vs-value CSV",
                              argument_default=argparse.SUPPRESS)
@@ -89,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-symbols", type=int, help="override the base run length")
     p_sweep.add_argument("--seed", type=int, help="override the base seed")
     p_sweep.add_argument("--out", default=None, help="output CSV path")
-    p_sweep.add_argument("--jobs", type=int)
+    p_sweep.add_argument("--jobs", type=int, help=_JOBS_HELP)
 
     sub.add_parser("selftest", help="run acceptance criteria 1-4 and 7-9")
     return parser

@@ -3,9 +3,10 @@
 One run executes the central-broadcast pipeline: random bits -> QPSK symbols
 -> displaced-thermal source fields -> 50:50 split (Alice | broadcast) ->
 eavesdropper tap on the broadcast -> per-link impairments -> heterodyne ->
-pilot-based phase recovery per coherence segment -> quadrant-bit delay and
-rotation alignment -> cluster folding -> amplitudes -> median slicing ->
-secrecy metrics, with optional advantage distillation afterwards.
+quadrant-bit delay and rotation alignment -> pilot-based phase recovery per
+coherence segment, at the pilots the lag locates -> cluster folding ->
+amplitudes -> median slicing -> secrecy metrics, with optional advantage
+distillation afterwards.
 
 Everything is deterministic given the config seed: each random stream is
 made from ``(seed, name)`` by ``_stream``, and the metric path avoids BLAS
@@ -192,7 +193,8 @@ def _mark_pool_worker() -> None:
 
 
 def _pool_map(fn, items, jobs: int) -> list:
-    """``fn`` over ``items`` on ``jobs`` threads; results in input order.
+    """``fn`` over ``items`` on ``min(jobs, os.cpu_count())`` threads;
+    results in input order.
 
     At ``jobs == 1`` it maps on the calling thread without marking it, so a
     run there still receives its parties on ``PARTY_THREADS``. Called from
@@ -203,31 +205,38 @@ def _pool_map(fn, items, jobs: int) -> list:
         raise ConfigError([f"jobs: must be >= 1, got {jobs}"])
     if jobs == 1 or getattr(_pool_worker, "active", False):
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs, initializer=_mark_pool_worker) as pool:
+    # pool.map submits every item at once, and the pool starts a thread per
+    # submit up to max_workers, so ``jobs`` alone could start a thread per item.
+    workers = min(jobs, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_worker) as pool:
         return list(pool.map(fn, items))
 
 
 def _segment_corrections(x, p, syms, lag, config):
-    """Per-segment correction angle: folded pilot phase plus k*pi/2 from pilots."""
+    """Per-segment correction angle: the whole phase of the segment's pilots.
+
+    A segment's pilots whose received index ``tx + lag`` lies in ``[0, n)``
+    are one contiguous run. A segment with fewer than ``MIN_PILOTS`` of them
+    keeps the previous segment's phase. A kept data symbol ``tx`` has
+    ``tx + lag <= n - 1`` and comes after every pilot of its segment, so at
+    ``lag >= 0`` (every link delays) its segment has all its pilots in
+    range: the fallback fills only segments the fold never reads, or follows
+    a negative lag, which only a wrong alignment gives.
+    """
     n = config.n_symbols
     psi = np.zeros(-(-n // config.coherence_len))
     for s in range(psi.size):
         tx0 = s * config.coherence_len
-        pilots_tx = np.arange(tx0, min(tx0 + config.pilot_len, n))
-        rx_idx = pilots_tx + lag
-        valid = (rx_idx >= 0) & (rx_idx < n)
-        if np.count_nonzero(valid) < MIN_PILOTS:
+        lo, hi = max(tx0, -lag), min(tx0 + config.pilot_len, n, n - lag)
+        if hi - lo < MIN_PILOTS:
             psi[s] = psi[s - 1] if s else 0.0
             continue
-        pilots_tx = pilots_tx[valid]
-        rx_idx = rx_idx[valid]
-        theta = estimate_global_phase(x[rx_idx], p[rx_idx], syms[pilots_tx])
-        ct, st = np.cos(theta), np.sin(theta)
-        xr = x[rx_idx] * ct + p[rx_idx] * st
-        pr = p[rx_idx] * ct - x[rx_idx] * st
-        diff = (quadrant_decision(xr, pr).astype(np.int64) - syms[pilots_tx]) % 4
-        k = int(np.argmax(np.bincount(diff, minlength=4)))
-        psi[s] = theta + k * (np.pi / 2)
+        theta = estimate_global_phase(x[lo + lag:hi + lag], p[lo + lag:hi + lag], syms[lo:hi])
+        # Not psi = theta: the angle folded into [-pi/4, pi/4) plus whole
+        # quarter turns in 0..3 rounds differently, and this sum is what the
+        # golden digests in tests/test_harness.py pin for every preset run.
+        turns, rem = divmod(theta + np.pi / 4, np.pi / 2)
+        psi[s] = (rem - np.pi / 4) + (turns % 4) * (np.pi / 2)
     return psi
 
 
@@ -297,11 +306,11 @@ def _finish(config, syms, received) -> RunArtifacts:
     index = np.arange(u_lo, u_hi + 1)
     index = index[index % config.coherence_len >= config.pilot_len]
     # Slicing needs two symbols and distillation one whole block.
-    need = max(2, config.ad_block or 0)
-    if index.size < need:
-        raise ConfigError([
-            f"pilot_len: {config.pilot_len} pilots per segment and the alignment edges "
-            f"leave {index.size} data symbols of {n}; need at least {need}"])
+    for field, need in (("pilot_len", 2), ("ad_block", config.ad_block or 0)):
+        if index.size < need:
+            raise ConfigError([
+                f"{field}: {config.pilot_len} pilots per segment and the alignment edges "
+                f"leave {index.size} data symbols of {n}; need at least {need}"])
 
     cells = 4 * (index // config.coherence_len) + syms[index]
     records = dict(zip(PARTIES, _pool_map(
@@ -501,8 +510,13 @@ def sweep(base: ScenarioConfig, param: str, values, jobs: int = 1):
     """Run the scenario across parameter values; one derived seed per point.
 
     Returns a list of (value, MetricsReport) in input order regardless of
-    ``jobs``, so output files are byte-stable under any parallelism.
+    ``jobs``, so output files are byte-stable under any parallelism. Each
+    point's seed derives from ``base.seed``, so sweeping ``seed`` raises
+    ConfigError.
     """
+    if param == "seed":
+        raise ConfigError(["seed: cannot be swept; each point derives its seed from "
+                           "the base seed, which --seed sets"])
     values = list(values)
 
     def one(item):

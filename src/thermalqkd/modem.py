@@ -86,12 +86,11 @@ def estimate_delay_and_rotation(ref_symbols, rx_symbols, max_lag: int) -> Alignm
 
 
 def estimate_global_phase(pilot_x, pilot_y, pilot_symbols) -> float:
-    """Channel phase modulo pi/2, folded into [-pi/4, pi/4).
+    """Channel phase in (-pi, pi].
 
     Estimated as the angle of the mean received sample after derotating each
-    pilot by its known cluster phase. The residual k*pi/2 ambiguity is left
-    to the caller; a run resolves it per coherence segment by a quadrant vote
-    over that segment's pilots (``harness._segment_corrections``).
+    pilot by its known cluster phase. The pilots are known, so the angle is
+    the whole phase, with no k*pi/2 ambiguity.
     """
     x = np.asarray(pilot_x, dtype=float)
     y = np.asarray(pilot_y, dtype=float)
@@ -104,8 +103,7 @@ def estimate_global_phase(pilot_x, pilot_y, pilot_symbols) -> float:
     s = _PHASE_SIN[syms]
     re = np.sum(x * c + y * s)
     im = np.sum(y * c - x * s)
-    theta = float(np.arctan2(im, re))
-    return (theta + np.pi / 4) % (np.pi / 2) - np.pi / 4
+    return float(np.arctan2(im, re))
 
 
 def _check_symbols(symbols) -> np.ndarray:

@@ -59,7 +59,9 @@ def test_malformed_config_exits_one(tmp_path, capsys):
                             ("n_symbols = 12000", f"n_symbols = {10 ** 30}", "n_symbols"),
                             ("seed = 1", "seed = -1", "seed"),
                             ("bob_link.taps = 9:0.02:-0.8", "bob_link.taps = 1:0.1:nan",
-                             "bob_link.taps")]:
+                             "bob_link.taps"),
+                            # more than the data symbols left, though pilot_len leaves plenty
+                            ("ad_block = 2", "ad_block = 100000", "ad_block:")]:
         assert old in text
         bad.write_text(text.replace(old, new))
         assert main(["run", str(bad)]) == 1
@@ -251,9 +253,10 @@ def test_calibrate_unreachable_target_exits_two(tmp_path, capsys, monkeypatch):
     ("eve_transmittance", "0", "1e300", "1e-300", [], 1, "step"),
     ("eve_transmittance", "-1e-05", "0", "1", [], 1, "eve_transmittance"),
     ("eve_transmittance", "0", "1", "-inf", [], 1, "step: must be finite"),
+    ("seed", "5", "5", "1", [], 1, "seed: cannot be swept"),
 ], ids=["negative-nbar", "unknown-key", "fractional-delay", "int-ad-block", "zero-step",
         "empty-grid", "nan-start", "inf-stop", "zero-jobs", "huge-grid", "overflowing-grid",
-        "exponent-negative-start", "negative-inf-step"])
+        "exponent-negative-start", "negative-inf-step", "seed"])
 def test_sweep_values_checked_per_field(config_file, capsys, param, start, stop, step,
                                         extra, code, field):
     argv = ["sweep", param, start, stop, step, "--config", str(config_file), *extra]

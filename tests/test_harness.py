@@ -194,6 +194,47 @@ def test_one_job_maps_on_the_calling_thread_unmarked():
     assert _pool_map(where, range(3), 1) == [(threading.get_ident(), False)] * 3
 
 
+@pytest.mark.parametrize("cpus, jobs, workers", [(2, 10_000, 2), (64, 3, 3), (None, 10_000, 1)])
+def test_pool_threads_are_capped_at_the_cpu_count(monkeypatch, cpus, jobs, workers):
+    # pool.map submits every item at once, so an uncapped pool would start
+    # one thread per item up to jobs.
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    assert _pool_map(lambda i: i * i, range(5), jobs) == [0, 1, 4, 9, 16]
+    assert started == [workers]
+
+
+def test_segment_phases_are_whole_pilot_phases():
+    # 200 segments of 200 symbols with 64 unit-amplitude pilots each, noise
+    # 1.5 per quadrature and a random phase per segment: the pilot mean
+    # reads every segment's phase to within pi/4, quarter turns included.
+    rng = np.random.default_rng(0)
+    cfg = dataclasses.replace(waveguide_scenario(n_symbols=40_000), coherence_len=200,
+                              pilot_len=64)
+    syms = rng.integers(0, 4, cfg.n_symbols)
+    phase = rng.uniform(-np.pi, np.pi, 200)
+    field = (np.exp(1j * (SYMBOL_PHASES[syms] + np.repeat(phase, 200)))
+             + 1.5 * (rng.standard_normal(cfg.n_symbols) + 1j * rng.standard_normal(cfg.n_symbols)))
+    psi = harness._segment_corrections(field.real, field.imag, syms, 0, cfg)
+    off = np.angle(np.exp(1j * (psi - phase)))
+    assert np.all(np.abs(off) < np.pi / 4), np.flatnonzero(np.abs(off) >= np.pi / 4)
+
+
 def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
     # A run receives and folds its parties on party threads; inside a pool
     # worker (a sweep or calibration point) the same run maps in place, with

@@ -304,12 +304,15 @@ def test_global_phase_noiseless():
     assert estimate_global_phase(x, p, syms) == pytest.approx(0.2, abs=1e-9)
 
 
-def test_global_phase_folds_quarter_turns():
+def test_global_phase_keeps_quarter_turns():
+    # Known pilots leave no k*pi/2 ambiguity: the whole angle comes back.
     rng = np.random.default_rng(9)
     syms = rng.integers(0, 4, 64)
-    for k in range(1, 4):
-        x, p = _pilot_samples(syms, 0.2 + k * np.pi / 2, 0.0, 2.0, rng)
-        assert estimate_global_phase(x, p, syms) == pytest.approx(0.2, abs=1e-9)
+    for k in range(4):
+        phase = 0.2 + k * np.pi / 2
+        x, p = _pilot_samples(syms, phase, 0.0, 2.0, rng)
+        want = phase - 2 * np.pi if phase > np.pi else phase
+        assert estimate_global_phase(x, p, syms) == pytest.approx(want, abs=1e-9)
 
 
 def test_global_phase_noisy():
