@@ -10,8 +10,9 @@ distillation afterwards.
 
 Everything is deterministic given the config seed: each random stream is
 made from ``(seed, name)`` by ``_stream``, and the metric path avoids BLAS
-reductions so results do not depend on thread settings. Parallel sweep
-points derive their seeds from (scenario seed, point index).
+reductions so results do not depend on thread settings. A sweep or a
+calibration builds every point's config before it runs any, and every point
+runs at the base seed.
 
 ``run_scenario`` composes three stages, the protocol's three phases. Each
 stage makes the streams it draws and takes no others, so receiving a party
@@ -178,11 +179,6 @@ def _stream(seed: int, name: str) -> np.random.Generator:
     ``SeedSequence(seed)``, made afresh on every call."""
     key = (_STREAM_NAMES.index(name),)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def derive_trial_seed(seed: int, index: int) -> int:
-    """Independent 64-bit seed for trial ``index`` of a scenario seed."""
-    return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
 _pool_worker = threading.local()
@@ -416,10 +412,11 @@ class CalibrationError(RuntimeError):
         self.best = best
 
 
-# Named statistic targets the calibration search can aim for.
+# Named statistic targets the calibration search aims for, each as
+# (target value, acceptance half-width on the achieved statistic).
 CALIBRATION_TARGETS = {
-    "waveguide": {"r_ab": 0.9264},
-    "freespace": {"r_be": 0.89, "ber_ab": 0.113},
+    "waveguide": {"r_ab": (0.9264, 0.02)},
+    "freespace": {"r_be": (0.89, 0.02), "ber_ab": (0.113, 0.015)},
 }
 
 # Default parameter grids. Each key is a tuple of dotted fields set together
@@ -434,16 +431,12 @@ CALIBRATION_RANGES = {
     },
 }
 
-# Acceptance half-widths on the achieved statistics.
-CALIBRATION_TOLERANCE = {"r_ab": 0.02, "r_be": 0.02, "ber_ab": 0.015}
-
 
 @dataclass
 class CalibrationResult:
     config: ScenarioConfig
     achieved: dict[str, float]
     targets: dict[str, float]
-    objective: float
     table: list
 
 
@@ -453,41 +446,42 @@ def calibrate_preset(target, n_symbols: int = 200_000, seed: int = 1_234_567,
 
     ``target`` names a preset ("waveguide" or "freespace"); its statistic
     targets and parameter grid are CALIBRATION_TARGETS[target] and
-    CALIBRATION_RANGES[target]. The objective is the summed squared deviation
-    of the achieved statistics. Raises CalibrationError when the best point
-    misses any target by more than its tolerance.
+    CALIBRATION_RANGES[target]. Every point's config is built before any
+    point runs, and every point runs at ``seed``. ``table`` holds
+    ``(point, achieved, objective)`` per point, where the objective is the
+    summed squared deviation of the achieved statistics. Raises
+    CalibrationError when the best point misses any target by more than
+    its tolerance.
     """
     if target not in SCENARIO_PRESETS:
         raise ValueError(f"unknown preset {target!r}; expected one of {sorted(SCENARIO_PRESETS)}")
-    targets = dict(CALIBRATION_TARGETS[target])
+    goals = CALIBRATION_TARGETS[target]
+    targets = {k: value for k, (value, _) in goals.items()}
     search = CALIBRATION_RANGES[target]
     base = SCENARIO_PRESETS[target](seed=seed, n_symbols=n_symbols, ad_block=None)
 
-    keys = list(search.keys())
-    grids = [list(search[k]) for k in keys]
-
-    def evaluate(point):
+    points = list(itertools.product(*search.values()))
+    configs = []
+    for point in points:
         cfg = base
-        for key, value in zip(keys, point):
+        for key, value in zip(search, point):
             for dotted in key:
                 cfg = set_config_value(cfg, dotted, value)
-        report = run_scenario(cfg).report
+        configs.append(cfg)
+    reports = _pool_map(lambda cfg: run_scenario(cfg).report, configs, jobs)
+
+    table = []
+    for point, report in zip(points, reports):
         achieved = {k: float(getattr(report, k)) for k in targets}
-        objective = sum((achieved[k] - targets[k]) ** 2 for k in targets)
-        return cfg, achieved, objective
-
-    points = list(itertools.product(*grids))
-    results = _pool_map(evaluate, points, jobs)
-
-    table = [(pt, achieved, objective) for pt, (_, achieved, objective) in zip(points, results)]
-    best_i = min(range(len(results)), key=lambda i: results[i][2])
-    cfg, achieved, objective = results[best_i]
-    result = CalibrationResult(config=cfg, achieved=achieved, targets=targets,
-                               objective=objective, table=table)
+        table.append((point, achieved, sum((achieved[k] - targets[k]) ** 2 for k in targets)))
+    best = min(range(len(table)), key=lambda i: table[i][2])
+    achieved = table[best][1]
+    result = CalibrationResult(config=configs[best], achieved=achieved, targets=targets,
+                               table=table)
     misses = [
-        f"{k}: achieved {achieved[k]:.4f} vs target {v:.4f}"
-        for k, v in targets.items()
-        if abs(achieved[k] - v) > CALIBRATION_TOLERANCE[k]
+        f"{k}: achieved {achieved[k]:.4f} vs target {value:.4f}"
+        for k, (value, tolerance) in goals.items()
+        if abs(achieved[k] - value) > tolerance
     ]
     if misses:
         raise CalibrationError("calibration missed targets: " + "; ".join(misses), result)
@@ -507,35 +501,32 @@ def write_preset_file(result: CalibrationResult, path) -> None:
 # sweeps
 
 def sweep(base: ScenarioConfig, param: str, values, jobs: int = 1):
-    """Run the scenario across parameter values; one derived seed per point.
+    """Run the scenario across values of one dotted config key.
 
-    Returns a list of (value, MetricsReport) in input order regardless of
-    ``jobs``, so output files are byte-stable under any parallelism. Each
-    point's seed derives from ``base.seed``, so sweeping ``seed`` raises
-    ConfigError.
+    Every point's config is built before any point runs, so a value the key
+    rejects raises ConfigError before the first run; every point runs at
+    ``base.seed``, so sweeping ``seed`` runs one point per seed. Returns a
+    list of (value, MetricsReport) in input order regardless of ``jobs``, so
+    output files are byte-stable under any parallelism.
     """
-    if param == "seed":
-        raise ConfigError(["seed: cannot be swept; each point derives its seed from "
-                           "the base seed, which --seed sets"])
     values = list(values)
-
-    def one(item):
-        i, v = item
-        cfg = set_config_value(base, param, v)
-        cfg = dataclasses.replace(cfg, seed=derive_trial_seed(base.seed, i))
-        return run_scenario(cfg).report
-
-    reports = _pool_map(one, list(enumerate(values)), jobs)
+    configs = [set_config_value(base, param, v) for v in values]
+    reports = _pool_map(lambda cfg: run_scenario(cfg).report, configs, jobs)
     return list(zip(values, reports))
 
 
 def sweep_csv(rows, param: str) -> str:
-    """Render sweep output as a CSV with one row per parameter value."""
+    """Render sweep output as a CSV with one row per parameter value.
+
+    An integral value is written with ``%d``, so labels stay distinct past
+    the nine digits of ``%.9g``.
+    """
     names = [f.name for f in dataclasses.fields(MetricsReport)]
     lines = [param + "," + ",".join(names)]
     for value, report in rows:
         d = report.to_dict()
-        lines.append("%.9g," % value + ",".join(
+        label = "%d" % value if float(value).is_integer() else "%.9g" % value
+        lines.append(label + "," + ",".join(
             "%.9g" % d[name] if name != "n_bits" else "%d" % d[name] for name in names))
     return "\n".join(lines) + "\n"
 

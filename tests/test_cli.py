@@ -210,8 +210,7 @@ def test_cli_passes_on_only_the_options_given(monkeypatch, capsys, flags, kwargs
             return result
         return fake
 
-    best = harness.CalibrationResult(config=None, achieved={}, targets={}, objective=0.0,
-                                     table=[])
+    best = harness.CalibrationResult(config=None, achieved={}, targets={}, table=[])
     monkeypatch.setattr(cli, "calibrate_preset", record(best))
     monkeypatch.setattr(cli, "sweep", record([]))
     assert main(["calibrate", "waveguide", *flags]) == 0
@@ -232,7 +231,7 @@ def test_calibrate_writes_loadable_preset(tmp_path):
 
 
 def test_calibrate_unreachable_target_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(harness.CALIBRATION_TARGETS, "waveguide", {"r_ab": 1.0})
+    monkeypatch.setitem(harness.CALIBRATION_TARGETS, "waveguide", {"r_ab": (1.0, 0.02)})
     out = tmp_path / "waveguide.cfg"
     assert main(["calibrate", "waveguide", "--n-symbols", "20000", "--out", str(out)]) == 2
     assert "best r_ab" in capsys.readouterr().err
@@ -253,7 +252,7 @@ def test_calibrate_unreachable_target_exits_two(tmp_path, capsys, monkeypatch):
     ("eve_transmittance", "0", "1e300", "1e-300", [], 1, "step"),
     ("eve_transmittance", "-1e-05", "0", "1", [], 1, "eve_transmittance"),
     ("eve_transmittance", "0", "1", "-inf", [], 1, "step: must be finite"),
-    ("seed", "5", "5", "1", [], 1, "seed: cannot be swept"),
+    ("seed", "5", "5", "1", [], 0, None),
 ], ids=["negative-nbar", "unknown-key", "fractional-delay", "int-ad-block", "zero-step",
         "empty-grid", "nan-start", "inf-stop", "zero-jobs", "huge-grid", "overflowing-grid",
         "exponent-negative-start", "negative-inf-step", "seed"])
@@ -278,8 +277,14 @@ _REJECTED = {
 }
 
 
+# A valid first point for the keys that also reject values above it.
+_LATE_START = {"n_symbols": 1000.0, "eve_transmittance": 0.0, "source.nbar": 0.0,
+               "bob_link.delay": 0.0}
+
+
 _BAD_SWEEPS = ["non-finite", "step", "order", "size", "key", "jobs",
-               *(f"value:{key}" for key in _REJECTED)]
+               *(f"value:{key}" for key in _REJECTED),
+               *(f"value-late:{key}" for key in _LATE_START)]
 
 
 @st.composite
@@ -304,6 +309,12 @@ def _bad_sweep_argv(draw, kind):
                      .filter(lambda key: key not in config._KEYS))
     elif kind == "jobs":
         flags = ["--jobs", str(draw(st.integers(-10, 0)))]
+    elif kind.startswith("value-late:"):
+        # Two points: a valid start, then the rejected value as start + step.
+        param = kind.split(":", 1)[1]
+        start = _LATE_START[param]
+        step = float(draw(_REJECTED[param].filter(lambda v: v > start))) - start
+        stop = start + step
     else:
         param = kind.split(":", 1)[1]
         start = stop = float(draw(_REJECTED[param]))

@@ -12,9 +12,8 @@ from thermalqkd.config import set_config_value
 from thermalqkd.distill import PartyRecord, read_bits_packed
 from thermalqkd.harness import (CSV_CHUNK_ROWS, SCENARIO_PRESETS, CalibrationError,
                                 _pool_map, _write_measurement_csv, calibrate_preset,
-                                derive_trial_seed, freespace_scenario,
-                                run_scenario, sweep, sweep_csv, sweep_values,
-                                waveguide_scenario)
+                                freespace_scenario, run_scenario, sweep, sweep_csv,
+                                sweep_values, waveguide_scenario)
 from thermalqkd.infotheory import MetricsReport, build_report
 from thermalqkd.modem import SYMBOL_PHASES, bits_to_symbols
 
@@ -544,7 +543,7 @@ def test_distilled_keys_are_exported(tmp_path):
 def test_calibration_prefers_zero_noise_for_perfect_target(monkeypatch):
     # r_ab = 1 is unreachable (detection noise remains), so the search must
     # end at the quietest corner and raise with the best-found result.
-    monkeypatch.setitem(harness.CALIBRATION_TARGETS, "waveguide", {"r_ab": 1.0})
+    monkeypatch.setitem(harness.CALIBRATION_TARGETS, "waveguide", {"r_ab": (1.0, 0.02)})
     monkeypatch.setitem(harness.CALIBRATION_RANGES, "waveguide",
                         {("alice_link.rx_noise_var",): [0.0, 0.4, 0.8]})
     with pytest.raises(CalibrationError) as err:
@@ -559,17 +558,6 @@ def test_calibrating_an_unknown_preset_raises():
         calibrate_preset("nope")
 
 
-def test_every_calibration_target_has_a_tolerance():
-    for target, stats in harness.CALIBRATION_TARGETS.items():
-        assert set(stats) <= set(harness.CALIBRATION_TOLERANCE), target
-
-
-def test_trial_seed_derivation_is_stable():
-    assert derive_trial_seed(7, 0) == derive_trial_seed(7, 0)
-    assert derive_trial_seed(7, 0) != derive_trial_seed(7, 1)
-    assert derive_trial_seed(7, 0) != derive_trial_seed(8, 0)
-
-
 def test_sweep_rows_and_parallel_determinism():
     base = waveguide_scenario(seed=4, n_symbols=20_000, ad_block=None)
     values = sweep_values(0.3, 0.7, 0.2)
@@ -581,6 +569,21 @@ def test_sweep_rows_and_parallel_determinism():
     lines = text.splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("eve_transmittance,r_ab,")
+    # %.9g would print both of these as 1e+09.
+    report = serial[0][1]
+    big = sweep_csv([(1000000001.0, report), (1000000002.0, report), (0.25, report)], "x")
+    assert [line.split(",")[0] for line in big.splitlines()] == [
+        "x", "1000000001", "1000000002", "0.25"]
+
+
+def test_every_sweep_point_runs_at_the_base_seed():
+    base = waveguide_scenario(seed=4, n_symbols=20_000, ad_block=None)
+    rows = sweep(base, "seed", [5, 6], jobs=2)
+    assert [value for value, _ in rows] == [5, 6]
+    for value, report in rows:
+        assert report == run_scenario(dataclasses.replace(base, seed=value)).report
+    [(_, report)] = sweep(base, "eve_transmittance", [base.eve_transmittance])
+    assert report == run_scenario(base).report
 
 
 def test_sweep_eleven_point_grid():
