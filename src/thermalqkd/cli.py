@@ -55,7 +55,8 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
-_JOBS_HELP = "threads that run the grid points (default 1), capped at the CPU count"
+_JOBS_HELP = ("threads that run the grid (default 1), one group of points per distinct "
+              "transmission at a time; capped at the CPU count and the group count")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,6 +14,18 @@ reductions so results do not depend on thread settings. A sweep or a
 calibration builds every point's config before it runs any, and every point
 runs at the base seed.
 
+A grid run (``_run_grid``, behind ``sweep`` and ``calibrate_preset``)
+groups its points by ``_transmission_key``, all that ``_transmit`` reads,
+and maps the groups over the ``jobs`` pool. Within a group the points run
+in order, each one ``run_scenario`` call. The group transmits once and
+receives each distinct ``_receive_key`` (party, that party's link,
+``coherence_len``, ``pilot_len``) once. Use counts come from the configs
+before any point runs, and a receive is dropped after the last point that
+reads it. A held receive costs 16 B per symbol. A group holds its
+transmission, the receives later points read (one inner axis of a product
+grid) and the current point's. The free-space calibration grid of 9 x 9
+points makes 1 transmission and 27 receives and holds at most 11.
+
 ``run_scenario`` composes three stages, the protocol's three phases. Each
 stage makes the streams it draws and takes no others, so receiving a party
 again from the same transmission draws what the run drew:
@@ -27,10 +39,10 @@ The three parties are received and folded on ``PARTY_THREADS`` threads.
 Each party's step reads only its own input and link and draws only its own
 streams, so the output bytes do not depend on how the threads are
 scheduled. Pools do not nest: a ``_pool_map`` called from a pool worker (a
-sweep point or a calibration point run at ``jobs >= 2``) maps on the
-calling thread. At ``jobs == 1`` a sweep or calibration maps its points on
-the caller's thread, unmarked, so each run still receives its parties on
-party threads.
+group of a grid run with ``jobs >= 2`` and more than one group) maps on
+the calling thread. At ``jobs == 1``, or with a single group, a grid run
+maps its groups on the caller's thread, unmarked, so each point still
+receives its parties on party threads.
 
 ``RunArtifacts.write`` formats each measurement CSV in its own forked child
 process (``os.fork``, so POSIX only). It forks only after
@@ -47,6 +59,7 @@ import math
 import os
 import threading
 import traceback
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -189,21 +202,23 @@ def _mark_pool_worker() -> None:
 
 
 def _pool_map(fn, items, jobs: int) -> list:
-    """``fn`` over ``items`` on ``min(jobs, os.cpu_count())`` threads;
-    results in input order.
+    """``fn`` over ``items`` on ``min(jobs, os.cpu_count(), len(items))``
+    threads; results in input order.
 
-    At ``jobs == 1`` it maps on the calling thread without marking it, so a
-    run there still receives its parties on ``PARTY_THREADS``. Called from
-    one of its own workers, it maps on the calling thread, so pools never
-    nest and a run inside a sweep stays on one thread.
+    At ``jobs == 1``, or for a single item, it maps on the calling thread
+    without marking it, so a run there still receives its parties on
+    ``PARTY_THREADS``. Called from one of its own workers, it maps on the
+    calling thread, so pools never nest and a run inside a sweep stays on
+    one thread.
     """
     if jobs < 1:
         raise ConfigError([f"jobs: must be >= 1, got {jobs}"])
-    if jobs == 1 or getattr(_pool_worker, "active", False):
+    items = list(items)
+    if jobs == 1 or len(items) <= 1 or getattr(_pool_worker, "active", False):
         return [fn(item) for item in items]
     # pool.map submits every item at once, and the pool starts a thread per
     # submit up to max_workers, so ``jobs`` alone could start a thread per item.
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = min(jobs, os.cpu_count() or 1, len(items))
     with ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_worker) as pool:
         return list(pool.map(fn, items))
 
@@ -253,10 +268,11 @@ def _receive_party(name, inputs, config, syms):
     """Channel, heterodyne, alignment and pilot phases of one party.
 
     Reads no other party's link, its delay search included, so a receive
-    depends only on the transmission and this party's link. Pops the party's
-    input from ``inputs`` and drops each field once used, so that two
-    parties received at once hold little besides their quadratures.
-    Returns ``(x, p, alignment, psi)``.
+    depends only on the transmission and ``_receive_key(name, config)``;
+    a grid run makes each distinct receive once. Pops the party's input
+    from ``inputs`` and drops each field once used, so that two parties
+    received at once hold little besides their quadratures. Returns
+    ``(x, p, alignment, psi)``: 16 B per symbol while it is held.
     """
     n = config.n_symbols
     link = getattr(config, f"{name}_link")
@@ -333,12 +349,92 @@ def _finish(config, syms, received) -> RunArtifacts:
                         index=index, alignment=alignment, distilled=distilled)
 
 
+def _transmission_key(config):
+    """All that ``_transmit`` reads."""
+    return config.seed, config.n_symbols, config.source, config.eve_transmittance
+
+
+def _receive_key(name, config):
+    """All that ``_receive_party`` reads besides the transmission."""
+    return name, getattr(config, f"{name}_link"), config.coherence_len, config.pilot_len
+
+
+class _GroupCache:
+    """The transmission of a group of points and the receives they share.
+
+    Counts come from the group's configs before any point runs: the points
+    that read each receive, and each party's distinct receives. A receive is
+    dropped after the last point that reads it, and a party's input field is
+    handed to its last distinct receive, which frees it once used.
+    """
+
+    def __init__(self, configs):
+        self.uses = Counter(_receive_key(name, cfg) for cfg in configs for name in PARTIES)
+        self.to_receive = Counter(name for name, *_ in self.uses)
+        self.held = {}
+        self.transmission = None
+
+    def received(self, config):
+        """``(syms, received)`` for one point; transmits on the first."""
+        if self.transmission is None:
+            self.transmission = _transmit(config)
+        syms, inputs = self.transmission
+        keys = {name: _receive_key(name, config) for name in PARTIES}
+        fields = {}
+        for name in PARTIES:
+            if keys[name] not in self.held:
+                self.to_receive[name] -= 1
+                fields[name] = inputs[name] if self.to_receive[name] else inputs.pop(name)
+        new = list(fields)
+        self.held.update(zip((keys[name] for name in new), _pool_map(
+            lambda name: _receive_party(name, fields, config, syms), new, PARTY_THREADS)))
+        received = {name: self.held[keys[name]] for name in PARTIES}
+        for key in keys.values():
+            self.uses[key] -= 1
+            if not self.uses[key]:
+                del self.held[key]
+        return syms, received
+
+
+# The cache of the grid group that this thread runs, if any (see _run_grid).
+_grid = threading.local()
+
+
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
-    """Execute one scenario; fully deterministic given ``config.seed``."""
-    syms, inputs = _transmit(config)
-    received = dict(zip(PARTIES, _pool_map(
-        lambda name: _receive_party(name, inputs, config, syms), PARTIES, PARTY_THREADS)))
+    """Execute one scenario; fully deterministic given ``config.seed``.
+
+    On its own it transmits, receives each party on ``PARTY_THREADS`` and
+    frees each party's input field once that party is received. As a point
+    of a grid run it takes the transmission and the receives it shares with
+    earlier points from its group's cache, so its bytes are the same.
+    """
+    cache = getattr(_grid, "cache", None) or _GroupCache([config])
+    syms, received = cache.received(config)
     return _finish(config, syms, received)
+
+
+def _run_grid(configs, jobs: int) -> list[MetricsReport]:
+    """The report of each of ``configs``, in order.
+
+    Points with the same ``_transmission_key`` form a group, and the groups
+    map over the ``jobs`` pool. A group's points run one after another, each
+    a ``run_scenario`` call that reads the group's ``_GroupCache`` from
+    ``_grid``, so no two of its ``_finish`` calls overlap.
+    """
+    groups = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault(_transmission_key(cfg), []).append(i)
+
+    def run_group(indices):
+        _grid.cache = _GroupCache([configs[i] for i in indices])
+        try:
+            return [(i, run_scenario(configs[i]).report) for i in indices]
+        finally:
+            del _grid.cache
+
+    reports = dict(itertools.chain.from_iterable(
+        _pool_map(run_group, groups.values(), jobs)))
+    return [reports[i] for i in range(len(configs))]
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +564,7 @@ def calibrate_preset(target, n_symbols: int = 200_000, seed: int = 1_234_567,
             for dotted in key:
                 cfg = set_config_value(cfg, dotted, value)
         configs.append(cfg)
-    reports = _pool_map(lambda cfg: run_scenario(cfg).report, configs, jobs)
+    reports = _run_grid(configs, jobs)
 
     table = []
     for point, report in zip(points, reports):
@@ -511,7 +607,7 @@ def sweep(base: ScenarioConfig, param: str, values, jobs: int = 1):
     """
     values = list(values)
     configs = [set_config_value(base, param, v) for v in values]
-    reports = _pool_map(lambda cfg: run_scenario(cfg).report, configs, jobs)
+    reports = _run_grid(configs, jobs)
     return list(zip(values, reports))
 
 

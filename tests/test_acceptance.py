@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from thermalqkd.harness import calibrate_preset, run_scenario
+from thermalqkd.harness import calibrate_preset, sweep
 from thermalqkd.selftest import CRITERIA, run_check
 
 
@@ -34,17 +34,16 @@ def test_criterion_4_alignment_recovery():
     assert run_check(*CRITERIA["4"])
 
 
-def _seeded_runs(config, n_runs, n_symbols):
-    reports = []
-    for seed in range(n_runs):
-        cfg = dataclasses.replace(config, seed=seed, n_symbols=n_symbols, ad_block=None)
-        reports.append(run_scenario(cfg).report)
-    return reports
+def _seed_sweep(config):
+    # Seeds 0-19 at 3M symbols, report only, two at a time; each report is
+    # that of run_scenario at its seed.
+    base = dataclasses.replace(config, n_symbols=3_000_000, ad_block=None)
+    return [report for _, report in sweep(base, "seed", range(20), jobs=2)]
 
 
 def _calibrated_waveguide():
     calibrated = calibrate_preset("waveguide").config
-    reports = _seeded_runs(calibrated, 20, 3_000_000)
+    reports = _seed_sweep(calibrated)
     mean_r_ab = float(np.mean([r.r_ab for r in reports]))
     n_drr = sum(r.delta_rr > 0 for r in reports)
     n_cmi = sum(r.i_ab_given_e > 0 for r in reports)
@@ -59,7 +58,7 @@ def test_criterion_5_calibrated_waveguide():
 
 def _calibrated_freespace():
     calibrated = calibrate_preset("freespace").config
-    reports = _seeded_runs(calibrated, 20, 3_000_000)
+    reports = _seed_sweep(calibrated)
     means = {name: float(np.mean([getattr(r, name) for r in reports]))
              for name in ("r_be", "ber_ab", "i_ab_given_e", "delta_rr")}
     ok = (abs(means["r_be"] - 0.89) < 0.03

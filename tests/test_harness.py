@@ -3,12 +3,13 @@ import hashlib
 import os
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from thermalqkd import harness, kernels
-from thermalqkd.config import set_config_value
+from thermalqkd.config import format_config, set_config_value
 from thermalqkd.distill import PartyRecord, read_bits_packed
 from thermalqkd.harness import (CSV_CHUNK_ROWS, SCENARIO_PRESETS, CalibrationError,
                                 _pool_map, _write_measurement_csv, calibrate_preset,
@@ -191,6 +192,8 @@ def test_one_job_maps_on_the_calling_thread_unmarked():
         return threading.get_ident(), getattr(harness._pool_worker, "active", False)
 
     assert _pool_map(where, range(3), 1) == [(threading.get_ident(), False)] * 3
+    # So does a one-item pool at any jobs: a lone grid group keeps its party threads.
+    assert _pool_map(where, [0], 2) == [(threading.get_ident(), False)]
 
 
 @pytest.mark.parametrize("cpus, jobs, workers", [(2, 10_000, 2), (64, 3, 3), (None, 10_000, 1)])
@@ -247,16 +250,17 @@ def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
         threads_used.add(threading.get_ident())
         return receive(*args)
 
+    caller = threading.get_ident()
+
     def no_nested_pool(*args, **kwargs):
-        raise AssertionError("a pool worker started a nested pool")
+        # The outer pool is made on the caller; any executor made on one of
+        # its workers is nested.
+        if threading.get_ident() != caller:
+            raise AssertionError("a pool worker started a nested pool")
+        return pool_class(*args, **kwargs)
 
     def run_in_worker(cfg):
-        # The outer pool already runs; any executor made from here is nested.
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_nested_pool)
-        try:
-            return run_scenario(cfg), threading.get_ident()
-        finally:
-            monkeypatch.setattr(harness, "ThreadPoolExecutor", pool_class)
+        return run_scenario(cfg), threading.get_ident()
 
     monkeypatch.setattr(harness, "_receive_party", traced_receive)
     interval = sys.getswitchinterval()
@@ -264,10 +268,14 @@ def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
     for preset, make in SCENARIO_PRESETS.items():
         cfg = make(seed=7, n_symbols=20_000, ad_block=2)
         threads_used.clear()
-        (in_place, worker), = _pool_map(run_in_worker, [cfg], 2)
-        assert threads_used == {worker}, preset
+        # Two items: a one-item pool maps on the caller, unmarked.
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_nested_pool)
+        (in_place, worker), (again, other) = _pool_map(run_in_worker, [cfg, cfg], 2)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", pool_class)
+        assert threads_used == {worker, other} and caller not in threads_used, preset
         expect = _artifact_bytes(in_place, tmp_path / preset / "in_place")
         assert len(expect) == 9
+        assert _artifact_bytes(again, tmp_path / preset / "again") == expect, preset
         for party_threads in thread_counts:
             monkeypatch.setattr(harness, "PARTY_THREADS", party_threads)
             threads_used.clear()
@@ -551,6 +559,109 @@ def test_calibration_prefers_zero_noise_for_perfect_target(monkeypatch):
     best = err.value.best
     assert best.config.alice_link.rx_noise_var == 0.0
     assert best.achieved["r_ab"] < 1.0
+
+
+# sha256 of each calibration's table rows and chosen config, both presets at
+# 20k symbols and the default seed, as computed before grid runs shared
+# their transmissions and receives.
+GOLDEN_CALIBRATIONS = {
+    "waveguide": "94406a1de2db16ab6a4365cb966e015b3cda11e544a082c60a0bd5864bb74d20",
+    "freespace": "6eeee1db73af92898fafeeba8e1de843484e9d0b4e1fd7abc09e87e5879d476f",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("preset", sorted(GOLDEN_CALIBRATIONS))
+def test_calibration_matches_golden_digest(preset, jobs):
+    result = calibrate_preset(preset, n_symbols=20_000, jobs=jobs)
+    rows = [repr((point, sorted(achieved.items()), objective))
+            for point, achieved, objective in result.table]
+    text = "\n".join(rows) + "\n" + format_config(result.config)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_CALIBRATIONS[preset]
+
+
+def _traced_grid(monkeypatch, run_grid):
+    """Run ``run_grid()`` and count its points, transmissions and receives.
+    Also check that each receive alive as a point starts is read by that
+    point or a later one, and return the most receives alive at once
+    (sampled as each point finishes) and the number alive after."""
+    transmit, receive, finish = harness._transmit, harness._receive_party, harness._finish
+    # Lists, not counters: a list append is atomic across pool threads.
+    transmitted = []
+    made = []           # (receive key, weak reference to its x)
+    points = []         # (config, keys of the receives alive as it starts)
+    peak = [0]
+
+    def alive():
+        return [key for key, ref in made if ref() is not None]
+
+    def counted_transmit(config):
+        transmitted.append(config)
+        return transmit(config)
+
+    def counted_receive(name, inputs, config, syms):
+        out = receive(name, inputs, config, syms)
+        made.append((harness._receive_key(name, config), weakref.ref(out[0])))
+        return out
+
+    def point(config):
+        points.append((config, alive()))
+        return run_scenario(config)
+
+    def sampled_finish(*args):
+        peak[0] = max(peak[0], len(alive()))
+        return finish(*args)
+
+    monkeypatch.setattr(harness, "_transmit", counted_transmit)
+    monkeypatch.setattr(harness, "_receive_party", counted_receive)
+    monkeypatch.setattr(harness, "_finish", sampled_finish)
+    monkeypatch.setattr(harness, "run_scenario", point)
+    run_grid()
+    last_reader = {harness._receive_key(name, config): i
+                   for i, (config, _) in enumerate(points) for name in harness.PARTIES}
+    for i, (_, held) in enumerate(points):
+        assert all(last_reader[key] >= i for key in held), i
+    return (len(points), len(transmitted), len(made)), peak[0], len(alive())
+
+
+@pytest.mark.parametrize("grid, work, most_held", [
+    (lambda: calibrate_preset("freespace", n_symbols=20_000), (81, 1, 27), 11),
+    (lambda: calibrate_preset("waveguide", n_symbols=20_000), (12, 1, 14), 3),
+    (lambda: sweep(waveguide_scenario(n_symbols=20_000), "seed", [1, 2, 3], jobs=2),
+     (3, 3, 9), 6),
+    (lambda: sweep(waveguide_scenario(n_symbols=20_000), "bob_link.rx_noise_var",
+                   [0.1, 0.2, 0.3]), (3, 1, 5), 3),
+], ids=["calibrate-freespace", "calibrate-waveguide", "sweep-seed", "sweep-bob-noise"])
+def test_grid_runs_share_transmissions_and_receives(monkeypatch, grid, work, most_held):
+    # One transmission per group of points with equal _transmission_key,
+    # each distinct receive once, and none kept past the last point that
+    # reads it: the free-space grid holds Alice's 9 receives and one
+    # point's Bob and Eve at most.
+    counts, peak, left = _traced_grid(monkeypatch, grid)
+    assert counts == work
+    assert peak <= most_held
+    assert left == 0
+
+
+def test_a_lone_run_frees_each_input_once_received(monkeypatch):
+    # Outside a grid a run still drops each party's input field as that
+    # party is received, so none is left by the time the run finishes.
+    transmit, finish = harness._transmit, harness._finish
+    fields = []
+
+    def traced_transmit(config):
+        syms, inputs = transmit(config)
+        fields.extend(weakref.ref(field) for field in inputs.values())
+        return syms, inputs
+
+    def checked_finish(*args):
+        assert [ref() for ref in fields] == [None] * 3
+        return finish(*args)
+
+    monkeypatch.setattr(harness, "_transmit", traced_transmit)
+    monkeypatch.setattr(harness, "_finish", checked_finish)
+    run_scenario(freespace_scenario(seed=2, n_symbols=20_000, ad_block=None))
+    assert len(fields) == 3
 
 
 def test_calibrating_an_unknown_preset_raises():
