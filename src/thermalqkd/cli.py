@@ -57,6 +57,9 @@ def _given(args, *names) -> dict:
 
 _JOBS_HELP = ("threads that run the grid (default 1), one group of points per distinct "
               "transmission at a time; capped at the CPU count and the group count")
+_CALIBRATE_JOBS_HELP = ("threads (default 1); every calibration point shares one "
+                        "transmission, so the grid is one group and --jobs changes neither "
+                        "its speed nor its output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--out", default=None, help="write the calibrated preset file here")
     p_cal.add_argument("--n-symbols", type=int)
     p_cal.add_argument("--seed", type=int)
-    p_cal.add_argument("--jobs", type=int, help=_JOBS_HELP)
+    p_cal.add_argument("--jobs", type=int, help=_CALIBRATE_JOBS_HELP)
 
     p_sweep = sub.add_parser("sweep", help="vary one parameter and emit metric-vs-value CSV",
                              argument_default=argparse.SUPPRESS)

@@ -4,9 +4,9 @@ One run executes the central-broadcast pipeline: random bits -> QPSK symbols
 -> displaced-thermal source fields -> 50:50 split (Alice | broadcast) ->
 eavesdropper tap on the broadcast -> per-link impairments -> heterodyne ->
 quadrant-bit delay and rotation alignment -> pilot-based phase recovery per
-coherence segment, at the pilots the lag locates -> cluster folding ->
-amplitudes -> median slicing -> secrecy metrics, with optional advantage
-distillation afterwards.
+coherence segment, at the pilots the lag locates -> cluster folding and
+amplitudes over the party's own data range -> the common window -> median
+slicing -> secrecy metrics, with optional advantage distillation afterwards.
 
 Everything is deterministic given the config seed: each random stream is
 made from ``(seed, name)`` by ``_stream``, and the metric path avoids BLAS
@@ -21,19 +21,22 @@ in order, each one ``run_scenario`` call. The group transmits once and
 receives each distinct ``_receive_key`` (party, that party's link,
 ``coherence_len``, ``pilot_len``) once. Use counts come from the configs
 before any point runs, and a receive is dropped after the last point that
-reads it. A held receive costs 16 B per symbol. A group holds its
-transmission, the receives later points read (one inner axis of a product
-grid) and the current point's. The free-space calibration grid of 9 x 9
-points makes 1 transmission and 27 receives and holds at most 11.
+reads it. A held receive is the party's folded ``x``, ``p`` and ``z``, 24 B
+per data symbol, so each distinct receive is folded once and each point
+only slices its common window from it. A group holds its transmission, the
+receives later points read (one inner axis of a product grid) and the
+current point's. The free-space calibration grid of 9 x 9 points makes 1
+transmission and 27 receives (27 folds) and holds at most 11.
 
 ``run_scenario`` composes three stages, the protocol's three phases. Each
 stage makes the streams it draws and takes no others, so receiving a party
 again from the same transmission draws what the run drew:
 ``_transmit`` (bits, symbols, source, 50:50 split and tap; draws ``bits``
 and ``source``), ``_receive_party`` per party (channel, heterodyne,
-alignment and pilot phases; draws ``chan_<party>`` and ``det_<party>``)
-and ``_finish`` (common index, fold, report and distillation; draws
-``distill`` only when ``ad_block`` is set).
+alignment, pilot phases and the fold of the party's own data range; draws
+``chan_<party>`` and ``det_<party>``) and ``_finish`` (common index, each
+party's slice of it, report and distillation; draws ``distill`` only when
+``ad_block`` is set).
 
 The three parties are received and folded on ``PARTY_THREADS`` threads.
 Each party's step reads only its own input and link and draws only its own
@@ -228,7 +231,7 @@ def _segment_corrections(x, p, syms, lag, config):
 
     A segment's pilots whose received index ``tx + lag`` lies in ``[0, n)``
     are one contiguous run. A segment with fewer than ``MIN_PILOTS`` of them
-    keeps the previous segment's phase. A kept data symbol ``tx`` has
+    keeps the previous segment's phase. A folded data symbol ``tx`` has
     ``tx + lag <= n - 1`` and comes after every pilot of its segment, so at
     ``lag >= 0`` (every link delays) its segment has all its pilots in
     range: the fallback fills only segments the fold never reads, or follows
@@ -264,15 +267,29 @@ def _transmit(config):
     return syms, {"alice": alice_in, "bob": bob_in, "eve": eve_in}
 
 
+def _data_before(tx, config):
+    """Data symbols (not pilots) at transmitted indices below ``tx``."""
+    segments, rem = divmod(tx, config.coherence_len)
+    return segments * (config.coherence_len - config.pilot_len) + max(0, rem - config.pilot_len)
+
+
 def _receive_party(name, inputs, config, syms):
-    """Channel, heterodyne, alignment and pilot phases of one party.
+    """Channel, heterodyne, alignment, pilot phases and fold of one party.
 
     Reads no other party's link, its delay search included, so a receive
     depends only on the transmission and ``_receive_key(name, config)``;
     a grid run makes each distinct receive once. Pops the party's input
     from ``inputs`` and drops each field once used, so that two parties
-    received at once hold little besides their quadratures. Returns
-    ``(x, p, alignment, psi)``: 16 B per symbol while it is held.
+    received at once hold little besides their quadratures.
+
+    The fold covers the party's own data range on the transmitted clock:
+    every data symbol ``tx`` whose received index ``tx + lag`` lies in
+    ``[0, n)``. Its angle is ``psi[segment] + SYMBOL_PHASES[symbol]``, so
+    the cosines and sines are taken once per (segment, symbol) cell and
+    gathered; each cell's angle is the same double sum as the per-symbol
+    one, so the bytes are too. Returns ``(alignment, start, x, p, z)``,
+    where ``start`` counts the data symbols before the range: 24 B per
+    folded symbol while it is held. The raw quadratures are freed here.
     """
     n = config.n_symbols
     link = getattr(config, f"{name}_link")
@@ -284,33 +301,26 @@ def _receive_party(name, inputs, config, syms):
     q_raw = quadrant_decision(x[:window], p[:window])
     found = estimate_delay_and_rotation(syms[:window], q_raw, max_lag)
     psi = _segment_corrections(x, p, syms, found.lag, config)
-    return x, p, found, psi
-
-
-def _fold_party(received, index, cells) -> PartyRecord:
-    """Rotate one party's kept symbols onto one cluster and slice them.
-
-    ``cells`` holds ``4 * segment + symbol`` per kept symbol. Its fold angle
-    is ``psi[segment] + SYMBOL_PHASES[symbol]``, so the cosines and sines
-    are taken once per (segment, symbol) cell and gathered; each cell's
-    angle is the same double sum as the per-symbol one, so the bytes are too.
-    """
-    x, p, found, psi = received
-    rx_idx = index + found.lag
+    lo, hi = max(0, -found.lag), n - max(0, found.lag)
+    tx = np.arange(lo, hi)
+    keep = tx % config.coherence_len >= config.pilot_len
+    cells = (4 * (tx // config.coherence_len) + syms[lo:hi])[keep]
+    del tx
+    rx = slice(lo + found.lag, hi + found.lag)
+    x, p = x[rx][keep], p[rx][keep]
     angle = (psi[:, None] + SYMBOL_PHASES).ravel()
-    xf, pf, z = kernels.demod_fold(x[rx_idx], p[rx_idx],
-                                   np.cos(angle)[cells], np.sin(angle)[cells])
-    return PartyRecord(x=xf, p=pf, z=z, bits=median_slice(z))
+    xf, pf, z = kernels.demod_fold(x, p, np.cos(angle)[cells], np.sin(angle)[cells])
+    return found, _data_before(lo, config), xf, pf, z
 
 
-def _finish(config, syms, received) -> RunArtifacts:
-    """Post-processing over the public channel: common index, fold, report
+def _finish(config, received) -> RunArtifacts:
+    """Post-processing over the public channel: common index, slice, report
     and distillation.
 
-    Pops each party's quadratures from ``received`` as its fold takes them.
+    Each party's record is the common window's part of its folded receive.
     """
     n = config.n_symbols
-    alignment = {name: received[name][2] for name in PARTIES}
+    alignment = {name: received[name][0] for name in PARTIES}
     # Common aligned range on the transmitted clock, data symbols only. Every
     # |lag| <= max_lag <= n // 4, so it holds at least n/2 - 1 symbols.
     u_lo = max(0, *(-alignment[name].lag for name in PARTIES))
@@ -324,10 +334,12 @@ def _finish(config, syms, received) -> RunArtifacts:
                 f"{field}: {config.pilot_len} pilots per segment and the alignment edges "
                 f"leave {index.size} data symbols of {n}; need at least {need}"])
 
-    cells = 4 * (index // config.coherence_len) + syms[index]
-    records = dict(zip(PARTIES, _pool_map(
-        lambda name: _fold_party(received.pop(name), index, cells),
-        PARTIES, PARTY_THREADS)))
+    first = _data_before(u_lo, config)
+    records = {}
+    for name in PARTIES:
+        _, start, x, p, z = received[name]
+        part = slice(first - start, first - start + index.size)
+        records[name] = PartyRecord(x=x[part], p=p[part], z=z[part], bits=median_slice(z[part]))
 
     report = build_report(records["alice"], records["bob"], records["eve"])
 
@@ -360,12 +372,15 @@ def _receive_key(name, config):
 
 
 class _GroupCache:
-    """The transmission of a group of points and the receives they share.
+    """The transmission of a group of points and the folded receives they
+    share.
 
     Counts come from the group's configs before any point runs: the points
     that read each receive, and each party's distinct receives. A receive is
     dropped after the last point that reads it, and a party's input field is
-    handed to its last distinct receive, which frees it once used.
+    handed to its last distinct receive, which frees it once used. A held
+    receive is the party's folded ``x``, ``p`` and ``z``, which each point
+    slices to its own common window.
     """
 
     def __init__(self, configs):
@@ -375,7 +390,7 @@ class _GroupCache:
         self.transmission = None
 
     def received(self, config):
-        """``(syms, received)`` for one point; transmits on the first."""
+        """Each party's receive for one point; transmits on the first."""
         if self.transmission is None:
             self.transmission = _transmit(config)
         syms, inputs = self.transmission
@@ -393,7 +408,7 @@ class _GroupCache:
             self.uses[key] -= 1
             if not self.uses[key]:
                 del self.held[key]
-        return syms, received
+        return received
 
 
 # The cache of the grid group that this thread runs, if any (see _run_grid).
@@ -409,8 +424,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     earlier points from its group's cache, so its bytes are the same.
     """
     cache = getattr(_grid, "cache", None) or _GroupCache([config])
-    syms, received = cache.received(config)
-    return _finish(config, syms, received)
+    return _finish(config, cache.received(config))
 
 
 def _run_grid(configs, jobs: int) -> list[MetricsReport]:

@@ -10,7 +10,7 @@ import pytest
 
 from thermalqkd import harness, kernels
 from thermalqkd.config import format_config, set_config_value
-from thermalqkd.distill import PartyRecord, read_bits_packed
+from thermalqkd.distill import PartyRecord, median_slice, read_bits_packed
 from thermalqkd.harness import (CSV_CHUNK_ROWS, SCENARIO_PRESETS, CalibrationError,
                                 _pool_map, _write_measurement_csv, calibrate_preset,
                                 freespace_scenario, run_scenario, sweep, sweep_csv,
@@ -328,14 +328,14 @@ def test_each_stage_draws_only_its_own_streams(monkeypatch, ad_block):
     for name in harness.PARTIES:
         received[name], names = drawn(harness._receive_party, name, inputs, cfg, syms)
         assert names == [f"chan_{name}", f"det_{name}"], name
-    _, names = drawn(harness._finish, cfg, syms, received)
+    _, names = drawn(harness._finish, cfg, received)
     assert names == (["distill"] if ad_block else [])
 
 
 @pytest.mark.parametrize("preset", sorted(SCENARIO_PRESETS))
 def test_receiving_a_party_again_gives_the_same_bytes(monkeypatch, preset):
-    # A party received twice more from one transmission gets the quadratures,
-    # alignment and pilot phases it got in the run.
+    # A party received twice more from one transmission gets the alignment,
+    # range start and folded quadratures it got in the run.
     cfg = SCENARIO_PRESETS[preset](seed=7, n_symbols=20_000, ad_block=2)
     receive = harness._receive_party
     in_run = {}
@@ -348,12 +348,11 @@ def test_receiving_a_party_again_gives_the_same_bytes(monkeypatch, preset):
     run_scenario(cfg)
     syms, inputs = harness._transmit(cfg)
     for name in harness.PARTIES:
-        x, p, found, psi = in_run[name]
+        found, start, x, p, z = in_run[name]
         for _ in range(2):
             again = receive(name, dict(inputs), cfg, syms)
-            assert [a.tobytes() for a in (again[0], again[1], again[3])] == \
-                [x.tobytes(), p.tobytes(), psi.tobytes()], name
-            assert again[2] == found, name
+            assert [a.tobytes() for a in again[2:]] == [x.tobytes(), p.tobytes(), z.tobytes()], name
+            assert again[:2] == (found, start), name
 
 
 def test_a_receive_reads_only_its_own_link():
@@ -365,11 +364,10 @@ def test_a_receive_reads_only_its_own_link():
     deep = set_config_value(shallow, "eve_link.delay", 5_000)
     syms, inputs = harness._transmit(shallow)
     for name in ("alice", "bob"):
-        x, p, found, psi = harness._receive_party(name, dict(inputs), shallow, syms)
+        found, start, x, p, z = harness._receive_party(name, dict(inputs), shallow, syms)
         again = harness._receive_party(name, dict(inputs), deep, syms)
-        assert [a.tobytes() for a in (again[0], again[1], again[3])] == \
-            [x.tobytes(), p.tobytes(), psi.tobytes()], name
-        assert again[2] == found, name
+        assert [a.tobytes() for a in again[2:]] == [x.tobytes(), p.tobytes(), z.tobytes()], name
+        assert again[:2] == (found, start), name
 
 
 # sha256 of every artifact file of the presets at seed 7, 20k symbols,
@@ -408,34 +406,90 @@ def test_preset_artifacts_match_golden_digests(tmp_path):
         assert digests == GOLDEN_DIGESTS[preset], preset
 
 
+def _run_keeping_raw(monkeypatch, cfg):
+    """``run_scenario(cfg)`` and each party's raw ``(x, p, psi, lag)``, taken
+    from the heterodyne and pilot phase steps of its receive."""
+    receive, detect = harness._receive_party, harness.heterodyne
+    corrections = harness._segment_corrections
+    party = threading.local()
+    detected, raw = {}, {}
+
+    def named_receive(name, *args):
+        party.name = name
+        return receive(name, *args)
+
+    def kept_detect(*args):
+        detected[party.name] = detect(*args)
+        return detected[party.name]
+
+    def kept_corrections(x, p, syms, lag, config):
+        assert x is detected[party.name][0] and p is detected[party.name][1]
+        raw[party.name] = x, p, corrections(x, p, syms, lag, config), lag
+        return raw[party.name][2]
+
+    monkeypatch.setattr(harness, "_receive_party", named_receive)
+    monkeypatch.setattr(harness, "heterodyne", kept_detect)
+    monkeypatch.setattr(harness, "_segment_corrections", kept_corrections)
+    art = run_scenario(cfg)
+    return art, raw
+
+
+def _per_symbol_fold(cfg, raw, index):
+    """The reference fold of ``raw`` over ``index``, one angle per symbol."""
+    rng = harness._stream(cfg.seed, "bits")
+    syms = bits_to_symbols(rng.integers(0, 2, size=2 * cfg.n_symbols, dtype=np.uint8))
+    x, p, psi, lag = raw
+    angle = psi[index // cfg.coherence_len] + SYMBOL_PHASES[syms[index]]
+    return kernels.demod_fold(x[index + lag], p[index + lag], np.cos(angle), np.sin(angle))
+
+
 def test_fold_table_matches_per_symbol_trig(monkeypatch):
     # 250 coherence segments of 200 symbols and non-zero lags: the fold's
     # (segment, symbol) trig table gives the bytes of the per-symbol angles.
     cfg = dataclasses.replace(freespace_scenario(seed=3, n_symbols=50_000, ad_block=None),
                               coherence_len=200, pilot_len=20)
-    received = {}
-    receive = harness._receive_party
-
-    def keep(name, *args):
-        received[name] = receive(name, *args)
-        return received[name]
-
-    monkeypatch.setattr(harness, "_receive_party", keep)
-    art = run_scenario(cfg)
-    rng = harness._stream(cfg.seed, "bits")
-    syms = bits_to_symbols(rng.integers(0, 2, size=2 * cfg.n_symbols, dtype=np.uint8))
+    art, raw = _run_keeping_raw(monkeypatch, cfg)
     index = art.index
     assert np.unique(index // cfg.coherence_len).size == 250
     for name in harness.PARTIES:
-        x, p, found, psi = received[name]
+        psi = raw[name][2]
         assert np.unique(psi).size == psi.size == 250
-        angle = psi[index // cfg.coherence_len] + SYMBOL_PHASES[syms[index]]
-        rx_idx = index + found.lag
-        want = kernels.demod_fold(x[rx_idx], p[rx_idx], np.cos(angle), np.sin(angle))
+        want = _per_symbol_fold(cfg, raw[name], index)
         rec = art.parties[name]
         for got, ref in zip((rec.x, rec.p, rec.z), want):
             assert got.tobytes() == ref.tobytes(), name
-    assert [received[name][2].lag for name in ("bob", "eve")] == [23, 31]
+    assert [raw[name][3] for name in ("bob", "eve")] == [23, 31]
+
+
+def test_records_slice_the_common_window_from_each_receive(monkeypatch):
+    # With no displacement the alignment finds lags 82, -768 and -790, so
+    # the common window starts at 790 and lies inside every party's own
+    # folded range: each record is the per-symbol fold over the window.
+    cfg = set_config_value(waveguide_scenario(seed=3, n_symbols=20_000), "source.d0", 0)
+    art, raw = _run_keeping_raw(monkeypatch, cfg)
+    assert [art.alignment[name].lag for name in harness.PARTIES] == [82, -768, -790]
+    assert art.index[0] == 790
+    for name in harness.PARTIES:
+        rec = art.parties[name]
+        want = _per_symbol_fold(cfg, raw[name], art.index)
+        for got, ref in zip((rec.x, rec.p, rec.z), want):
+            assert got.tobytes() == ref.tobytes(), name
+        assert rec.bits.tobytes() == median_slice(rec.z).tobytes(), name
+
+
+@pytest.mark.parametrize("d0, edge", [(0, 0), (40, -1)], ids=["window-start", "window-end"])
+def test_shared_receives_are_sliced_per_point(d0, edge):
+    # Eve's delay moves one edge of the common window (the start without
+    # displacement, the end with it) while the points share Alice's and
+    # Bob's receives; each point reports what a lone run of it reports.
+    base = set_config_value(waveguide_scenario(seed=3, n_symbols=20_000), "source.d0", d0)
+    rows = sweep(base, "eve_link.delay", [9, 500, 2000])
+    edges = set()
+    for delay, report in rows:
+        art = run_scenario(set_config_value(base, "eve_link.delay", delay))
+        assert report.to_json() == art.report.to_json(), delay
+        edges.add(int(art.index[edge]))
+    assert len(edges) == 3
 
 
 def test_artifact_files_are_consistent(tmp_path):
@@ -581,14 +635,17 @@ def test_calibration_matches_golden_digest(preset, jobs):
 
 
 def _traced_grid(monkeypatch, run_grid):
-    """Run ``run_grid()`` and count its points, transmissions and receives.
+    """Run ``run_grid()`` and count its points, transmissions, receives and
+    folds.
     Also check that each receive alive as a point starts is read by that
     point or a later one, and return the most receives alive at once
     (sampled as each point finishes) and the number alive after."""
     transmit, receive, finish = harness._transmit, harness._receive_party, harness._finish
+    fold = kernels.demod_fold
     # Lists, not counters: a list append is atomic across pool threads.
     transmitted = []
-    made = []           # (receive key, weak reference to its x)
+    made = []           # (receive key, weak reference to its z)
+    folds = []
     points = []         # (config, keys of the receives alive as it starts)
     peak = [0]
 
@@ -601,8 +658,12 @@ def _traced_grid(monkeypatch, run_grid):
 
     def counted_receive(name, inputs, config, syms):
         out = receive(name, inputs, config, syms)
-        made.append((harness._receive_key(name, config), weakref.ref(out[0])))
+        made.append((harness._receive_key(name, config), weakref.ref(out[4])))
         return out
+
+    def counted_fold(*args):
+        folds.append(None)
+        return fold(*args)
 
     def point(config):
         points.append((config, alive()))
@@ -615,28 +676,29 @@ def _traced_grid(monkeypatch, run_grid):
     monkeypatch.setattr(harness, "_transmit", counted_transmit)
     monkeypatch.setattr(harness, "_receive_party", counted_receive)
     monkeypatch.setattr(harness, "_finish", sampled_finish)
+    monkeypatch.setattr(kernels, "demod_fold", counted_fold)
     monkeypatch.setattr(harness, "run_scenario", point)
     run_grid()
     last_reader = {harness._receive_key(name, config): i
                    for i, (config, _) in enumerate(points) for name in harness.PARTIES}
     for i, (_, held) in enumerate(points):
         assert all(last_reader[key] >= i for key in held), i
-    return (len(points), len(transmitted), len(made)), peak[0], len(alive())
+    return (len(points), len(transmitted), len(made), len(folds)), peak[0], len(alive())
 
 
 @pytest.mark.parametrize("grid, work, most_held", [
-    (lambda: calibrate_preset("freespace", n_symbols=20_000), (81, 1, 27), 11),
-    (lambda: calibrate_preset("waveguide", n_symbols=20_000), (12, 1, 14), 3),
+    (lambda: calibrate_preset("freespace", n_symbols=20_000), (81, 1, 27, 27), 11),
+    (lambda: calibrate_preset("waveguide", n_symbols=20_000), (12, 1, 14, 14), 3),
     (lambda: sweep(waveguide_scenario(n_symbols=20_000), "seed", [1, 2, 3], jobs=2),
-     (3, 3, 9), 6),
+     (3, 3, 9, 9), 6),
     (lambda: sweep(waveguide_scenario(n_symbols=20_000), "bob_link.rx_noise_var",
-                   [0.1, 0.2, 0.3]), (3, 1, 5), 3),
+                   [0.1, 0.2, 0.3]), (3, 1, 5, 5), 3),
 ], ids=["calibrate-freespace", "calibrate-waveguide", "sweep-seed", "sweep-bob-noise"])
 def test_grid_runs_share_transmissions_and_receives(monkeypatch, grid, work, most_held):
     # One transmission per group of points with equal _transmission_key,
-    # each distinct receive once, and none kept past the last point that
-    # reads it: the free-space grid holds Alice's 9 receives and one
-    # point's Bob and Eve at most.
+    # each distinct receive once and folded once, and none kept past the
+    # last point that reads it: the free-space grid holds Alice's 9
+    # receives and one point's Bob and Eve at most.
     counts, peak, left = _traced_grid(monkeypatch, grid)
     assert counts == work
     assert peak <= most_held
@@ -645,23 +707,32 @@ def test_grid_runs_share_transmissions_and_receives(monkeypatch, grid, work, mos
 
 def test_a_lone_run_frees_each_input_once_received(monkeypatch):
     # Outside a grid a run still drops each party's input field as that
-    # party is received, so none is left by the time the run finishes.
-    transmit, finish = harness._transmit, harness._finish
-    fields = []
+    # party is received, and each party's raw quadratures once folded, so
+    # none is left by the time the run finishes.
+    transmit, detect, finish = harness._transmit, harness.heterodyne, harness._finish
+    fields, quadratures = [], []
 
     def traced_transmit(config):
         syms, inputs = transmit(config)
         fields.extend(weakref.ref(field) for field in inputs.values())
         return syms, inputs
 
+    def traced_detect(*args):
+        x, p = detect(*args)
+        quadratures.extend((weakref.ref(x), weakref.ref(p)))
+        return x, p
+
     def checked_finish(*args):
         assert [ref() for ref in fields] == [None] * 3
+        assert [ref() for ref in quadratures] == [None] * 6
         return finish(*args)
 
     monkeypatch.setattr(harness, "_transmit", traced_transmit)
+    monkeypatch.setattr(harness, "heterodyne", traced_detect)
     monkeypatch.setattr(harness, "_finish", checked_finish)
     run_scenario(freespace_scenario(seed=2, n_symbols=20_000, ad_block=None))
     assert len(fields) == 3
+    assert len(quadratures) == 6
 
 
 def test_calibrating_an_unknown_preset_raises():
