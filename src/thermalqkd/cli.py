@@ -57,9 +57,6 @@ def _given(args, *names) -> dict:
 
 _JOBS_HELP = ("threads that run the grid (default 1), one group of points per distinct "
               "transmission at a time; capped at the CPU count and the group count")
-_CALIBRATE_JOBS_HELP = ("threads (default 1); every calibration point shares one "
-                        "transmission, so the grid is one group and --jobs changes neither "
-                        "its speed nor its output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--out", default=None, help="write the calibrated preset file here")
     p_cal.add_argument("--n-symbols", type=int)
     p_cal.add_argument("--seed", type=int)
-    p_cal.add_argument("--jobs", type=int, help=_CALIBRATE_JOBS_HELP)
 
     p_sweep = sub.add_parser("sweep", help="vary one parameter and emit metric-vs-value CSV",
                              argument_default=argparse.SUPPRESS)
@@ -125,8 +121,7 @@ def _cmd_run(args) -> int:
           f"ber_ab={rep.ber_ab:.5f} n_bits={rep.n_bits}")
     for name in PARTIES:
         al = artifacts.alignment[name]
-        print(f"  {name}: lag={al.lag} quarter_turns={al.quarter_turns} "
-              f"match={al.match_fraction:.4f}")
+        print(f"  {name}: lag={al.lag} match={al.match_fraction:.4f}")
     if artifacts.distilled:
         d = artifacts.distilled
         print(f"  distilled: block={d['block']} kept_fraction={d['kept_fraction']:.4f} "
@@ -137,7 +132,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     try:
-        result = calibrate_preset(args.preset, **_given(args, "n_symbols", "seed", "jobs"))
+        result = calibrate_preset(args.preset, **_given(args, "n_symbols", "seed"))
     except CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         best = exc.best

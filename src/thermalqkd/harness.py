@@ -3,10 +3,11 @@
 One run executes the central-broadcast pipeline: random bits -> QPSK symbols
 -> displaced-thermal source fields -> 50:50 split (Alice | broadcast) ->
 eavesdropper tap on the broadcast -> per-link impairments -> heterodyne ->
-quadrant-bit delay and rotation alignment -> pilot-based phase recovery per
-coherence segment, at the pilots the lag locates -> cluster folding and
-amplitudes over the party's own data range -> the common window -> median
-slicing -> secrecy metrics, with optional advantage distillation afterwards.
+delay alignment of the complex field against the public symbols ->
+pilot-based phase recovery per coherence segment, at the pilots the lag
+locates -> cluster folding and amplitudes over the party's own data range ->
+the common window -> median slicing -> secrecy metrics, with optional
+advantage distillation afterwards.
 
 Everything is deterministic given the config seed: each random stream is
 made from ``(seed, name)`` by ``_stream``, and the metric path avoids BLAS
@@ -76,8 +77,7 @@ from .distill import (PartyRecord, advantage_distill, bit_error_rate, median_sli
                       write_bits_packed, write_bits_text)
 from .infotheory import MetricsReport, build_report
 from .modem import (MIN_PILOTS, SYMBOL_PHASES, AlignmentResult, bits_to_symbols,
-                    estimate_delay_and_rotation, estimate_global_phase,
-                    quadrant_decision)
+                    estimate_delay_and_rotation, estimate_global_phase)
 from .optics import SourceParams, apply_beamsplitter, heterodyne, sample_source_field
 
 # One vacuum unit of detection noise per quadrature at every receiver.
@@ -86,7 +86,7 @@ DETECTION_NOISE_VAR = 1.0
 # Delay search covers at least this many symbols either side of zero.
 MIN_ALIGNMENT_LAG = 1024
 
-# Quadrant streams are compared over a window this size (or the whole run).
+# Received fields are correlated over a window this size (or the whole run).
 ALIGNMENT_WINDOW = 65_536
 
 # Largest sweep grid; every point is a whole run.
@@ -298,8 +298,7 @@ def _receive_party(name, inputs, config, syms):
     rx_field = apply_channel(inputs.pop(name), link, _stream(config.seed, f"chan_{name}"))
     x, p = heterodyne(rx_field, DETECTION_NOISE_VAR, _stream(config.seed, f"det_{name}"))
     del rx_field
-    q_raw = quadrant_decision(x[:window], p[:window])
-    found = estimate_delay_and_rotation(syms[:window], q_raw, max_lag)
+    found = estimate_delay_and_rotation(syms[:window], x[:window] + 1j * p[:window], max_lag)
     psi = _segment_corrections(x, p, syms, found.lag, config)
     lo, hi = max(0, -found.lag), n - max(0, found.lag)
     tx = np.arange(lo, hi)
@@ -561,7 +560,8 @@ def calibrate_preset(target, n_symbols: int = 200_000, seed: int = 1_234_567,
     ``(point, achieved, objective)`` per point, where the objective is the
     summed squared deviation of the achieved statistics. Raises
     CalibrationError when the best point misses any target by more than
-    its tolerance.
+    its tolerance. Every point shares one transmission, so the grid is one
+    group and runs on the calling thread whatever ``jobs`` is.
     """
     if target not in SCENARIO_PRESETS:
         raise ValueError(f"unknown preset {target!r}; expected one of {sorted(SCENARIO_PRESETS)}")
@@ -642,8 +642,10 @@ def sweep_csv(rows, param: str) -> str:
 
 
 def sweep_values(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive arithmetic grid: start, start+step, ..., stop.
+    """Inclusive arithmetic grid: start, start+step, ..., up to stop.
 
+    A ``stop`` within a billionth of a step of a grid point counts as that
+    point, and no value exceeds ``stop``: the last point is clipped to it.
     Raises ConfigError naming the field when a bound or the step is not
     finite, the step is not positive, ``stop < start`` (an empty grid), or
     the step gives more than MAX_SWEEP_POINTS points.
@@ -659,5 +661,5 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
     if not span < MAX_SWEEP_POINTS:   # also an infinite span
         raise ConfigError([f"step: {step} gives {span + 1:.6g} points from {start} to "
                            f"{stop}; at most {MAX_SWEEP_POINTS} are allowed"])
-    count = int(round(span)) + 1
-    return [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
+    count = math.floor(span + 1e-9) + 1
+    return [min(start + i * step, stop) for i in range(count)]

@@ -1,11 +1,12 @@
-"""QPSK symbol handling: Gray mapping, cluster rotation, alignment recovery.
+"""QPSK symbol handling: Gray mapping and alignment recovery.
 
-Symbols live in {0, 1, 2, 3} with cluster phases pi/4 + k*pi/2 (mid-quadrant),
-so quadrant decisions and symbol indices coincide. Bit pairs map through the
-Gray code 00->0, 01->1, 11->2, 10->3, making adjacent clusters differ in one
-bit. Delay estimation counts exact symbol matches at every candidate lag via
-FFT cross-correlation of indicator phasors, which also yields the match
-counts under all four quarter-turn relabelings at no extra cost.
+Symbols live in {0, 1, 2, 3} with cluster phases pi/4 + k*pi/2 (mid-quadrant).
+Bit pairs map through the Gray code 00->0, 01->1, 11->2, 10->3, making
+adjacent clusters differ in one bit. A party finds its delay against the
+public symbol reference by one complex cross-correlation of its received
+field ``x + ip`` with the reference's unit phasors. The correlation at the
+right lag sums every symbol in phase up to one common carrier rotation, so
+the search needs no symbol decisions and does not depend on that rotation.
 
 The FFT length only has to keep the lags that are read apart from their
 circular aliases, not hold the whole linear correlation. The linear
@@ -29,21 +30,21 @@ SYMBOL_PHASES = np.pi / 4 + (np.pi / 2) * np.arange(4)
 _GRAY_ENCODE = np.array([0, 1, 3, 2], dtype=np.uint8)      # index = 2*b0 + b1
 _PHASE_COS = np.cos(SYMBOL_PHASES)
 _PHASE_SIN = np.sin(SYMBOL_PHASES)
+_PHASORS = np.exp(1j * SYMBOL_PHASES)
+
+# Relative gap below which two lag scores count as tied.
+_TIE_TOLERANCE = 1e-9
 
 # Fewest pilots a phase estimate takes; a segment with fewer keeps the
 # previous segment's phase.
 MIN_PILOTS = 16
 
-# Largest distance of an FFT match count from its integer that is trusted.
-_COUNT_TOLERANCE = 0.25
-
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Best lag, quarter-turn relabeling and their symbol-match fraction."""
+    """Best lag and the share of symbols it puts within pi/4 of their cluster."""
 
     lag: int
-    quarter_turns: int
     match_fraction: float
 
 
@@ -57,32 +58,28 @@ def bits_to_symbols(bits) -> np.ndarray:
     return _GRAY_ENCODE[2 * b[0::2] + b[1::2]]
 
 
-def quadrant_decision(x, p):
-    """Symbols (uint8) whose quadrants contain (x, p); axis ties go to the positive side."""
-    # Quadrants 0, 1, 2, 3 are the sign pairs (+,+), (-,+), (-,-), (+,-) of
-    # (x, p): bit 1 is "p < 0" and bit 0 is "x < 0" xor "p < 0".
-    xn = (np.asarray(x) < 0).view(np.uint8)
-    pn = (np.asarray(p) < 0).view(np.uint8)
-    return np.asarray((pn << 1) | (xn ^ pn))
+def estimate_delay_and_rotation(ref_symbols, rx, max_lag: int) -> AlignmentResult:
+    """Lag of the received field ``rx`` (``x + ip``) against ``ref_symbols``.
 
-
-def estimate_delay_and_rotation(ref_symbols, rx_symbols, max_lag: int) -> AlignmentResult:
-    """Joint search over lags and quarter-turn relabelings.
-
-    Returns the (lag, k) maximizing the fraction of positions where
-    (rx - k) mod 4 == ref, with ties resolved toward small |lag|, positive
-    lag, then small k. Used to absorb an unknown k*pi/2 carrier rotation.
+    Maximizes ``|C(L)|^2 / overlap(L)`` over ``|L| <= max_lag``, where
+    ``C(L) = sum_t rx[t + L] * conj(e^{i phase(ref[t])})``. Scores within a
+    relative ``_TIE_TOLERANCE`` of the best tie; ties go to small ``|lag|``,
+    then to the positive lag. ``match_fraction`` is the share of
+    the overlapping symbols that lie within pi/4 of their cluster once
+    derotated by ``arg C(lag)``, the carrier rotation the lag absorbs.
     """
-    ref, rx = _alignment_inputs(ref_symbols, rx_symbols, max_lag)
-    lags, counts, overlap = _match_counts(ref, rx, max_lag)
-    frac = counts / overlap
+    ref, rx = _alignment_inputs(ref_symbols, rx, max_lag)
+    lags, corr, overlap = _correlation(ref, rx, max_lag)
     order = np.lexsort((lags < 0, np.abs(lags)))
-    flat = frac[:, order].T.ravel()
-    best = int(np.argmax(flat))
-    lag_i, k = divmod(best, 4)
-    idx = order[lag_i]
-    return AlignmentResult(lag=int(lags[idx]), quarter_turns=int(k),
-                           match_fraction=float(frac[k, idx]))
+    score = (corr.real ** 2 + corr.imag ** 2) / overlap
+    # Lags that tie exactly carry different FFT round-off, so every score
+    # within a billionth of the best ties and the tie order decides.
+    best = order[int(np.argmax(score[order] >= score.max() * (1 - _TIE_TOLERANCE)))]
+    lag = int(lags[best])
+    lo, hi = max(0, lag), min(rx.size, ref.size + lag)
+    derotated = rx[lo:hi] * np.conj(_PHASORS[ref[lo - lag:hi - lag]] * corr[best])
+    within = np.count_nonzero(derotated.real > np.abs(derotated.imag))
+    return AlignmentResult(lag=lag, match_fraction=float(within / (hi - lo)))
 
 
 def estimate_global_phase(pilot_x, pilot_y, pilot_symbols) -> float:
@@ -113,11 +110,11 @@ def _check_symbols(symbols) -> np.ndarray:
     return s.astype(np.int64)
 
 
-def _alignment_inputs(ref_symbols, rx_symbols, max_lag):
+def _alignment_inputs(ref_symbols, rx, max_lag):
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     ref = _check_symbols(ref_symbols)
-    rx = _check_symbols(rx_symbols)
+    rx = np.asarray(rx, dtype=complex)
     need = max(4 * max_lag, 1)
     if ref.size < need or rx.size < need:
         raise ValueError(
@@ -126,47 +123,16 @@ def _alignment_inputs(ref_symbols, rx_symbols, max_lag):
     return ref, rx
 
 
-def _match_counts(ref, rx, max_lag):
-    """Exact match counts for all lags and all four relabelings.
-
-    With unit phasors u = i^rx and v = i^ref, the cross-correlation
-    C(L) = sum_t u[t] * conj(v[t-L]) equals sum_k m_k(L) * i^k where m_k(L)
-    counts positions with (rx - ref) mod 4 == k. Together with the same
-    correlation of (-1)^symbol sequences and the known overlap length this
-    linear system yields every m_k exactly. FFT round-off is far below the
-    0.5 needed for integer rounding; a count further than
-    ``_COUNT_TOLERANCE`` from an integer raises RuntimeError.
-    """
+def _correlation(ref, rx, max_lag):
+    """Lags ``-max_lag..max_lag``, ``C`` at each and the overlap lengths."""
     n_ref, n_rx = ref.size, rx.size
     nfft = _fft_size(max(n_ref, n_rx) + max_lag)
-    phasor = np.array([1, 1j, -1, -1j])
-    u = phasor[rx]
-    v = phasor[ref]
-    corr = np.fft.ifft(np.fft.fft(u, nfft) * np.conj(np.fft.fft(v, nfft)))
-    qu = 1.0 - 2.0 * (rx & 1)
-    qv = 1.0 - 2.0 * (ref & 1)
-    dcorr = np.fft.irfft(np.fft.rfft(qu, nfft) * np.conj(np.fft.rfft(qv, nfft)), nfft)
+    corr = np.fft.ifft(np.fft.fft(rx, nfft) * np.conj(np.fft.fft(_PHASORS[ref], nfft)))
     lags = np.arange(-max_lag, max_lag + 1)
-    c_l = corr[lags % nfft]
-    d_l = dcorr[lags % nfft]
     # Both streams hold at least 4*max_lag symbols (_alignment_inputs), so
     # every overlap is at least 3*max_lag, and at least 1 at max_lag = 0.
     overlap = np.minimum(n_rx, n_ref + lags) - np.maximum(0, lags)
-    even = (overlap + d_l) / 4.0
-    odd = (overlap - d_l) / 4.0
-    raw = np.stack([
-        even + c_l.real / 2.0,
-        odd + c_l.imag / 2.0,
-        even - c_l.real / 2.0,
-        odd - c_l.imag / 2.0,
-    ])
-    counts = np.rint(raw)
-    off = float(np.max(np.abs(raw - counts)))
-    if not off <= _COUNT_TOLERANCE:
-        raise RuntimeError(
-            f"FFT match counts are {off:.3g} from an integer (nfft={nfft}); "
-            f"tolerance is {_COUNT_TOLERANCE}")
-    return lags, counts.astype(np.int64), overlap.astype(np.int64)
+    return lags, corr[lags % nfft], overlap
 
 
 def _fft_size(m: int) -> int:

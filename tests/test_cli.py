@@ -192,16 +192,9 @@ def test_sweep_seed_and_n_symbols_override_config(config_file, capsys):
     assert n_bits(sweep_csv("--n-symbols", "20000")) > n_bits(base)
 
 
-@pytest.mark.parametrize("flags, kwargs", [
-    ([], {}),
-    (["--n-symbols", "5000"], {"n_symbols": 5000}),
-    (["--seed", "3"], {"seed": 3}),
-    (["--jobs", "2"], {"jobs": 2}),
-    (["--jobs", "2", "--seed", "3", "--n-symbols", "5000"],
-     {"n_symbols": 5000, "seed": 3, "jobs": 2}),
-], ids=["none", "n-symbols", "seed", "jobs", "all"])
-def test_cli_passes_on_only_the_options_given(monkeypatch, capsys, flags, kwargs):
-    # The library's defaults hold unless a flag sets the value.
+def _record_calls(monkeypatch):
+    """Replace ``calibrate_preset`` and ``sweep`` in the CLI by recorders of
+    their arguments; returns the list they append to."""
     calls = []
 
     def record(result):
@@ -213,14 +206,42 @@ def test_cli_passes_on_only_the_options_given(monkeypatch, capsys, flags, kwargs
     best = harness.CalibrationResult(config=None, achieved={}, targets={}, table=[])
     monkeypatch.setattr(cli, "calibrate_preset", record(best))
     monkeypatch.setattr(cli, "sweep", record([]))
-    assert main(["calibrate", "waveguide", *flags]) == 0
-    assert calls.pop() == (("waveguide",), kwargs)
+    return calls
+
+
+@pytest.mark.parametrize("flags, kwargs", [
+    ([], {}),
+    (["--n-symbols", "5000"], {"n_symbols": 5000}),
+    (["--seed", "3"], {"seed": 3}),
+    (["--jobs", "2"], {"jobs": 2}),
+    (["--jobs", "2", "--seed", "3", "--n-symbols", "5000"],
+     {"n_symbols": 5000, "seed": 3, "jobs": 2}),
+], ids=["none", "n-symbols", "seed", "jobs", "all"])
+def test_cli_passes_on_only_the_options_given(monkeypatch, capsys, flags, kwargs):
+    # The library's defaults hold unless a flag sets the value.
+    calls = _record_calls(monkeypatch)
     assert main(["sweep", "eve_transmittance", "0.5", "0.5", "0.1", *flags]) == 0
     (base, *_), sweep_kwargs = calls.pop()
     preset = waveguide_scenario(seed=0, n_symbols=300_000, ad_block=None)
     assert base == dataclasses.replace(preset, seed=kwargs.get("seed", 0),
                                        n_symbols=kwargs.get("n_symbols", 300_000))
     assert sweep_kwargs == {k: v for k, v in kwargs.items() if k == "jobs"}
+
+
+@pytest.mark.parametrize("flags, kwargs", [
+    ([], {}),
+    (["--n-symbols", "5000"], {"n_symbols": 5000}),
+    (["--seed", "3"], {"seed": 3}),
+    (["--seed", "3", "--n-symbols", "5000"], {"n_symbols": 5000, "seed": 3}),
+], ids=["none", "n-symbols", "seed", "all"])
+def test_calibrate_passes_on_only_the_options_given(monkeypatch, capsys, flags, kwargs):
+    # A calibration is one group of points, so it takes no --jobs.
+    calls = _record_calls(monkeypatch)
+    assert main(["calibrate", "waveguide", *flags]) == 0
+    assert calls.pop() == (("waveguide",), kwargs)
+    assert main(["calibrate", "waveguide", "--jobs", "2", *flags]) == 1
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_calibrate_writes_loadable_preset(tmp_path):
@@ -253,9 +274,10 @@ def test_calibrate_unreachable_target_exits_two(tmp_path, capsys, monkeypatch):
     ("eve_transmittance", "-1e-05", "0", "1", [], 1, "eve_transmittance"),
     ("eve_transmittance", "0", "1", "-inf", [], 1, "step: must be finite"),
     ("seed", "5", "5", "1", [], 0, None),
+    ("eve_transmittance", "0.09", "1.0", "0.07", [], 0, None),
 ], ids=["negative-nbar", "unknown-key", "fractional-delay", "int-ad-block", "zero-step",
         "empty-grid", "nan-start", "inf-stop", "zero-jobs", "huge-grid", "overflowing-grid",
-        "exponent-negative-start", "negative-inf-step", "seed"])
+        "exponent-negative-start", "negative-inf-step", "seed", "last-point-at-stop"])
 def test_sweep_values_checked_per_field(config_file, capsys, param, start, stop, step,
                                         extra, code, field):
     argv = ["sweep", param, start, stop, step, "--config", str(config_file), *extra]

@@ -461,13 +461,32 @@ def test_fold_table_matches_per_symbol_trig(monkeypatch):
     assert [raw[name][3] for name in ("bob", "eve")] == [23, 31]
 
 
+def _plant_lags(monkeypatch, lag_of):
+    """Make every receive find the lag ``lag_of(name, config)``, whatever the
+    alignment picks: the lags found in noise are arbitrary."""
+    receive, align = harness._receive_party, harness.estimate_delay_and_rotation
+    party = threading.local()
+
+    def planted_receive(name, inputs, config, syms):
+        party.lag = lag_of(name, config)
+        return receive(name, inputs, config, syms)
+
+    def planted_align(*args):
+        return dataclasses.replace(align(*args), lag=party.lag)
+
+    monkeypatch.setattr(harness, "_receive_party", planted_receive)
+    monkeypatch.setattr(harness, "estimate_delay_and_rotation", planted_align)
+
+
 def test_records_slice_the_common_window_from_each_receive(monkeypatch):
-    # With no displacement the alignment finds lags 82, -768 and -790, so
-    # the common window starts at 790 and lies inside every party's own
-    # folded range: each record is the per-symbol fold over the window.
+    # With no displacement and lags 82, -768 and -790 planted, the common
+    # window starts at 790 and lies inside every party's own folded range:
+    # each record is the per-symbol fold over the window.
     cfg = set_config_value(waveguide_scenario(seed=3, n_symbols=20_000), "source.d0", 0)
+    lags = {"alice": 82, "bob": -768, "eve": -790}
+    _plant_lags(monkeypatch, lambda name, config: lags[name])
     art, raw = _run_keeping_raw(monkeypatch, cfg)
-    assert [art.alignment[name].lag for name in harness.PARTIES] == [82, -768, -790]
+    assert {name: art.alignment[name].lag for name in harness.PARTIES} == lags
     assert art.index[0] == 790
     for name in harness.PARTIES:
         rec = art.parties[name]
@@ -478,18 +497,37 @@ def test_records_slice_the_common_window_from_each_receive(monkeypatch):
 
 
 @pytest.mark.parametrize("d0, edge", [(0, 0), (40, -1)], ids=["window-start", "window-end"])
-def test_shared_receives_are_sliced_per_point(d0, edge):
-    # Eve's delay moves one edge of the common window (the start without
-    # displacement, the end with it) while the points share Alice's and
-    # Bob's receives; each point reports what a lone run of it reports.
+def test_shared_receives_are_sliced_per_point(monkeypatch, d0, edge):
+    # Eve's lag moves one edge of the common window while the points share
+    # Alice's and Bob's receives; each point reports what a lone run of it
+    # reports. With displacement the lags found are the link delays and
+    # move the end. Without, the negated delays are planted and move the
+    # start.
     base = set_config_value(waveguide_scenario(seed=3, n_symbols=20_000), "source.d0", d0)
+    if not d0:
+        _plant_lags(monkeypatch, lambda name, config: -getattr(config, f"{name}_link").delay)
     rows = sweep(base, "eve_link.delay", [9, 500, 2000])
     edges = set()
     for delay, report in rows:
         art = run_scenario(set_config_value(base, "eve_link.delay", delay))
         assert report.to_json() == art.report.to_json(), delay
+        assert art.alignment["eve"].lag == (delay if d0 else -delay)
         edges.add(int(art.index[edge]))
     assert len(edges) == 3
+
+
+@pytest.mark.parametrize("preset, bar", [("waveguide", 0.99), ("freespace", 0.75)])
+def test_every_party_matches_its_clusters_at_the_preset_defaults(preset, bar):
+    # The alignment derotates by the phase of its own correlation, so the
+    # carrier offset does not move the match. Waveguide parties read about
+    # 0.999. Free space cannot reach 0.99 at any phase: d0 = 40 against
+    # nbar = 295 leaves about a tenth of Alice's symbols outside their
+    # cluster's quadrant, and the phase walk over the window costs Bob and
+    # Eve a few points more (0.79-0.90 over seeds 0-5).
+    for seed in (0, 1, 7):
+        art = run_scenario(SCENARIO_PRESETS[preset](seed=seed, n_symbols=70_000, ad_block=None))
+        for name in harness.PARTIES:
+            assert art.alignment[name].match_fraction >= bar, (seed, name)
 
 
 def test_artifact_files_are_consistent(tmp_path):
@@ -770,6 +808,20 @@ def test_every_sweep_point_runs_at_the_base_seed():
 
 def test_sweep_eleven_point_grid():
     assert len(sweep_values(0.0, 1.0, 0.1)) == 11
+
+
+@pytest.mark.parametrize("start, stop, step, count", [
+    (0.09, 1.0, 0.07, 14),              # 0.09 + 13 * 0.07 rounds above 1.0
+    (858197.687, 858207.487, 0.7, 15),  # and 14 * 0.7 above stop, by more than 1e-12
+    (0.0, 1.0, 0.3, 4),
+], ids=["round-up", "large-magnitude", "short-of-stop"])
+def test_sweep_grid_ends_at_stop(start, stop, step, count):
+    values = sweep_values(start, stop, step)
+    assert len(values) == count
+    assert values[0] == start and max(values) <= stop
+    assert values == pytest.approx([start + i * step for i in range(count)], rel=1e-12)
+    if (count - 1) * step == pytest.approx(stop - start):
+        assert values[-1] == stop
 
 
 def test_eve_information_grows_as_tap_favors_her():

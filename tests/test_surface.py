@@ -1,10 +1,11 @@
-"""The public surface is no wider than its callers.
+"""The surface is no wider than its callers.
 
-Every public top-level function and class in ``src/thermalqkd`` must be
-referenced by the package itself or by the benchmark in ``perfbench/``,
-outside its own definition. A name that only tests call is surface that
-nothing needs. The package root re-exports nothing, so its imports would
-not count as callers anyway.
+Every public top-level function and class in ``src/thermalqkd``, every
+private one and every module constant must be referenced by the package
+itself or by the benchmark in ``perfbench/``, outside its own definition. A
+name that only tests call is surface (or a helper kept alive for a test)
+that nothing needs. The package root re-exports nothing, so its imports
+would not count as callers anyway.
 """
 
 import ast
@@ -40,19 +41,40 @@ def test_package_root_exports_only_version():
     assert [ast.unparse(s) for s in body] == ["__version__ = '0.1.0'"]
 
 
-def test_every_public_name_has_a_caller_outside_tests():
+def _defined_names(stmt) -> list[str]:
+    """Names a top-level statement defines: a function, a class, or the
+    plain names it assigns."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _uncalled(wanted) -> list[str]:
+    """``module:name`` for each top-level definition of the package that
+    ``wanted(stmt, name)`` selects and that nothing in the package or the
+    benchmark references outside that definition."""
     defined = []        # (module, name)
-    users = {}          # name -> {(module, enclosing public definition or None)}
+    users = {}          # name -> {(module, names the enclosing statement defines)}
     for path in MODULES + BENCH:
         for stmt in ast.parse(path.read_text()).body:
-            own = None
-            if (path in MODULES and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                own = stmt.name
-                defined.append((path.name, own))
+            own = frozenset(_defined_names(stmt)) if path in MODULES else frozenset()
+            defined += [(path.name, name) for name in own if wanted(stmt, name)]
             for name in _references(stmt, strings=path in BENCH):
                 users.setdefault(name, set()).add((path.name, own))
     assert defined
-    unused = [f"{module}:{name}" for module, name in defined
-              if not users.get(name, set()) - {(module, name)}]
-    assert unused == []
+    return sorted(f"{module}:{name}" for module, name in defined
+                  if not any(user != module or name not in own
+                             for user, own in users.get(name, ())))
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    assert _uncalled(lambda stmt, name: isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                     and not name.startswith("_")) == []
+
+
+def test_every_private_name_and_constant_has_a_caller_outside_tests():
+    # Private functions, classes and constants, and public constants.
+    assert _uncalled(lambda stmt, name: name.startswith("_")
+                     or not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))) == []
