@@ -15,7 +15,9 @@ that identity parameters reproduce the input exactly.
 
 RNG consumption is independent of parameter values: a channel always draws
 the same number of variates for a given stream length, so frozen-seed
-comparisons across parameter changes stay sample-aligned.
+comparisons across parameter changes stay sample-aligned. The draws
+(``draw_channel``) read no field, so they are made apart from the combine
+(``apply_channel``) that applies them to the link's input.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class ChannelParams:
             raise ValueError(f"transmittance must be in [0, 1], got {self.transmittance}")
         if int(self.delay) != self.delay or self.delay < 0:
             raise ValueError(f"delay must be an integer >= 0, got {self.delay}")
-        # pearson_r multiplies two sums of n squares of order rx_noise_var; 1e12 keeps that finite.
+        # pearson_rs multiplies two sums of n squares of order rx_noise_var; 1e12 keeps that finite.
         if not 0.0 <= self.rx_noise_var <= 1e12:
             raise ValueError(f"rx_noise_var must be in [0, 1e12], got {self.rx_noise_var}")
         object.__setattr__(self, "taps", tuple(self.taps))
@@ -90,34 +92,53 @@ class ChannelParams:
 
 
 def sample_phase_walk(drift: PhaseDriftParams, n: int, rng) -> np.ndarray:
-    """Phase trajectory theta(t) for one stream of length n."""
+    """Phase trajectory theta(t) for one stream of length n.
+
+    Every hop draw is made for all n symbols, but a hop's step is added
+    only where one occurs. The other symbols would add a signed zero, which
+    changes at most the sign of an exact zero in the sum, and adding the
+    carrier offset (or 0.0 for an inactive walk) after the cumsum absorbs
+    it.
+    """
     theta0 = rng.uniform(0.0, 2.0 * np.pi)
     inc = rng.normal(0.0, 1.0, n)
     inc *= drift.walk_sigma
     hop_u = rng.random(n)
-    hop_sign = rng.integers(0, 2, n).astype(float)
-    hop_sign *= 2.0
-    hop_sign -= 1.0
-    inc += (hop_u < drift.hop_prob) * drift.hop_scale * hop_sign
+    hop_sign = rng.integers(0, 2, n)
+    hops = np.flatnonzero(hop_u < drift.hop_prob)
+    del hop_u
+    inc[hops] += drift.hop_scale * (2.0 * hop_sign[hops] - 1.0)
     np.cumsum(inc, out=inc)
     inc += (theta0 if drift.active else 0.0)
     return inc
 
 
-def apply_channel(stream, params: ChannelParams, rng) -> np.ndarray:
-    """Apply the composite impairment model to a complex symbol stream."""
-    src = np.ascontiguousarray(stream, dtype=complex)
-    if src.ndim != 1 or src.size == 0:
-        raise ValueError("stream must be a nonempty 1-D sequence of amplitudes")
-    n = src.size
+def draw_channel(params: ChannelParams, n: int, rng):
+    """A link's draws for ``n`` symbols: ``(cos theta, sin theta, noise)``.
+
+    Reads no field, so it can run before the link's input is known.
+    ``noise`` holds one ``(re, im)`` pair per symbol.
+    """
     theta = sample_phase_walk(params.drift, n, rng)
     noise = rng.normal(0.0, 1.0, (n, 2))
     noise *= np.sqrt(params.rx_noise_var)
+    cos_t = np.cos(theta)
+    return cos_t, np.sin(theta, out=theta), noise
+
+
+def apply_channel(stream, params: ChannelParams, drawn) -> np.ndarray:
+    """Apply the composite impairment model to a complex symbol stream,
+    with the link's draws ``drawn`` from ``draw_channel``, which it
+    consumes: the cosines and sines are overwritten."""
+    src = np.ascontiguousarray(stream, dtype=complex)
+    if src.ndim != 1 or src.size == 0:
+        raise ValueError("stream must be a nonempty 1-D sequence of amplitudes")
+    cos_t, sin_t, noise = drawn
+    if cos_t.shape != src.shape:
+        raise ValueError(f"draws cover {cos_t.size} symbols, the stream {src.size}")
     amp = np.sqrt(params.transmittance)
     tap_delays = np.array([t.delay for t in params.taps], dtype=np.int64)
     tap_cr = np.array([t.amplitude * np.cos(t.phase) * amp for t in params.taps])
     tap_ci = np.array([t.amplitude * np.sin(t.phase) * amp for t in params.taps])
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta, out=theta)
     return kernels.channel_combine(src, amp, int(params.delay), cos_t, sin_t,
                                    tap_delays, tap_cr, tap_ci, noise)

@@ -29,24 +29,33 @@ receives later points read (one inner axis of a product grid) and the
 current point's. The free-space calibration grid of 9 x 9 points makes 1
 transmission and 27 receives (27 folds) and holds at most 11.
 
-``run_scenario`` composes three stages, the protocol's three phases. Each
-stage makes the streams it draws and takes no others, so receiving a party
-again from the same transmission draws what the run drew:
+``run_scenario`` composes the protocol's three phases from four stages.
+Each stage makes the streams it draws and takes no others, so receiving a
+party again from the same transmission draws what the run drew:
 ``_transmit`` (bits, symbols, source, 50:50 split and tap; draws ``bits``
-and ``source``), ``_receive_party`` per party (channel, heterodyne,
-alignment, pilot phases and the fold of the party's own data range; draws
-``chan_<party>`` and ``det_<party>``) and ``_finish`` (common index, each
-party's slice of it, report and distillation; draws ``distill`` only when
-``ad_block`` is set).
+and ``source``), per party ``_draw_link`` (the link's phase walk, its
+cosines and sines and its noise; draws ``chan_<party>`` and reads no
+field) and ``_receive_party`` (channel combine, heterodyne, alignment,
+pilot phases and the fold of the party's own data range; draws
+``det_<party>``), and ``_finish`` (common index, each party's slice of it,
+report and distillation; draws ``distill`` only when ``ad_block`` is set).
 
-The three parties are received and folded on ``PARTY_THREADS`` threads.
-Each party's step reads only its own input and link and draws only its own
-streams, so the output bytes do not depend on how the threads are
-scheduled. Pools do not nest: a ``_pool_map`` called from a pool worker (a
-group of a grid run with ``jobs >= 2`` and more than one group) maps on
-the calling thread. At ``jobs == 1``, or with a single group, a grid run
-maps its groups on the caller's thread, unmarked, so each point still
-receives its parties on party threads.
+A point with two or more new receives, outside a pool worker, starts
+``PARTY_THREADS`` party threads beside the calling thread. Each party
+thread draws one party's link while the caller transmits, then receives
+that party once the transmission is ready. The caller, once it has
+transmitted, receives the remaining party (with the default two threads,
+Eve), drawing its link itself, and then finishes. So while it waits for
+the transmission a party holds only its link draws, 32 B per symbol, and
+at most three receives run at once, one per thread. Each party's steps
+read only its own input and link and draw only its own streams, so the
+output bytes do not depend on how the threads are scheduled. Any other
+point (a single new receive or none, as at most points of a grid run)
+transmits and receives on the calling thread and starts no pool. Pools do not nest: a run or a
+``_pool_map`` on a pool worker (a group of a grid run with ``jobs >= 2``
+and more than one group) stays on that thread. At ``jobs == 1``, or with a
+single group, a grid run maps its groups on the caller's thread, unmarked,
+so its points still receive their parties on party threads.
 
 ``RunArtifacts.write`` formats each measurement CSV in its own forked child
 process (``os.fork``, so POSIX only). It forks only after
@@ -71,14 +80,15 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .channels import ChannelParams, PhaseDriftParams, TapSpec, apply_channel
+from .channels import ChannelParams, PhaseDriftParams, TapSpec, apply_channel, draw_channel
 from .config import PARTIES, ConfigError, ScenarioConfig, format_config, set_config_value
 from .distill import (PartyRecord, advantage_distill, bit_error_rate, median_slice,
                       write_bits_packed, write_bits_text)
 from .infotheory import MetricsReport, build_report
-from .modem import (MIN_PILOTS, SYMBOL_PHASES, AlignmentResult, bits_to_symbols,
-                    estimate_delay_and_rotation, estimate_global_phase)
-from .optics import SourceParams, apply_beamsplitter, heterodyne, sample_source_field
+from .modem import (MIN_PILOTS, SYMBOL_PHASES, AlignmentResult, ReferenceSpectra,
+                    bits_to_symbols, estimate_delay_and_rotation, estimate_global_phase)
+from .optics import (SourceParams, apply_beamsplitter, draw_detector_noise, heterodyne,
+                     sample_source_field)
 
 # One vacuum unit of detection noise per quadrature at every receiver.
 DETECTION_NOISE_VAR = 1.0
@@ -262,7 +272,7 @@ def _transmit(config):
     syms = bits_to_symbols(bits)
     # The source field is an argument only, so it is freed once split.
     alice_in, broadcast = apply_beamsplitter(sample_source_field(
-        config.source, SYMBOL_PHASES[syms], _stream(config.seed, "source")), 0.5)
+        config.source, SYMBOL_PHASES, syms, _stream(config.seed, "source")), 0.5)
     bob_in, eve_in = apply_beamsplitter(broadcast, config.eve_transmittance)
     return syms, {"alice": alice_in, "bob": bob_in, "eve": eve_in}
 
@@ -273,14 +283,25 @@ def _data_before(tx, config):
     return segments * (config.coherence_len - config.pilot_len) + max(0, rem - config.pilot_len)
 
 
-def _receive_party(name, inputs, config, syms):
+def _draw_link(name, config):
+    """A party's link draws, ``chan_<name>``: the phase walk's cosines and
+    sines and the receiver noise, 32 B per symbol. They read no field, so
+    they can be made while the source is transmitted."""
+    return draw_channel(getattr(config, f"{name}_link"), config.n_symbols,
+                        _stream(config.seed, f"chan_{name}"))
+
+
+def _receive_party(name, inputs, config, syms, drawn, spectra):
     """Channel, heterodyne, alignment, pilot phases and fold of one party.
 
     Reads no other party's link, its delay search included, so a receive
     depends only on the transmission and ``_receive_key(name, config)``;
     a grid run makes each distinct receive once. Pops the party's input
-    from ``inputs`` and drops each field once used, so that two parties
-    received at once hold little besides their quadratures.
+    from ``inputs`` and its ``_draw_link`` draws from ``drawn``, and drops
+    each once used; the detection noise (``det_<name>``) is drawn once the
+    link's draws are freed. So two parties received at once hold little
+    besides their quadratures. ``spectra`` holds the transmission's
+    reference transforms for the delay search.
 
     The fold covers the party's own data range on the transmitted clock:
     every data symbol ``tx`` whose received index ``tx + lag`` lies in
@@ -295,10 +316,12 @@ def _receive_party(name, inputs, config, syms):
     link = getattr(config, f"{name}_link")
     max_lag = min(max(MIN_ALIGNMENT_LAG, 2 * link.max_history), n // 4)
     window = min(n, max(8 * max_lag, ALIGNMENT_WINDOW))
-    rx_field = apply_channel(inputs.pop(name), link, _stream(config.seed, f"chan_{name}"))
-    x, p = heterodyne(rx_field, DETECTION_NOISE_VAR, _stream(config.seed, f"det_{name}"))
+    rx_field = apply_channel(inputs.pop(name), link, drawn.pop(name))
+    x, p = heterodyne(rx_field, draw_detector_noise(DETECTION_NOISE_VAR, (n,),
+                                                    _stream(config.seed, f"det_{name}")))
     del rx_field
-    found = estimate_delay_and_rotation(syms[:window], x[:window] + 1j * p[:window], max_lag)
+    found = estimate_delay_and_rotation(syms[:window], x[:window] + 1j * p[:window], max_lag,
+                                        spectra)
     psi = _segment_corrections(x, p, syms, found.lag, config)
     lo, hi = max(0, -found.lag), n - max(0, found.lag)
     tx = np.arange(lo, hi)
@@ -324,8 +347,12 @@ def _finish(config, received) -> RunArtifacts:
     # |lag| <= max_lag <= n // 4, so it holds at least n/2 - 1 symbols.
     u_lo = max(0, *(-alignment[name].lag for name in PARTIES))
     u_hi = min(n - 1 - max(0, alignment[name].lag) for name in PARTIES)
-    index = np.arange(u_lo, u_hi + 1)
-    index = index[index % config.coherence_len >= config.pilot_len]
+    # Each segment's data indices, cut to [u_lo, u_hi]: the values of
+    # arange(u_lo, u_hi + 1) whose remainder is >= pilot_len.
+    seg_len = config.coherence_len
+    index = (np.arange(u_lo // seg_len, u_hi // seg_len + 1)[:, None] * seg_len
+             + np.arange(config.pilot_len, seg_len)).ravel()
+    index = index[np.searchsorted(index, u_lo):np.searchsorted(index, u_hi, "right")]
     # Slicing needs two symbols and distillation one whole block.
     for field, need in (("pilot_len", 2), ("ad_block", config.ad_block or 0)):
         if index.size < need:
@@ -389,25 +416,55 @@ class _GroupCache:
         self.transmission = None
 
     def received(self, config):
-        """Each party's receive for one point; transmits on the first."""
-        if self.transmission is None:
-            self.transmission = _transmit(config)
-        syms, inputs = self.transmission
+        """Each party's receive for one point; transmits on the first.
+
+        A point with two or more new receives, run outside a pool worker,
+        starts ``PARTY_THREADS`` party threads. Each draws one party's link
+        while this thread transmits, then receives that party; this thread
+        then receives any other party, drawing its link itself. Any other
+        point transmits and receives on this thread and starts no pool.
+        """
         keys = {name: _receive_key(name, config) for name in PARTIES}
-        fields = {}
-        for name in PARTIES:
-            if keys[name] not in self.held:
-                self.to_receive[name] -= 1
-                fields[name] = inputs[name] if self.to_receive[name] else inputs.pop(name)
-        new = list(fields)
-        self.held.update(zip((keys[name] for name in new), _pool_map(
-            lambda name: _receive_party(name, fields, config, syms), new, PARTY_THREADS)))
+        new = [name for name in PARTIES if keys[name] not in self.held]
+        if len(new) < 2 or getattr(_pool_worker, "active", False):
+            receive = self._receiver(config, new, {})
+            made = [receive(name) for name in new]
+        else:
+            workers = min(PARTY_THREADS, len(new))
+            with ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_worker) as pool:
+                early = {name: pool.submit(_draw_link, name, config) for name in new[:workers]}
+                receive = self._receiver(config, new, early)
+                # Submitted after every early draw, so a receive waits only
+                # on a draw that a worker has started or finished.
+                pooled = [pool.submit(receive, name) for name in new[:workers]]
+                made = [receive(name) for name in new[workers:]]
+                made = [f.result() for f in pooled] + made
+        self.held.update(zip((keys[name] for name in new), made))
         received = {name: self.held[keys[name]] for name in PARTIES}
         for key in keys.values():
             self.uses[key] -= 1
             if not self.uses[key]:
                 del self.held[key]
         return received
+
+    def _receiver(self, config, new, early):
+        """``receive(name)`` for each party in ``new``, which takes the
+        party's link draws from its future in ``early`` or makes them on
+        the calling thread. Transmits first if the group has not."""
+        if self.transmission is None:
+            self.transmission = _transmit(config) + (ReferenceSpectra(),)
+        syms, inputs, spectra = self.transmission
+        fields, drawn = {}, {}
+        for name in new:
+            self.to_receive[name] -= 1
+            fields[name] = inputs[name] if self.to_receive[name] else inputs.pop(name)
+
+        def receive(name):
+            # Popped, so the draws are held only in ``drawn`` until used.
+            drawn[name] = early.pop(name).result() if name in early else _draw_link(name, config)
+            return _receive_party(name, fields, config, syms, drawn, spectra)
+
+        return receive
 
 
 # The cache of the grid group that this thread runs, if any (see _run_grid).
@@ -417,7 +474,8 @@ _grid = threading.local()
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     """Execute one scenario; fully deterministic given ``config.seed``.
 
-    On its own it transmits, receives each party on ``PARTY_THREADS`` and
+    On its own it transmits while ``PARTY_THREADS`` threads draw the
+    parties' links, receives the parties on those threads and its own and
     frees each party's input field once that party is received. As a point
     of a grid run it takes the transmission and the receives it shares with
     earlier points from its group's cache, so its bytes are the same.

@@ -9,6 +9,7 @@ thread settings.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -23,13 +24,16 @@ def joint_counts(*bit_arrays) -> np.ndarray:
     k = len(bit_arrays)
     if not 1 <= k <= 3:
         raise ValueError(f"joint_counts takes 1 to 3 arrays, got {k}")
-    arrs = [np.asarray(a, dtype=np.int64) for a in bit_arrays]
+    arrs = [np.asarray(a) for a in bit_arrays]
     n = arrs[0].size
     if any(a.size != n for a in arrs) or n == 0:
         raise ValueError("bit arrays must share one nonzero length")
-    code = arrs[0]
+    if any(a.min() < 0 or a.max() > 1 for a in arrs):
+        raise ValueError("bit arrays must hold only 0 and 1")
+    # One byte per code, so the table reads an eighth of what int64 codes would.
+    code = arrs[0].astype(np.uint8)
     for a in arrs[1:]:
-        code = code * 2 + a
+        code = code * np.uint8(2) + a.astype(np.uint8, copy=False)
     return np.bincount(code, minlength=2 ** k).reshape((2,) * k)
 
 
@@ -65,22 +69,31 @@ def conditional_mutual_information(counts) -> float:
     return max(cmi, 0.0)
 
 
-def pearson_r(xs, ys) -> float:
-    """Sample Pearson correlation coefficient."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
-        raise ValueError("inputs must be equal-length 1-D sequences of length >= 2")
-    dx = x - np.sum(x) / x.size
-    dy = y - np.sum(y) / y.size
-    vx = np.sum(dx * dx)
-    vy = np.sum(dy * dy)
-    if vx == 0 or vy == 0:
-        raise ValueError("correlation undefined: an input has zero variance")
-    r = np.sum(dx * dy) / np.sqrt(vx * vy)
-    if not np.isfinite(r):
-        raise ValueError(f"correlation is not finite: {r}")
-    return float(min(1.0, max(-1.0, r)))
+def pearson_rs(*samples) -> dict[tuple[int, int], float]:
+    """Sample Pearson correlation coefficient of every pair of ``samples``,
+    keyed ``(i, j)`` with ``i < j``.
+
+    Each sample is centred once for all its pairs; a pair's r is the same
+    floating-point sum as for those two samples alone.
+    """
+    arrs = [np.asarray(s, dtype=float) for s in samples]
+    if len(arrs) < 2 or any(a.ndim != 1 or a.shape != arrs[0].shape for a in arrs) \
+            or arrs[0].size < 2:
+        raise ValueError("inputs must be two or more equal-length 1-D sequences of length >= 2")
+    centred = []
+    for x in arrs:
+        dx = x - np.sum(x) / x.size
+        centred.append((dx, np.sum(dx * dx)))
+    out = {}
+    for i, j in itertools.combinations(range(len(arrs)), 2):
+        (dx, vx), (dy, vy) = centred[i], centred[j]
+        if vx == 0 or vy == 0:
+            raise ValueError("correlation undefined: an input has zero variance")
+        r = np.sum(dx * dy) / np.sqrt(vx * vy)
+        if not np.isfinite(r):
+            raise ValueError(f"correlation is not finite: {r}")
+        out[i, j] = float(min(1.0, max(-1.0, r)))
+    return out
 
 
 def g2(intensities, lag: int = 0) -> float:
@@ -149,10 +162,11 @@ def build_report(alice: PartyRecord, bob: PartyRecord, eve: PartyRecord) -> Metr
     i_ab = mutual_information(table3.sum(axis=2))
     i_ae = mutual_information(table3.sum(axis=1))
     i_be = mutual_information(table3.sum(axis=0))
+    r = pearson_rs(alice.z, bob.z, eve.z)
     return MetricsReport(
-        r_ab=pearson_r(alice.z, bob.z),
-        r_be=pearson_r(bob.z, eve.z),
-        r_ae=pearson_r(alice.z, eve.z),
+        r_ab=r[0, 1],
+        r_be=r[1, 2],
+        r_ae=r[0, 2],
         i_ab=i_ab,
         i_ae=i_ae,
         i_be=i_be,

@@ -16,29 +16,43 @@ def channel_combine(src, amp, delay, cos_t, sin_t, tap_delays, tap_cr, tap_ci, n
     out[t] = amp*e^{i*theta(t)}*src[t-delay]
              + sum_k (tap_cr[k]+i*tap_ci[k])*src[t-delay-tap_delays[k]]
              + noise[t, 0] + i*noise[t, 1]
-    Out-of-range history reads as zero amplitude. The arithmetic is split
-    into real and imaginary parts, done on views of ``src`` and of the
-    complex128 result.
+    Out-of-range history reads as zero amplitude. ``noise`` is C-contiguous
+    of shape ``(n, 2)``, one ``(re, im)`` pair per symbol. The real and
+    imaginary sums are built in ``cos_t`` and ``sin_t``, which are
+    overwritten: each rotated sample is written over the cosine and sine it
+    was made from, and the echoes are added there. The sums are then
+    copied into the complex128 result and the noise is added through its
+    complex view. Every sum takes the operands of the one-expression form in
+    the same order, so the bytes are the same.
     """
     n = src.shape[0]
-    out = np.zeros(n, dtype=complex)
     src_re, src_im = src.real, src.imag
-    out_re, out_im = out.real, out.imag
+    acc_re, acc_im = cos_t, sin_t
     if delay < n:
         m = n - delay
-        c = cos_t[delay:]
-        s = sin_t[delay:]
-        out_re[delay:] = amp * (c * src_re[:m] - s * src_im[:m])
-        out_im[delay:] = amp * (s * src_re[:m] + c * src_im[:m])
+        c, s = cos_t[delay:], sin_t[delay:]
+        s_im = s * src_im[:m]
+        c_im = c * src_im[:m]
+        np.multiply(c, src_re[:m], out=c)
+        np.multiply(s, src_re[:m], out=s)
+        c -= s_im
+        c *= amp
+        s += c_im
+        s *= amp
+        del s_im, c_im
+    acc_re[:delay] = 0.0
+    acc_im[:delay] = 0.0
     for k in range(tap_delays.shape[0]):
         off = delay + int(tap_delays[k])
         if off >= n:
             continue
         m = n - off
-        out_re[off:] += tap_cr[k] * src_re[:m] - tap_ci[k] * src_im[:m]
-        out_im[off:] += tap_cr[k] * src_im[:m] + tap_ci[k] * src_re[:m]
-    out_re += noise[:, 0]
-    out_im += noise[:, 1]
+        acc_re[off:] += tap_cr[k] * src_re[:m] - tap_ci[k] * src_im[:m]
+        acc_im[off:] += tap_cr[k] * src_im[:m] + tap_ci[k] * src_re[:m]
+    out = np.empty(n, dtype=complex)
+    out.real = acc_re
+    out.imag = acc_im
+    out += noise.view(complex)[:, 0]
     return out
 
 

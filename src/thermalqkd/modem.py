@@ -22,6 +22,7 @@ rather than the power of two 131,072 above ``n_ref + n_rx - 1`` for a
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,29 @@ def bits_to_symbols(bits) -> np.ndarray:
     return _GRAY_ENCODE[2 * b[0::2] + b[1::2]]
 
 
-def estimate_delay_and_rotation(ref_symbols, rx, max_lag: int) -> AlignmentResult:
+class ReferenceSpectra:
+    """The reference transforms of one public symbol stream, shared.
+
+    Holds the conjugate spectrum of the phasors of each prefix of the
+    stream it is asked for, made once per (prefix length, FFT size) however
+    many receives ask and from whichever threads. Only prefixes of one
+    stream may be passed to one instance.
+    """
+
+    def __init__(self):
+        self._made = {}
+        self._lock = threading.Lock()
+
+    def get(self, ref, nfft):
+        with self._lock:
+            key = (ref.size, nfft)
+            if key not in self._made:
+                self._made[key] = _reference_spectrum(ref, nfft)
+            return self._made[key]
+
+
+def estimate_delay_and_rotation(ref_symbols, rx, max_lag: int,
+                                spectra: ReferenceSpectra | None = None) -> AlignmentResult:
     """Lag of the received field ``rx`` (``x + ip``) against ``ref_symbols``.
 
     Maximizes ``|C(L)|^2 / overlap(L)`` over ``|L| <= max_lag``, where
@@ -67,9 +90,11 @@ def estimate_delay_and_rotation(ref_symbols, rx, max_lag: int) -> AlignmentResul
     then to the positive lag. ``match_fraction`` is the share of
     the overlapping symbols that lie within pi/4 of their cluster once
     derotated by ``arg C(lag)``, the carrier rotation the lag absorbs.
+    With ``spectra``, the reference's transform is taken from it, so
+    receives of one transmission transform the reference once.
     """
     ref, rx = _alignment_inputs(ref_symbols, rx, max_lag)
-    lags, corr, overlap = _correlation(ref, rx, max_lag)
+    lags, corr, overlap = _correlation(ref, rx, max_lag, spectra)
     order = np.lexsort((lags < 0, np.abs(lags)))
     score = (corr.real ** 2 + corr.imag ** 2) / overlap
     # Lags that tie exactly carry different FFT round-off, so every score
@@ -123,11 +148,17 @@ def _alignment_inputs(ref_symbols, rx, max_lag):
     return ref, rx
 
 
-def _correlation(ref, rx, max_lag):
+def _reference_spectrum(ref, nfft):
+    return np.conj(np.fft.fft(_PHASORS[ref], nfft))
+
+
+def _correlation(ref, rx, max_lag, spectra=None):
     """Lags ``-max_lag..max_lag``, ``C`` at each and the overlap lengths."""
     n_ref, n_rx = ref.size, rx.size
     nfft = _fft_size(max(n_ref, n_rx) + max_lag)
-    corr = np.fft.ifft(np.fft.fft(rx, nfft) * np.conj(np.fft.fft(_PHASORS[ref], nfft)))
+    ref_spectrum = (_reference_spectrum(ref, nfft) if spectra is None
+                    else spectra.get(ref, nfft))
+    corr = np.fft.ifft(np.fft.fft(rx, nfft) * ref_spectrum)
     lags = np.arange(-max_lag, max_lag + 1)
     # Both streams hold at least 4*max_lag symbols (_alignment_inputs), so
     # every overlap is at least 3*max_lag, and at least 1 at max_lag = 0.

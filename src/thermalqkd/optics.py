@@ -9,6 +9,14 @@ a run gives it one vacuum unit (``harness.DETECTION_NOISE_VAR``). Field
 amplitudes are plain complex numbers; streams of symbols are 1-D complex128
 arrays. Every beam splitter's second input is vacuum, the zero amplitude in
 this positive-P sampling, so a splitter takes one input.
+
+Random draws are made into float64 arrays of shape ``(..., 2)``, one
+``(re, im)`` pair per amplitude, and a field is added into their complex
+view in place: ``x + y`` is ``y + x`` in IEEE arithmetic, so the sums equal
+the per-quadrature ones of a complex temporary. The source's displacement
+is a table of one entry per symbol phase, gathered by the symbols.
+Detection noise is drawn apart from the field it is added to
+(``draw_detector_noise``), so the draw is a stage of its own.
 """
 
 from __future__ import annotations
@@ -32,26 +40,32 @@ class SourceParams:
     d0: float
 
     def __post_init__(self):
-        # pearson_r multiplies two sums of n squares of order nbar; 1e12 keeps that finite.
+        # pearson_rs multiplies two sums of n squares of order nbar; 1e12 keeps that finite.
         if not 0.0 <= self.nbar <= 1e12:
             raise ValueError(f"nbar must be in [0, 1e12], got {self.nbar}")
-        # pearson_r centres z ~ d0 over unit detection noise; 1e6 costs <= 6 of 16 digits.
+        # pearson_rs centres z ~ d0 over unit detection noise; 1e6 costs <= 6 of 16 digits.
         if not 0.0 <= self.d0 <= 1e6:
             raise ValueError(f"d0 must be in [0, 1e6], got {self.d0}")
 
 
-def sample_source_field(params: SourceParams, symbol_phase, rng):
-    """Sample the displaced-thermal field d0*e^{i*phase} + s.
+def sample_source_field(params: SourceParams, phases, symbols, rng):
+    """Sample the displaced-thermal field d0*e^{i*phases[symbols]} + s.
 
     ``s`` is circular complex Gaussian with per-quadrature variance
     ``params.nbar``, so E|s|^2 = 2*nbar. ``d0`` is in the same field units:
     the coherent photon number is ``d0**2 / 2`` and the thermal photon number
-    is ``nbar``. The result is a complex array of ``symbol_phase``'s shape.
+    is ``nbar``. ``phases`` is a short table and ``symbols`` indexes it; the
+    result is a complex array of ``symbols``' shape, a view of the draws.
+    Each amplitude is the sum of the same two terms as
+    ``d0*np.exp(1j*phase) + s``, bit for bit, except that the sign of an
+    exact zero may differ when both ``d0`` and ``nbar`` are 0.
     """
-    phase = np.asarray(symbol_phase, dtype=float)
-    sigma = np.sqrt(params.nbar)
-    fluct = rng.normal(0.0, 1.0, phase.shape + (2,)) * sigma
-    return params.d0 * np.exp(1j * phase) + fluct[..., 0] + 1j * fluct[..., 1]
+    symbols = np.asarray(symbols)
+    fluct = rng.normal(0.0, 1.0, symbols.shape + (2,))
+    fluct *= np.sqrt(params.nbar)
+    field = fluct.view(complex)[..., 0]
+    field += (params.d0 * np.exp(1j * np.asarray(phases, dtype=float)))[symbols]
+    return field
 
 
 def apply_beamsplitter(a, transmittance: float):
@@ -63,16 +77,25 @@ def apply_beamsplitter(a, transmittance: float):
     return np.sqrt(transmittance) * a, np.sqrt(1.0 - transmittance) * a
 
 
-def heterodyne(a, noise_var: float, rng):
-    """Heterodyne outcome (re(a) + wx, im(a) + wp), noise variance per quadrature."""
+def draw_detector_noise(noise_var: float, shape, rng):
+    """Heterodyne noise for a field of ``shape``: an array of ``shape + (2,)``
+    holding ``(wx, wp)`` pairs, variance ``noise_var`` per quadrature."""
     if not (np.isfinite(noise_var) and noise_var >= 0):
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    field = np.asarray(a, dtype=complex)
-    sigma = np.sqrt(noise_var)
-    w = rng.normal(0.0, 1.0, field.shape + (2,)) * sigma
-    x = field.real + w[..., 0]
-    p = field.imag + w[..., 1]
-    return x, p
+    w = rng.normal(0.0, 1.0, tuple(shape) + (2,))
+    w *= np.sqrt(noise_var)
+    return w
+
+
+def heterodyne(a, noise):
+    """Heterodyne outcome (re(a) + wx, im(a) + wp) of the field ``a``.
+
+    ``noise`` comes from ``draw_detector_noise`` for ``a``'s shape and is
+    consumed: ``a`` is added into its complex view, and ``x`` and ``p`` are
+    views of it.
+    """
+    noise.view(complex)[..., 0] += a
+    return noise[..., 0], noise[..., 1]
 
 
 def joint_covariance_oracle(links, nbar: float, eve_transmittance: float = 0.5) -> np.ndarray:

@@ -23,14 +23,20 @@ from .harness import (freespace_scenario, run_scenario, sweep, sweep_csv,
                       waveguide_scenario)
 from .infotheory import conditional_mutual_information, g2, mutual_information
 from .modem import SYMBOL_PHASES, estimate_delay_and_rotation
-from .optics import (SourceParams, apply_beamsplitter, heterodyne,
+from .optics import (SourceParams, apply_beamsplitter, draw_detector_noise, heterodyne,
                      joint_covariance_oracle, sample_source_field)
+
+
+def _source_at_phase_zero(nbar, d0, n, rng):
+    """``n`` source amplitudes, every one displaced along phase 0."""
+    return sample_source_field(SourceParams(nbar=nbar, d0=d0), [0.0],
+                               np.zeros(n, dtype=np.uint8), rng)
 
 
 def thermal_bunching():
     rng = np.random.default_rng(108)
-    field = sample_source_field(SourceParams(nbar=5.0, d0=0.0), np.zeros(10 ** 6), rng)
-    x, p = heterodyne(field, 1.0, rng)
+    field = _source_at_phase_zero(5.0, 0.0, 10 ** 6, rng)
+    x, p = heterodyne(field, draw_detector_noise(1.0, field.shape, rng))
     intensity = x * x + p * p
     g2_zero = g2(intensity, 0)
     g2_far = g2(intensity, 1000)
@@ -50,7 +56,7 @@ def displaced_bunching():
     rng = np.random.default_rng(109)
     nbar = 5.0
     d0 = math.sqrt(2) * 10 * math.sqrt(nbar)
-    field = sample_source_field(SourceParams(nbar=nbar, d0=d0), np.zeros(10 ** 6), rng)
+    field = _source_at_phase_zero(nbar, d0, 10 ** 6, rng)
     g2_zero = g2(np.abs(field) ** 2, 0)
     ok = abs(g2_zero - 1.0) < 0.02
     return ok, f"g2(0)={g2_zero:.4f} (want 1.00+-0.02; analytic value 1.0197)"
@@ -67,12 +73,12 @@ def sampler_matches_oracle():
         nbar = rng.uniform(1.0, 5.0)
         links = list(zip(etas, noises))
         oracle = joint_covariance_oracle(links, nbar, t_eve)
-        field = sample_source_field(SourceParams(nbar=nbar, d0=0.0), np.zeros(n), rng)
+        field = _source_at_phase_zero(nbar, 0.0, n, rng)
         alice, broadcast = apply_beamsplitter(field, 0.5)
         bob, eve = apply_beamsplitter(broadcast, t_eve)
         rows = []
         for arm, (eta, noise) in zip((alice, bob, eve), links):
-            x, p = heterodyne(np.sqrt(eta) * arm, noise, rng)
+            x, p = heterodyne(np.sqrt(eta) * arm, draw_detector_noise(noise, arm.shape, rng))
             rows += [x, p]
         emp = np.cov(np.stack(rows))
         se = np.sqrt((np.outer(np.diag(oracle), np.diag(oracle)) + oracle ** 2) / n)

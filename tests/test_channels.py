@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from thermalqkd.channels import (ChannelParams, PhaseDriftParams, TapSpec,
-                                 apply_channel, sample_phase_walk)
+                                 apply_channel, draw_channel, sample_phase_walk)
 from thermalqkd.harness import freespace_scenario, waveguide_scenario
+
+
+def _channel(stream, params, rng):
+    """The link's draws from ``rng``, applied to ``stream``."""
+    return apply_channel(stream, params, draw_channel(params, len(stream), rng))
 
 
 def test_param_validation():
@@ -26,21 +31,21 @@ def test_param_validation():
 def test_identity_channel_is_exact():
     rng = np.random.default_rng(0)
     stream = rng.normal(size=300) + 1j * rng.normal(size=300)
-    out = apply_channel(stream, ChannelParams(), rng)
+    out = _channel(stream, ChannelParams(), rng)
     assert np.array_equal(out, stream)
 
 
 def test_pure_attenuation():
     rng = np.random.default_rng(1)
     stream = np.full(100, 2.0 + 0.0j)
-    out = apply_channel(stream, ChannelParams(transmittance=0.25), rng)
+    out = _channel(stream, ChannelParams(transmittance=0.25), rng)
     np.testing.assert_allclose(out, np.full(100, 1.0 + 0.0j), atol=1e-14)
 
 
 def test_intensity_scales_with_transmittance():
     rng = np.random.default_rng(2)
     stream = rng.normal(size=500) + 1j * rng.normal(size=500)
-    out = apply_channel(stream, ChannelParams(transmittance=0.36), rng)
+    out = _channel(stream, ChannelParams(transmittance=0.36), rng)
     np.testing.assert_allclose(np.abs(out) ** 2, 0.36 * np.abs(stream) ** 2, atol=1e-12)
 
 
@@ -50,7 +55,7 @@ def test_impulse_response_with_tap():
     stream[0] = 1.0
     params = ChannelParams(transmittance=0.81, delay=2,
                            taps=(TapSpec(delay=5, amplitude=0.1, phase=0.0),))
-    out = apply_channel(stream, params, rng)
+    out = _channel(stream, params, rng)
     expect = np.zeros(32, dtype=complex)
     expect[2] = 0.9            # sqrt(T) at the main delay
     expect[7] = 0.1 * 0.9      # echo: amplitude * sqrt(T), 5 symbols later
@@ -62,7 +67,7 @@ def test_tap_phase_rotates_echo():
     stream = np.zeros(16, dtype=complex)
     stream[0] = 1.0
     params = ChannelParams(taps=(TapSpec(delay=3, amplitude=0.2, phase=np.pi / 2),))
-    out = apply_channel(stream, params, rng)
+    out = _channel(stream, params, rng)
     assert out[3] == pytest.approx(0.2j, abs=1e-14)
 
 
@@ -74,23 +79,26 @@ def test_linearity_with_frozen_noise():
     rng = np.random.default_rng(5)
     a = rng.normal(size=400) + 1j * rng.normal(size=400)
     b = rng.normal(size=400) + 1j * rng.normal(size=400)
-    out_sum = apply_channel(a + b, params, np.random.default_rng(99))
-    out_a = apply_channel(a, params, np.random.default_rng(99))
-    out_b = apply_channel(b, params, np.random.default_rng(99))
+    out_sum = _channel(a + b, params, np.random.default_rng(99))
+    out_a = _channel(a, params, np.random.default_rng(99))
+    out_b = _channel(b, params, np.random.default_rng(99))
     np.testing.assert_allclose(out_sum, out_a + out_b, atol=1e-12)
 
 
 def test_out_of_range_history_reads_vacuum():
     rng = np.random.default_rng(6)
     stream = np.ones(10, dtype=complex)
-    out = apply_channel(stream, ChannelParams(delay=4), rng)
+    out = _channel(stream, ChannelParams(delay=4), rng)
     assert np.array_equal(out[:4], np.zeros(4, dtype=complex))
     assert np.array_equal(out[4:], np.ones(6, dtype=complex))
 
 
 def test_apply_channel_rejects_empty():
     with pytest.raises(ValueError):
-        apply_channel(np.array([], dtype=complex), ChannelParams(), np.random.default_rng(0))
+        _channel(np.array([], dtype=complex), ChannelParams(), np.random.default_rng(0))
+    drawn = draw_channel(ChannelParams(), 9, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="draws cover 9 symbols, the stream 10"):
+        apply_channel(np.ones(10, dtype=complex), ChannelParams(), drawn)
 
 
 def test_phase_walk_variance_growth():
@@ -154,6 +162,10 @@ def test_phase_walk_matches_reference_byte_for_byte():
         "freespace": freespace_scenario().bob_link.drift,
         "inactive": PhaseDriftParams(),
         "always-hop": PhaseDriftParams(walk_sigma=1e-3, hop_prob=1.0, hop_scale=0.3),
+        # No walk, so every step but a hop is a signed zero.
+        "hops-only": PhaseDriftParams(walk_sigma=0.0, hop_prob=0.01, hop_scale=0.35),
+        # Hops of zero size: each adds a signed zero.
+        "zero-hops": PhaseDriftParams(walk_sigma=2e-4, hop_prob=0.5, hop_scale=0.0),
     }
     for seed, (name, drift) in enumerate(drifts.items()):
         rng_new = np.random.default_rng(seed)
@@ -172,7 +184,7 @@ def test_apply_channel_matches_scalar_reference_on_a_preset_link():
     n = 3000
     rng = np.random.default_rng(12)
     stream = rng.normal(size=n) + 1j * rng.normal(size=n)
-    out = apply_channel(stream, link, np.random.default_rng(13))
+    out = _channel(stream, link, np.random.default_rng(13))
     rng_ref = np.random.default_rng(13)
     theta = _phase_walk_reference(link.drift, n, rng_ref)
     noise = rng_ref.normal(0.0, 1.0, (n, 2)) * np.sqrt(link.rx_noise_var)

@@ -4,11 +4,12 @@ import os
 import sys
 import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from thermalqkd import harness, kernels
+from thermalqkd import harness, kernels, modem
 from thermalqkd.config import format_config, set_config_value
 from thermalqkd.distill import PartyRecord, median_slice, read_bits_packed
 from thermalqkd.harness import (CSV_CHUNK_ROWS, SCENARIO_PRESETS, CalibrationError,
@@ -16,7 +17,7 @@ from thermalqkd.harness import (CSV_CHUNK_ROWS, SCENARIO_PRESETS, CalibrationErr
                                 freespace_scenario, run_scenario, sweep, sweep_csv,
                                 sweep_values, waveguide_scenario)
 from thermalqkd.infotheory import MetricsReport, build_report
-from thermalqkd.modem import SYMBOL_PHASES, bits_to_symbols
+from thermalqkd.modem import SYMBOL_PHASES, ReferenceSpectra, bits_to_symbols
 
 
 def _read_bytes(path):
@@ -238,17 +239,27 @@ def test_segment_phases_are_whole_pilot_phases():
 
 
 def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
-    # A run receives and folds its parties on party threads; inside a pool
-    # worker (a sweep or calibration point) the same run maps in place, with
-    # no nested pool. Every schedule must write the same nine files: two
-    # threads, three threads (one per party) and a 1 us switch interval.
-    receive = harness._receive_party
+    # A run draws links on party threads while the caller transmits, then
+    # receives and folds those parties there and any other party on the
+    # caller; inside a pool worker (a sweep or calibration point) the same
+    # run maps in place, with no nested pool. Every schedule must write the
+    # same nine files: one, two and three party threads, each under a 1 us
+    # switch interval.
+    receive, draw, transmit = harness._receive_party, harness._draw_link, harness._transmit
     pool_class = harness.ThreadPoolExecutor
-    threads_used = set()
+    threads_used, draw_threads, transmit_threads = set(), set(), set()
 
     def traced_receive(*args):
         threads_used.add(threading.get_ident())
         return receive(*args)
+
+    def traced_draw(*args):
+        draw_threads.add(threading.get_ident())
+        return draw(*args)
+
+    def traced_transmit(*args):
+        transmit_threads.add(threading.get_ident())
+        return transmit(*args)
 
     caller = threading.get_ident()
 
@@ -263,8 +274,9 @@ def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
         return run_scenario(cfg), threading.get_ident()
 
     monkeypatch.setattr(harness, "_receive_party", traced_receive)
+    monkeypatch.setattr(harness, "_draw_link", traced_draw)
+    monkeypatch.setattr(harness, "_transmit", traced_transmit)
     interval = sys.getswitchinterval()
-    thread_counts = (harness.PARTY_THREADS, 3)
     for preset, make in SCENARIO_PRESETS.items():
         cfg = make(seed=7, n_symbols=20_000, ad_block=2)
         threads_used.clear()
@@ -276,17 +288,64 @@ def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
         expect = _artifact_bytes(in_place, tmp_path / preset / "in_place")
         assert len(expect) == 9
         assert _artifact_bytes(again, tmp_path / preset / "again") == expect, preset
-        for party_threads in thread_counts:
+        for party_threads in (1, 2, 3):
             monkeypatch.setattr(harness, "PARTY_THREADS", party_threads)
-            threads_used.clear()
+            for used in (threads_used, draw_threads, transmit_threads):
+                used.clear()
             sys.setswitchinterval(1e-6)
             try:
                 threaded = run_scenario(cfg)
             finally:
                 sys.setswitchinterval(interval)
-            assert threads_used and threading.get_ident() not in threads_used, preset
+            # The caller transmits and draws and receives the parties beyond
+            # the threads; which thread takes which of the others is up to
+            # the scheduler.
+            assert transmit_threads == {caller}, preset
+            beyond = {caller} if party_threads < 3 else set()
+            for used in (threads_used, draw_threads):
+                assert used & {caller} == beyond, (preset, party_threads)
+                assert 1 <= len(used - {caller}) <= party_threads, (preset, party_threads)
             files = _artifact_bytes(threaded, tmp_path / preset / f"threads{party_threads}")
             assert files == expect, (preset, party_threads)
+
+
+def test_only_points_with_two_new_receives_start_a_pool(monkeypatch):
+    # A calibration point with at most one new receive transmits (if it
+    # must) and receives on the caller; the free-space grid's first point
+    # of each of its 9 rows receives two or three. Runs on a sweep's pool
+    # workers start no pool of their own.
+    run, receive, pool_class = harness.run_scenario, harness._receive_party, harness.ThreadPoolExecutor
+    receives = []           # the config of each receive; appends are atomic
+    pools = Counter()       # config of the point whose thread started it, or None
+    current = threading.local()
+
+    def point(config):
+        current.config = config
+        try:
+            return run(config)
+        finally:
+            del current.config
+
+    def counted_receive(name, inputs, config, *args):
+        receives.append(config)
+        return receive(name, inputs, config, *args)
+
+    def counted_pool(*args, **kwargs):
+        pools[getattr(current, "config", None)] += 1
+        return pool_class(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_scenario", point)
+    monkeypatch.setattr(harness, "_receive_party", counted_receive)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", counted_pool)
+    calibrate_preset("freespace", n_symbols=20_000)
+    per_point = Counter(receives)
+    assert sorted(Counter(per_point.values()).items()) == [(1, 8), (2, 8), (3, 1)]
+    assert pools == {config: 1 for config, count in per_point.items() if count >= 2}
+    receives.clear()
+    pools.clear()
+    sweep(waveguide_scenario(n_symbols=20_000), "seed", [1, 2, 3], jobs=2)
+    assert sorted(Counter(receives).values()) == [3, 3, 3]
+    assert pools == {None: 1}
 
 
 @pytest.mark.parametrize("t, dark", [(1.0, "eve"), (0.0, "bob")])
@@ -325,11 +384,22 @@ def test_each_stage_draws_only_its_own_streams(monkeypatch, ad_block):
     (syms, inputs), names = drawn(harness._transmit, cfg)
     assert names == ["bits", "source"]
     received = {}
+    spectra = ReferenceSpectra()
     for name in harness.PARTIES:
-        received[name], names = drawn(harness._receive_party, name, inputs, cfg, syms)
-        assert names == [f"chan_{name}", f"det_{name}"], name
+        draws, names = drawn(harness._draw_link, name, cfg)
+        assert names == [f"chan_{name}"], name
+        received[name], names = drawn(harness._receive_party, name, inputs, cfg, syms,
+                                      {name: draws}, spectra)
+        assert names == [f"det_{name}"], name
     _, names = drawn(harness._finish, cfg, received)
     assert names == (["distill"] if ad_block else [])
+
+
+def _receive_alone(receive, name, inputs, config, syms):
+    """``receive`` of one party from a copy of ``inputs``, with fresh draws
+    and reference transforms."""
+    return receive(name, dict(inputs), config, syms, {name: harness._draw_link(name, config)},
+                   ReferenceSpectra())
 
 
 @pytest.mark.parametrize("preset", sorted(SCENARIO_PRESETS))
@@ -350,7 +420,7 @@ def test_receiving_a_party_again_gives_the_same_bytes(monkeypatch, preset):
     for name in harness.PARTIES:
         found, start, x, p, z = in_run[name]
         for _ in range(2):
-            again = receive(name, dict(inputs), cfg, syms)
+            again = _receive_alone(receive, name, inputs, cfg, syms)
             assert [a.tobytes() for a in again[2:]] == [x.tobytes(), p.tobytes(), z.tobytes()], name
             assert again[:2] == (found, start), name
 
@@ -364,8 +434,9 @@ def test_a_receive_reads_only_its_own_link():
     deep = set_config_value(shallow, "eve_link.delay", 5_000)
     syms, inputs = harness._transmit(shallow)
     for name in ("alice", "bob"):
-        found, start, x, p, z = harness._receive_party(name, dict(inputs), shallow, syms)
-        again = harness._receive_party(name, dict(inputs), deep, syms)
+        found, start, x, p, z = _receive_alone(harness._receive_party, name, inputs, shallow,
+                                               syms)
+        again = _receive_alone(harness._receive_party, name, inputs, deep, syms)
         assert [a.tobytes() for a in again[2:]] == [x.tobytes(), p.tobytes(), z.tobytes()], name
         assert again[:2] == (found, start), name
 
@@ -467,9 +538,9 @@ def _plant_lags(monkeypatch, lag_of):
     receive, align = harness._receive_party, harness.estimate_delay_and_rotation
     party = threading.local()
 
-    def planted_receive(name, inputs, config, syms):
+    def planted_receive(name, inputs, config, *args):
         party.lag = lag_of(name, config)
-        return receive(name, inputs, config, syms)
+        return receive(name, inputs, config, *args)
 
     def planted_align(*args):
         return dataclasses.replace(align(*args), lag=party.lag)
@@ -494,6 +565,22 @@ def test_records_slice_the_common_window_from_each_receive(monkeypatch):
         for got, ref in zip((rec.x, rec.p, rec.z), want):
             assert got.tobytes() == ref.tobytes(), name
         assert rec.bits.tobytes() == median_slice(rec.z).tobytes(), name
+
+
+@pytest.mark.parametrize("lags", [(0, 0, 0), (-30, 5, 0), (-1063, 936, 0), (-1064, 0, 1000)],
+                         ids=["whole", "pilot-start", "pilot-edges", "data-edges"])
+def test_common_index_is_every_data_symbol_of_the_window(monkeypatch, lags):
+    # The window's data indices are built per segment, not by a remainder per
+    # symbol; both edges fall on pilots and on data symbols across the cases.
+    cfg = set_config_value(set_config_value(waveguide_scenario(seed=3, n_symbols=20_000),
+                                            "source.d0", 0), "coherence_len", 1000)
+    planted = dict(zip(harness.PARTIES, lags))
+    _plant_lags(monkeypatch, lambda name, config: planted[name])
+    art = run_scenario(cfg)
+    u_lo, u_hi = max(0, -min(lags)), cfg.n_symbols - 1 - max(0, max(lags))
+    want = np.arange(u_lo, u_hi + 1)
+    want = want[want % cfg.coherence_len >= cfg.pilot_len]
+    assert art.index.dtype == want.dtype and np.array_equal(art.index, want)
 
 
 @pytest.mark.parametrize("d0, edge", [(0, 0), (40, -1)], ids=["window-start", "window-end"])
@@ -694,8 +781,8 @@ def _traced_grid(monkeypatch, run_grid):
         transmitted.append(config)
         return transmit(config)
 
-    def counted_receive(name, inputs, config, syms):
-        out = receive(name, inputs, config, syms)
+    def counted_receive(name, inputs, config, *args):
+        out = receive(name, inputs, config, *args)
         made.append((harness._receive_key(name, config), weakref.ref(out[4])))
         return out
 
@@ -748,7 +835,8 @@ def test_a_lone_run_frees_each_input_once_received(monkeypatch):
     # party is received, and each party's raw quadratures once folded, so
     # none is left by the time the run finishes.
     transmit, detect, finish = harness._transmit, harness.heterodyne, harness._finish
-    fields, quadratures = [], []
+    draw_link, draw_noise = harness._draw_link, harness.draw_detector_noise
+    fields, quadratures, draws = [], [], []
 
     def traced_transmit(config):
         syms, inputs = transmit(config)
@@ -760,17 +848,52 @@ def test_a_lone_run_frees_each_input_once_received(monkeypatch):
         quadratures.extend((weakref.ref(x), weakref.ref(p)))
         return x, p
 
+    def traced_draw_link(*args):
+        out = draw_link(*args)
+        draws.extend(weakref.ref(a) for a in out)
+        return out
+
+    def traced_draw_noise(*args):
+        noise = draw_noise(*args)
+        draws.append(weakref.ref(noise))
+        return noise
+
     def checked_finish(*args):
         assert [ref() for ref in fields] == [None] * 3
         assert [ref() for ref in quadratures] == [None] * 6
+        assert [ref() for ref in draws] == [None] * 12
         return finish(*args)
 
     monkeypatch.setattr(harness, "_transmit", traced_transmit)
     monkeypatch.setattr(harness, "heterodyne", traced_detect)
+    monkeypatch.setattr(harness, "_draw_link", traced_draw_link)
+    monkeypatch.setattr(harness, "draw_detector_noise", traced_draw_noise)
     monkeypatch.setattr(harness, "_finish", checked_finish)
     run_scenario(freespace_scenario(seed=2, n_symbols=20_000, ad_block=None))
     assert len(fields) == 3
     assert len(quadratures) == 6
+    assert len(draws) == 12
+
+
+def test_a_transmission_transforms_the_reference_once(monkeypatch):
+    # Every party of a run, and every receive of a calibration grid, reads
+    # the public window's transform made once for its transmission: at the
+    # preset defaults all three share the window and the FFT size.
+    transform = modem._reference_spectrum
+    made = []
+
+    def counted(ref, nfft):
+        made.append((ref.size, nfft))
+        return transform(ref, nfft)
+
+    monkeypatch.setattr(modem, "_reference_spectrum", counted)
+    for make in SCENARIO_PRESETS.values():
+        made.clear()
+        run_scenario(make(seed=1, n_symbols=100_000, ad_block=None))
+        assert made == [(harness.ALIGNMENT_WINDOW, 67_500)]
+    made.clear()
+    calibrate_preset("freespace", n_symbols=20_000)
+    assert made == [(20_000, modem._fft_size(20_000 + harness.MIN_ALIGNMENT_LAG))]
 
 
 def test_calibrating_an_unknown_preset_raises():

@@ -7,7 +7,11 @@ import pytest
 from thermalqkd.distill import PartyRecord
 from thermalqkd.infotheory import (MetricsReport, build_report,
                                    conditional_mutual_information, entropy, g2,
-                                   joint_counts, mutual_information, pearson_r)
+                                   joint_counts, mutual_information, pearson_rs)
+
+
+def pearson_r(xs, ys):
+    return pearson_rs(xs, ys)[0, 1]
 
 
 def test_joint_counts_small_cases():
@@ -22,6 +26,20 @@ def test_joint_counts_small_cases():
             joint_counts(*arrays)
     with pytest.raises(ValueError, match="one nonzero length"):
         joint_counts(a, b[:4])
+
+
+def test_joint_counts_match_int64_codes_and_reject_non_bits():
+    rng = np.random.default_rng(3)
+    arrays = [rng.integers(0, 2, 5000).astype(dtype) for dtype in (np.uint8, bool, np.int64)]
+    for k in (1, 2, 3):
+        code = np.zeros(5000, dtype=np.int64)
+        for a in arrays[:k]:
+            code = code * 2 + a
+        want = np.bincount(code, minlength=2 ** k).reshape((2,) * k)
+        assert np.array_equal(joint_counts(*arrays[:k]), want)
+    for bad in (np.array([0, 1, 2]), np.array([0, -1, 1])):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            joint_counts(bad, np.array([0, 1, 1]))
 
 
 def test_entropy_values():
@@ -119,6 +137,8 @@ def test_pearson_values():
         pearson_r(np.ones(5), np.arange(5.0))
     with pytest.raises(ValueError, match="equal-length"):
         pearson_r(np.arange(5.0), np.arange(4.0))
+    with pytest.raises(ValueError, match="two or more"):
+        pearson_rs(np.arange(5.0))
 
 
 def test_g2_constant_and_validation():
@@ -191,6 +211,27 @@ def test_build_report_identical_parties():
     assert report.n_bits == 4000
     with pytest.raises(ValueError, match="aligned"):
         build_report(_record(bits, z), _record(bits, z), _record(bits[1:], z[1:]))
+
+
+def test_build_report_correlations_equal_pearson_r_exactly():
+    # pearson_rs centres each party's z once for its two correlations.
+    rng = np.random.default_rng(11)
+    z = [rng.normal(3, 1, 6001) for _ in range(3)]
+    z[1] += 0.7 * z[0]
+    z[2] += 0.2 * z[1]
+    recs = [_record((zi > np.median(zi)).astype(np.uint8), zi) for zi in z]
+    report = build_report(*recs)
+
+    def reference(x, y):
+        # the two-sample correlation as written before the centring was shared
+        dx = x - np.sum(x) / x.size
+        dy = y - np.sum(y) / y.size
+        return float(np.sum(dx * dy) / np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
+
+    want = (reference(z[0], z[1]), reference(z[1], z[2]), reference(z[0], z[2]))
+    assert (report.r_ab, report.r_be, report.r_ae) == want
+    assert (pearson_r(z[0], z[1]), pearson_r(z[1], z[2]), pearson_r(z[0], z[2])) == want
+    assert pearson_rs(*z) == {(0, 1): want[0], (1, 2): want[1], (0, 2): want[2]}
 
 
 def test_build_report_uninformative_eve():

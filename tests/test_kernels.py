@@ -34,13 +34,59 @@ def _channel_reference(src, amp, delay, cos_t, sin_t, tap_delays, tap_cr, tap_ci
     return out
 
 
+def _copied(case):
+    """``case`` with every array copied: the kernel overwrites ``cos_t`` and
+    ``sin_t``."""
+    return {key: value.copy() if isinstance(value, np.ndarray) else value
+            for key, value in case.items()}
+
+
 def test_channel_combine_matches_reference():
     rng = np.random.default_rng(0)
     for delay, n_taps in ((0, 0), (3, 1), (5, 3), (40, 2), (250, 1)):
         case = _channel_case(rng, 200, n_taps, delay)
-        out = kernels.channel_combine(**case)
+        out = kernels.channel_combine(**_copied(case))
         assert out.dtype == np.complex128
         np.testing.assert_allclose(out, _channel_reference(**case), atol=1e-12)
+
+
+def _channel_combine_strided(src, amp, delay, cos_t, sin_t, tap_delays, tap_cr, tap_ci,
+                             noise):
+    """The kernel written with one expression per sum into a zeroed complex
+    result, the noise added part by part through strided views."""
+    n = src.shape[0]
+    out = np.zeros(n, dtype=complex)
+    src_re, src_im = src.real, src.imag
+    out_re, out_im = out.real, out.imag
+    if delay < n:
+        m = n - delay
+        out_re[delay:] = amp * (cos_t[delay:] * src_re[:m] - sin_t[delay:] * src_im[:m])
+        out_im[delay:] = amp * (sin_t[delay:] * src_re[:m] + cos_t[delay:] * src_im[:m])
+    for k in range(tap_delays.shape[0]):
+        off = delay + int(tap_delays[k])
+        if off < n:
+            m = n - off
+            out_re[off:] += tap_cr[k] * src_re[:m] - tap_ci[k] * src_im[:m]
+            out_im[off:] += tap_cr[k] * src_im[:m] + tap_ci[k] * src_re[:m]
+    out_re += noise[:, 0]
+    out_im += noise[:, 1]
+    return out
+
+
+def test_channel_combine_matches_strided_form_byte_for_byte():
+    # Sums built in the cosine and sine buffers, then one add through the
+    # noise's complex view, give the bytes of the one-expression form with
+    # per-part noise adds, signed zeros included (a zero-amplitude input and
+    # zero noise), at delays inside and past the stream.
+    rng = np.random.default_rng(6)
+    for delay, n_taps in ((0, 0), (3, 1), (5, 3), (198, 2), (250, 1)):
+        case = _channel_case(rng, 200, n_taps, delay)
+        for scale in (1.0, 0.0, -0.0):
+            case["noise"] = rng.normal(size=(200, 2)) * scale
+            for src in (case["src"], np.zeros(200, dtype=complex) * -1.0):
+                case["src"] = src
+                got = kernels.channel_combine(**_copied(case))
+                assert got.tobytes() == _channel_combine_strided(**case).tobytes()
 
 
 def test_demod_fold_matches_rotation():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from thermalqkd.infotheory import g2
-from thermalqkd.optics import (SourceParams, apply_beamsplitter, heterodyne,
-                               joint_covariance_oracle, sample_source_field)
+from thermalqkd.modem import SYMBOL_PHASES
+from thermalqkd.optics import (SourceParams, apply_beamsplitter, draw_detector_noise,
+                               heterodyne, joint_covariance_oracle, sample_source_field)
+from thermalqkd.selftest import _source_at_phase_zero
 
 
 def test_source_params_rejects_negative():
@@ -16,24 +18,69 @@ def test_source_params_rejects_negative():
 def test_source_field_noiseless_is_pure_displacement():
     params = SourceParams(nbar=0.0, d0=1.0)
     rng = np.random.default_rng(0)
-    value = sample_source_field(params, 0.0, rng)
-    assert value == 1.0 + 0.0j
+    value = sample_source_field(params, [0.0], [0], rng)
+    assert value.tobytes() == np.array([1.0 + 0.0j]).tobytes()
 
 
 def test_source_field_thermal_variance():
     # Monte Carlo consistency: per-quadrature variance of the fluctuation is nbar.
     rng = np.random.default_rng(42)
-    field = sample_source_field(SourceParams(nbar=2.0, d0=0.0), np.zeros(10 ** 6), rng)
+    field = _source_at_phase_zero(2.0, 0.0, 10 ** 6, rng)
     assert abs(field.real.var() - 2.0) < 0.02
     assert abs(field.imag.var() - 2.0) < 0.02
 
 
 def test_source_field_displaced_mean():
     rng = np.random.default_rng(7)
-    field = sample_source_field(SourceParams(nbar=2.0, d0=3.0),
-                                np.full(10 ** 6, np.pi / 2), rng)
+    field = sample_source_field(SourceParams(nbar=2.0, d0=3.0), [0.1, np.pi / 2],
+                                np.ones(10 ** 6, dtype=np.uint8), rng)
     assert abs(field.real.mean() - 0.0) < 0.01
     assert abs(field.imag.mean() - 3.0) < 0.01
+
+
+@pytest.mark.parametrize("nbar, d0", [(60.0, 40.0), (0.0, 40.0), (60.0, 0.0), (1e-300, 0.0)])
+def test_source_table_matches_per_symbol_exp_byte_for_byte(nbar, d0):
+    # The phase table gathered by the symbols and added into the draws'
+    # complex view gives the bytes of the per-symbol expression, with a
+    # coherent source, a thermal one and a thermal one so faint that its
+    # draws round to zero.
+    syms = np.random.default_rng(1).integers(0, 4, 20_001).astype(np.uint8)
+    params = SourceParams(nbar=nbar, d0=d0)
+    rng = np.random.default_rng(3)
+    fluct = rng.normal(0.0, 1.0, syms.shape + (2,)) * np.sqrt(nbar)
+    expect = d0 * np.exp(1j * SYMBOL_PHASES[syms]) + fluct[..., 0] + 1j * fluct[..., 1]
+    got = sample_source_field(params, SYMBOL_PHASES, syms, np.random.default_rng(3))
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_dark_source_differs_from_per_symbol_exp_only_in_zero_signs():
+    # With d0 = nbar = 0 every amplitude is zero, and the per-symbol
+    # expression's later adds can flip the sign of a zero part by the sign
+    # of a draw for the other part, which one add per part cannot copy. The
+    # unit detection noise of every receiver absorbs the sign, so a run's
+    # bytes do not change (tests/test_golden_arrays.py, "dark-source").
+    syms = np.random.default_rng(1).integers(0, 4, 20_001).astype(np.uint8)
+    rng = np.random.default_rng(3)
+    fluct = rng.normal(0.0, 1.0, syms.shape + (2,)) * 0.0
+    expect = 0.0 * np.exp(1j * SYMBOL_PHASES[syms]) + fluct[..., 0] + 1j * fluct[..., 1]
+    got = sample_source_field(SourceParams(0.0, 0.0), SYMBOL_PHASES, syms,
+                              np.random.default_rng(3))
+    assert not np.any(got) and not np.any(expect)
+
+
+def test_heterodyne_matches_strided_adds_byte_for_byte():
+    # Adding the field into the noise's complex view gives the bytes of the
+    # per-quadrature sums, signed zeros included.
+    rng = np.random.default_rng(8)
+    field = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+    field[::7] = -0.0
+    field[::11] = 0.0 - 0.0j
+    for var in (1.0, 0.0):
+        w = rng.normal(0.0, 1.0, field.shape + (2,)) * np.sqrt(var)
+        expect = (field.real + w[..., 0], field.imag + w[..., 1])
+        got = heterodyne(field, w.copy())
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expect], var
 
 
 def test_beamsplitter_identity_and_split():
@@ -80,15 +127,15 @@ def test_beamsplitter_vacuum_port_limits_and_conservation():
 
 def test_heterodyne_noiseless_and_moments():
     rng = np.random.default_rng(5)
-    assert heterodyne(1.0 + 1.0j, 0.0, rng) == (1.0, 1.0)
-    x, p = heterodyne(np.zeros(10 ** 6, dtype=complex), 1.0, rng)
+    assert heterodyne(1.0 + 1.0j, draw_detector_noise(0.0, (), rng)) == (1.0, 1.0)
+    x, p = heterodyne(np.zeros(10 ** 6, dtype=complex), draw_detector_noise(1.0, (10 ** 6,), rng))
     assert abs(x.var() - 1.0) < 0.01
     assert abs(p.var() - 1.0) < 0.01
-    x, p = heterodyne(np.full(10 ** 6, 5.0 + 0.0j), 1.0, rng)
+    x, p = heterodyne(np.full(10 ** 6, 5.0 + 0.0j), draw_detector_noise(1.0, (10 ** 6,), rng))
     assert abs(x.mean() - 5.0) < 0.01
     assert abs(p.mean()) < 0.01
     with pytest.raises(ValueError):
-        heterodyne(1.0 + 0j, -0.5, rng)
+        draw_detector_noise(-0.5, (), rng)
 
 
 def test_oracle_no_thermal_light_is_pure_detection_noise():
@@ -123,12 +170,12 @@ def test_oracle_rejects_invalid():
 
 
 def _simulate_rounds(links, nbar, t_eve, n, rng, d0=0.0):
-    field = sample_source_field(SourceParams(nbar=nbar, d0=d0), np.zeros(n), rng)
+    field = _source_at_phase_zero(nbar, d0, n, rng)
     alice, broadcast = apply_beamsplitter(field, 0.5)
     bob, eve = apply_beamsplitter(broadcast, t_eve)
     rows = []
     for arm, (eta, noise) in zip((alice, bob, eve), links):
-        x, p = heterodyne(np.sqrt(eta) * arm, noise, rng)
+        x, p = heterodyne(np.sqrt(eta) * arm, draw_detector_noise(noise, arm.shape, rng))
         rows += [x, p]
     return np.stack(rows)
 
@@ -155,8 +202,8 @@ def test_fluctuations_independent_of_displacement():
 def test_thermal_heterodyne_shows_bunching():
     # Hanbury Brown-Twiss signature: g2(0) = 2 for thermal light, 1 at long lag.
     rng = np.random.default_rng(33)
-    field = sample_source_field(SourceParams(nbar=5.0, d0=0.0), np.zeros(10 ** 6), rng)
-    x, p = heterodyne(field, 1.0, rng)
+    field = _source_at_phase_zero(5.0, 0.0, 10 ** 6, rng)
+    x, p = heterodyne(field, draw_detector_noise(1.0, field.shape, rng))
     intensity = x * x + p * p
     assert abs(g2(intensity, 0) - 2.0) < 0.05
     assert abs(g2(intensity, 1000) - 1.0) < 0.05
@@ -175,5 +222,5 @@ def test_displaced_thermal_g2_pins_d0_unit(nbar, d0, bar):
     # (displacement sqrt(2)*d0) moves every displaced point far past its bar.
     expected = 1.0 + (4 * d0 ** 2 * nbar + 4 * nbar ** 2) / (d0 ** 2 + 2 * nbar) ** 2
     rng = np.random.default_rng(71)
-    field = sample_source_field(SourceParams(nbar=nbar, d0=d0), np.zeros(10 ** 6), rng)
+    field = _source_at_phase_zero(nbar, d0, 10 ** 6, rng)
     assert abs(g2(np.abs(field) ** 2, 0) - expected) < bar

@@ -23,7 +23,7 @@ import pytest
 
 from thermalqkd.channels import PhaseDriftParams
 from thermalqkd.harness import PARTIES, SCENARIO_PRESETS, run_scenario
-from thermalqkd.infotheory import pearson_r
+from thermalqkd.infotheory import pearson_rs
 
 N_SYMBOLS = 200_000
 
@@ -44,7 +44,7 @@ def _power_gains(cfg):
 
 
 def _intensity_r(cfg):
-    """Predicted pearson_r(z_i^2, z_j^2) for each pair of parties."""
+    """Predicted Pearson r of (z_i^2, z_j^2) for each pair of parties."""
     nbar, d0 = cfg.source.nbar, cfg.source.d0
     g2 = _power_gains(cfg)
     c = {k: 2 * nbar * g2[k] + 2 * (1 + getattr(cfg, f"{k}_link").rx_noise_var) for k in PARTIES}
@@ -98,7 +98,7 @@ def _deviations(cfg):
     oracle, and, with drift off, its folded means' deviations in SEs."""
     art = run_scenario(cfg)
     z2 = {k: art.parties[k].z ** 2 for k in PARTIES}
-    r_dev = {pair: pearson_r(z2[pair[0]], z2[pair[1]]) - want
+    r_dev = {pair: pearson_rs(z2[pair[0]], z2[pair[1]])[0, 1] - want
              for pair, want in _intensity_r(cfg).items()}
     mean_dev = {}
     if not any(getattr(cfg, f"{k}_link").drift.active for k in PARTIES):
