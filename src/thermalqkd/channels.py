@@ -16,8 +16,10 @@ that identity parameters reproduce the input exactly.
 RNG consumption is independent of parameter values: a channel always draws
 the same number of variates for a given stream length, so frozen-seed
 comparisons across parameter changes stay sample-aligned. The draws
-(``draw_channel``) read no field, so they are made apart from the combine
-(``apply_channel``) that applies them to the link's input.
+(``draw_channel``) read no field and of the link only its drift: the noise
+is drawn at unit variance and scaled by the combine (``apply_channel``) that
+applies the draws to the link's input. So links that differ only in loss,
+delay, taps or noise level can share one set of draws.
 """
 
 from __future__ import annotations
@@ -113,15 +115,15 @@ def sample_phase_walk(drift: PhaseDriftParams, n: int, rng) -> np.ndarray:
     return inc
 
 
-def draw_channel(params: ChannelParams, n: int, rng):
+def draw_channel(drift: PhaseDriftParams, n: int, rng):
     """A link's draws for ``n`` symbols: ``(cos theta, sin theta, noise)``.
 
-    Reads no field, so it can run before the link's input is known.
-    ``noise`` holds one ``(re, im)`` pair per symbol.
+    Reads no field and of the link only ``drift``, so it can run before the
+    link's input is known. ``noise`` holds one unit-variance ``(re, im)``
+    pair per symbol.
     """
-    theta = sample_phase_walk(params.drift, n, rng)
+    theta = sample_phase_walk(drift, n, rng)
     noise = rng.normal(0.0, 1.0, (n, 2))
-    noise *= np.sqrt(params.rx_noise_var)
     cos_t = np.cos(theta)
     return cos_t, np.sin(theta, out=theta), noise
 
@@ -129,13 +131,15 @@ def draw_channel(params: ChannelParams, n: int, rng):
 def apply_channel(stream, params: ChannelParams, drawn) -> np.ndarray:
     """Apply the composite impairment model to a complex symbol stream,
     with the link's draws ``drawn`` from ``draw_channel``, which it
-    consumes: the cosines and sines are overwritten."""
+    consumes: the noise is scaled to ``rx_noise_var`` in place and the
+    cosines and sines are overwritten."""
     src = np.ascontiguousarray(stream, dtype=complex)
     if src.ndim != 1 or src.size == 0:
         raise ValueError("stream must be a nonempty 1-D sequence of amplitudes")
     cos_t, sin_t, noise = drawn
     if cos_t.shape != src.shape:
         raise ValueError(f"draws cover {cos_t.size} symbols, the stream {src.size}")
+    noise *= np.sqrt(params.rx_noise_var)
     amp = np.sqrt(params.transmittance)
     tap_delays = np.array([t.delay for t in params.taps], dtype=np.int64)
     tap_cr = np.array([t.amplitude * np.cos(t.phase) * amp for t in params.taps])

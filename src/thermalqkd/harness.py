@@ -26,19 +26,28 @@ reads it. A held receive is the party's folded ``x``, ``p`` and ``z``, 24 B
 per data symbol, so each distinct receive is folded once and each point
 only slices its common window from it. A group holds its transmission, the
 receives later points read (one inner axis of a product grid) and the
-current point's. The free-space calibration grid of 9 x 9 points makes 1
-transmission and 27 receives (27 folds) and holds at most 11.
+current point's. The group also draws each party's detection noise once,
+and its link once per drift of the party's links: a link's draws read only
+its drift, and its noise is drawn at unit variance and scaled by the
+receive. While a later distinct receive of the party needs them, the group
+holds the party's draws, 48 B per symbol, and each receive takes copies,
+since it writes into them; the last takes the arrays themselves. The
+free-space calibration grid of 9 x 9 points makes 1 transmission, 27
+receives (27 folds) and 3 link and 3 detector draws, not 27 and 27, and
+holds at most 11 receives. A lone run has one receive per party, so it
+holds and copies no draw.
 
 ``run_scenario`` composes the protocol's three phases from four stages.
 Each stage makes the streams it draws and takes no others, so receiving a
 party again from the same transmission draws what the run drew:
 ``_transmit`` (bits, symbols, source, 50:50 split and tap; draws ``bits``
 and ``source``), per party ``_draw_link`` (the link's phase walk, its
-cosines and sines and its noise; draws ``chan_<party>`` and reads no
+cosines and sines and its unit noise; draws ``chan_<party>`` and reads no
 field) and ``_receive_party`` (channel combine, heterodyne, alignment,
-pilot phases and the fold of the party's own data range; draws
-``det_<party>``), and ``_finish`` (common index, each party's slice of it,
-report and distillation; draws ``distill`` only when ``ad_block`` is set).
+pilot phases and the fold of the party's own data range; takes its
+detection noise, ``_draw_detector``, which draws ``det_<party>``), and
+``_finish`` (common index, each party's slice of it, report and
+distillation; draws ``distill`` only when ``ad_block`` is set).
 
 A point with two or more new receives, outside a pool worker, starts
 ``PARTY_THREADS`` party threads beside the calling thread. Each party
@@ -51,11 +60,12 @@ at most three receives run at once, one per thread. Each party's steps
 read only its own input and link and draw only its own streams, so the
 output bytes do not depend on how the threads are scheduled. Any other
 point (a single new receive or none, as at most points of a grid run)
-transmits and receives on the calling thread and starts no pool. Pools do not nest: a run or a
-``_pool_map`` on a pool worker (a group of a grid run with ``jobs >= 2``
-and more than one group) stays on that thread. At ``jobs == 1``, or with a
-single group, a grid run maps its groups on the caller's thread, unmarked,
-so its points still receive their parties on party threads.
+transmits and receives on the calling thread and starts no pool. Pools do
+not nest: a run or a ``_pool_map`` on a pool worker (a group of a grid run
+with ``jobs >= 2`` and more than one group) stays on that thread. At
+``jobs == 1``, or with a single group, a grid run maps its groups on the
+caller's thread, unmarked, so its points still receive their parties on
+party threads.
 
 ``RunArtifacts.write`` formats each measurement CSV in its own forked child
 process (``os.fork``, so POSIX only). It forks only after
@@ -66,6 +76,7 @@ lock that one of them holds.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -285,23 +296,31 @@ def _data_before(tx, config):
 
 def _draw_link(name, config):
     """A party's link draws, ``chan_<name>``: the phase walk's cosines and
-    sines and the receiver noise, 32 B per symbol. They read no field, so
-    they can be made while the source is transmitted."""
-    return draw_channel(getattr(config, f"{name}_link"), config.n_symbols,
+    sines and the unit-variance receiver noise, 32 B per symbol. They read
+    no field, so they can be made while the source is transmitted, and of
+    the link only its drift."""
+    return draw_channel(getattr(config, f"{name}_link").drift, config.n_symbols,
                         _stream(config.seed, f"chan_{name}"))
 
 
-def _receive_party(name, inputs, config, syms, drawn, spectra):
+def _draw_detector(name, config):
+    """A party's detection noise, ``det_<name>``, 16 B per symbol."""
+    return draw_detector_noise(DETECTION_NOISE_VAR, (config.n_symbols,),
+                               _stream(config.seed, f"det_{name}"))
+
+
+def _receive_party(name, inputs, config, syms, drawn, detect, spectra):
     """Channel, heterodyne, alignment, pilot phases and fold of one party.
 
     Reads no other party's link, its delay search included, so a receive
     depends only on the transmission and ``_receive_key(name, config)``;
     a grid run makes each distinct receive once. Pops the party's input
     from ``inputs`` and its ``_draw_link`` draws from ``drawn``, and drops
-    each once used; the detection noise (``det_<name>``) is drawn once the
-    link's draws are freed. So two parties received at once hold little
-    besides their quadratures. ``spectra`` holds the transmission's
-    reference transforms for the delay search.
+    each once used; ``detect()`` gives the ``_draw_detector`` noise, taken
+    once the link's draws are freed. So two parties received at once hold
+    little besides their quadratures. The receive owns what it pops and
+    what ``detect`` gives, and writes into them. ``spectra`` holds the
+    transmission's reference transforms for the delay search.
 
     The fold covers the party's own data range on the transmitted clock:
     every data symbol ``tx`` whose received index ``tx + lag`` lies in
@@ -317,8 +336,7 @@ def _receive_party(name, inputs, config, syms, drawn, spectra):
     max_lag = min(max(MIN_ALIGNMENT_LAG, 2 * link.max_history), n // 4)
     window = min(n, max(8 * max_lag, ALIGNMENT_WINDOW))
     rx_field = apply_channel(inputs.pop(name), link, drawn.pop(name))
-    x, p = heterodyne(rx_field, draw_detector_noise(DETECTION_NOISE_VAR, (n,),
-                                                    _stream(config.seed, f"det_{name}")))
+    x, p = heterodyne(rx_field, detect())
     del rx_field
     found = estimate_delay_and_rotation(syms[:window], x[:window] + 1j * p[:window], max_lag,
                                         spectra)
@@ -397,32 +415,46 @@ def _receive_key(name, config):
     return name, getattr(config, f"{name}_link"), config.coherence_len, config.pilot_len
 
 
+def _link_draw_key(name, config):
+    """All that ``_draw_link`` reads besides the seed and the run length."""
+    return name, getattr(config, f"{name}_link").drift
+
+
 class _GroupCache:
-    """The transmission of a group of points and the folded receives they
-    share.
+    """The transmission of a group of points, the folded receives they
+    share and the draws that those receives share.
 
     Counts come from the group's configs before any point runs: the points
-    that read each receive, and each party's distinct receives. A receive is
-    dropped after the last point that reads it, and a party's input field is
-    handed to its last distinct receive, which frees it once used. A held
-    receive is the party's folded ``x``, ``p`` and ``z``, which each point
-    slices to its own common window.
+    that read each receive, and each party's distinct receives, in all and
+    per drift of its link. A receive is dropped after the last point that
+    reads it. A party's input field, its detection noise and its link draws
+    for one drift each go to the last distinct receive that reads them.
+    Until then the group holds them, and each earlier receive reads the
+    field and takes copies of the draws, which it writes into: a party's
+    draws are 48 B per symbol. A held receive is the party's folded ``x``,
+    ``p`` and ``z``, which each point slices to its own common window.
     """
 
     def __init__(self, configs):
         self.uses = Counter(_receive_key(name, cfg) for cfg in configs for name in PARTIES)
-        self.to_receive = Counter(name for name, *_ in self.uses)
+        # Keyed by party (its field, and its detection noise, whose variance
+        # is a constant) and by _link_draw_key (its link draws).
+        self.to_receive = Counter()
+        for name, link, *_ in self.uses:
+            self.to_receive.update([name, (name, link.drift)])
         self.held = {}
+        self.draws = {}
         self.transmission = None
 
     def received(self, config):
         """Each party's receive for one point; transmits on the first.
 
         A point with two or more new receives, run outside a pool worker,
-        starts ``PARTY_THREADS`` party threads. Each draws one party's link
-        while this thread transmits, then receives that party; this thread
-        then receives any other party, drawing its link itself. Any other
-        point transmits and receives on this thread and starts no pool.
+        starts ``PARTY_THREADS`` party threads. Each draws one party's link,
+        unless the group holds that draw, while this thread transmits, then
+        receives that party; this thread then receives any other party,
+        drawing its link itself if need be. Any other point transmits and
+        receives on this thread and starts no pool.
         """
         keys = {name: _receive_key(name, config) for name in PARTIES}
         new = [name for name in PARTIES if keys[name] not in self.held]
@@ -432,7 +464,8 @@ class _GroupCache:
         else:
             workers = min(PARTY_THREADS, len(new))
             with ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_worker) as pool:
-                early = {name: pool.submit(_draw_link, name, config) for name in new[:workers]}
+                early = {name: pool.submit(_draw_link, name, config) for name in new[:workers]
+                         if _link_draw_key(name, config) not in self.draws}
                 receive = self._receiver(config, new, early)
                 # Submitted after every early draw, so a receive waits only
                 # on a draw that a worker has started or finished.
@@ -449,22 +482,46 @@ class _GroupCache:
 
     def _receiver(self, config, new, early):
         """``receive(name)`` for each party in ``new``, which takes the
-        party's link draws from its future in ``early`` or makes them on
-        the calling thread. Transmits first if the group has not."""
+        party's link draws from its future in ``early``, from the group or
+        from a draw on the calling thread, and its detection noise from the
+        group or a draw (see ``_take``). The counts are taken here, before
+        any receive starts. Transmits first if the group has not."""
         if self.transmission is None:
             self.transmission = _transmit(config) + (ReferenceSpectra(),)
         syms, inputs, spectra = self.transmission
-        fields, drawn = {}, {}
+        fields, drawn, shared = {}, {}, {}
         for name in new:
-            self.to_receive[name] -= 1
-            fields[name] = inputs[name] if self.to_receive[name] else inputs.pop(name)
+            for key in (name, _link_draw_key(name, config)):
+                self.to_receive[key] -= 1
+                shared[key] = self.to_receive[key] > 0
+            fields[name] = inputs[name] if shared[name] else inputs.pop(name)
 
         def receive(name):
-            # Popped, so the draws are held only in ``drawn`` until used.
-            drawn[name] = early.pop(name).result() if name in early else _draw_link(name, config)
-            return _receive_party(name, fields, config, syms, drawn, spectra)
+            link = _link_draw_key(name, config)
+            # A future is popped, so its draws are held only in ``drawn``
+            # (and the group, if shared) until used.
+            drawn[name] = self._take(link, shared[link], early.pop(name).result
+                                     if name in early else lambda: _draw_link(name, config))
+
+            def detect():
+                return self._take(name, shared[name], lambda: _draw_detector(name, config))
+
+            return _receive_party(name, fields, config, syms, drawn, detect, spectra)
 
         return receive
+
+    def _take(self, key, shared, make):
+        """Draw ``key`` for one receive: the arrays the group holds, or
+        ``make()``'s. While ``shared`` (a later receive needs them) the
+        group holds them and the receive gets copies, since it writes into
+        its draws; otherwise the receive takes the arrays themselves."""
+        drawn = self.draws.pop(key, None)
+        if drawn is None:
+            drawn = make()
+        if not shared:
+            return drawn
+        self.draws[key] = drawn
+        return copy.deepcopy(drawn)
 
 
 # The cache of the grid group that this thread runs, if any (see _run_grid).

@@ -8,7 +8,7 @@ from thermalqkd.harness import freespace_scenario, waveguide_scenario
 
 def _channel(stream, params, rng):
     """The link's draws from ``rng``, applied to ``stream``."""
-    return apply_channel(stream, params, draw_channel(params, len(stream), rng))
+    return apply_channel(stream, params, draw_channel(params.drift, len(stream), rng))
 
 
 def test_param_validation():
@@ -96,7 +96,7 @@ def test_out_of_range_history_reads_vacuum():
 def test_apply_channel_rejects_empty():
     with pytest.raises(ValueError):
         _channel(np.array([], dtype=complex), ChannelParams(), np.random.default_rng(0))
-    drawn = draw_channel(ChannelParams(), 9, np.random.default_rng(0))
+    drawn = draw_channel(PhaseDriftParams(), 9, np.random.default_rng(0))
     with pytest.raises(ValueError, match="draws cover 9 symbols, the stream 10"):
         apply_channel(np.ones(10, dtype=complex), ChannelParams(), drawn)
 

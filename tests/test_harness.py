@@ -3,6 +3,7 @@ import hashlib
 import os
 import sys
 import threading
+import time
 import weakref
 from collections import Counter
 
@@ -389,7 +390,8 @@ def test_each_stage_draws_only_its_own_streams(monkeypatch, ad_block):
         draws, names = drawn(harness._draw_link, name, cfg)
         assert names == [f"chan_{name}"], name
         received[name], names = drawn(harness._receive_party, name, inputs, cfg, syms,
-                                      {name: draws}, spectra)
+                                      {name: draws}, lambda: harness._draw_detector(name, cfg),
+                                      spectra)
         assert names == [f"det_{name}"], name
     _, names = drawn(harness._finish, cfg, received)
     assert names == (["distill"] if ad_block else [])
@@ -399,7 +401,7 @@ def _receive_alone(receive, name, inputs, config, syms):
     """``receive`` of one party from a copy of ``inputs``, with fresh draws
     and reference transforms."""
     return receive(name, dict(inputs), config, syms, {name: harness._draw_link(name, config)},
-                   ReferenceSpectra())
+                   lambda: harness._draw_detector(name, config), ReferenceSpectra())
 
 
 @pytest.mark.parametrize("preset", sorted(SCENARIO_PRESETS))
@@ -749,33 +751,75 @@ GOLDEN_CALIBRATIONS = {
 }
 
 
+def _calibration_digest(result):
+    rows = [repr((point, sorted(achieved.items()), objective))
+            for point, achieved, objective in result.table]
+    text = "\n".join(rows) + "\n" + format_config(result.config)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("preset", sorted(GOLDEN_CALIBRATIONS))
 def test_calibration_matches_golden_digest(preset, jobs):
     result = calibrate_preset(preset, n_symbols=20_000, jobs=jobs)
-    rows = [repr((point, sorted(achieved.items()), objective))
-            for point, achieved, objective in result.table]
-    text = "\n".join(rows) + "\n" + format_config(result.config)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_CALIBRATIONS[preset]
+    assert _calibration_digest(result) == GOLDEN_CALIBRATIONS[preset]
+
+
+def test_calibration_under_fast_thread_switches_matches_golden_digest(monkeypatch):
+    # Party threads take the group's shared draws, and hold the new ones, at
+    # once. Three of them, more than the cores here, under a 1 us switch
+    # interval must still give the golden free-space calibration, in bounded
+    # time.
+    monkeypatch.setattr(harness, "PARTY_THREADS", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    start = time.monotonic()
+    try:
+        result = calibrate_preset("freespace", n_symbols=20_000)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - start < 120
+    assert _calibration_digest(result) == GOLDEN_CALIBRATIONS["freespace"]
 
 
 def _traced_grid(monkeypatch, run_grid):
-    """Run ``run_grid()`` and count its points, transmissions, receives and
-    folds.
+    """Run ``run_grid()`` and count its points, transmissions, receives,
+    folds and draws.
     Also check that each receive alive as a point starts is read by that
-    point or a later one, and return the most receives alive at once
-    (sampled as each point finishes) and the number alive after."""
+    point or a later one, and that none of a party's draws is alive once
+    its group's last receive of that party is made. Return the counts, the
+    draws made of each stream (``chan_<party>``, ``det_<party>``), the most
+    receives alive at once (sampled as each point finishes) and the number
+    of receives and draws alive after."""
     transmit, receive, finish = harness._transmit, harness._receive_party, harness._finish
+    draw_link, draw_detector = harness._draw_link, harness._draw_detector
     fold = kernels.demod_fold
     # Lists, not counters: a list append is atomic across pool threads.
     transmitted = []
     made = []           # (receive key, weak reference to its z)
     folds = []
     points = []         # (config, keys of the receives alive as it starts)
+    draws = []          # (stream, party of a group, weak references to its arrays)
+    receives = []       # (party of a group, parties of a group with draws alive after)
     peak = [0]
+
+    def party(name, config):
+        return harness._transmission_key(config), name
 
     def alive():
         return [key for key, ref in made if ref() is not None]
+
+    def drawing(stream, draw):
+        def counted(name, config):
+            out = draw(name, config)
+            arrays = out if isinstance(out, tuple) else (out,)
+            draws.append((f"{stream}_{name}", party(name, config),
+                          [weakref.ref(a) for a in arrays]))
+            return out
+        return counted
+
+    def drawn_alive():
+        return {who for _, who, refs in draws if any(ref() is not None for ref in refs)}
 
     def counted_transmit(config):
         transmitted.append(config)
@@ -784,6 +828,7 @@ def _traced_grid(monkeypatch, run_grid):
     def counted_receive(name, inputs, config, *args):
         out = receive(name, inputs, config, *args)
         made.append((harness._receive_key(name, config), weakref.ref(out[4])))
+        receives.append((party(name, config), drawn_alive()))
         return out
 
     def counted_fold(*args):
@@ -800,6 +845,8 @@ def _traced_grid(monkeypatch, run_grid):
 
     monkeypatch.setattr(harness, "_transmit", counted_transmit)
     monkeypatch.setattr(harness, "_receive_party", counted_receive)
+    monkeypatch.setattr(harness, "_draw_link", drawing("chan", draw_link))
+    monkeypatch.setattr(harness, "_draw_detector", drawing("det", draw_detector))
     monkeypatch.setattr(harness, "_finish", sampled_finish)
     monkeypatch.setattr(kernels, "demod_fold", counted_fold)
     monkeypatch.setattr(harness, "run_scenario", point)
@@ -808,35 +855,70 @@ def _traced_grid(monkeypatch, run_grid):
                    for i, (config, _) in enumerate(points) for name in harness.PARTIES}
     for i, (_, held) in enumerate(points):
         assert all(last_reader[key] >= i for key in held), i
-    return (len(points), len(transmitted), len(made), len(folds)), peak[0], len(alive())
+    last_receive = {who: i for i, (who, _) in enumerate(receives)}
+    for who, i in last_receive.items():
+        assert who not in receives[i][1], (who, i)
+    counts = (len(points), len(transmitted), len(made), len(folds))
+    streams = Counter(stream for stream, _, _ in draws)
+    return counts, streams, peak[0], len(alive()) + len(drawn_alive())
 
 
-@pytest.mark.parametrize("grid, work, most_held", [
-    (lambda: calibrate_preset("freespace", n_symbols=20_000), (81, 1, 27, 27), 11),
-    (lambda: calibrate_preset("waveguide", n_symbols=20_000), (12, 1, 14, 14), 3),
+def _sweep_bob(key, values):
+    return lambda: sweep(waveguide_scenario(n_symbols=20_000), key, values)
+
+
+@pytest.mark.parametrize("grid, work, draws, most_held", [
+    (lambda: calibrate_preset("freespace", n_symbols=20_000), (81, 1, 27, 27), (1, 1, 1), 11),
+    (lambda: calibrate_preset("waveguide", n_symbols=20_000), (12, 1, 14, 14), (1, 1, 1), 3),
     (lambda: sweep(waveguide_scenario(n_symbols=20_000), "seed", [1, 2, 3], jobs=2),
-     (3, 3, 9, 9), 6),
-    (lambda: sweep(waveguide_scenario(n_symbols=20_000), "bob_link.rx_noise_var",
-                   [0.1, 0.2, 0.3]), (3, 1, 5, 5), 3),
-], ids=["calibrate-freespace", "calibrate-waveguide", "sweep-seed", "sweep-bob-noise"])
-def test_grid_runs_share_transmissions_and_receives(monkeypatch, grid, work, most_held):
+     (3, 3, 9, 9), (3, 3, 3), 6),
+    (_sweep_bob("bob_link.rx_noise_var", [0.1, 0.2, 0.3]), (3, 1, 5, 5), (1, 1, 1), 3),
+    (_sweep_bob("bob_link.drift.walk_sigma", [1e-4, 2e-4, 4e-4]), (3, 1, 5, 5), (1, 3, 1), 3),
+], ids=["calibrate-freespace", "calibrate-waveguide", "sweep-seed", "sweep-bob-noise",
+        "sweep-bob-walk"])
+def test_grid_runs_share_transmissions_and_receives(monkeypatch, grid, work, draws, most_held):
     # One transmission per group of points with equal _transmission_key,
     # each distinct receive once and folded once, and none kept past the
     # last point that reads it: the free-space grid holds Alice's 9
-    # receives and one point's Bob and Eve at most.
-    counts, peak, left = _traced_grid(monkeypatch, grid)
+    # receives and one point's Bob and Eve at most. Each party's link is
+    # drawn once per drift of its links in the group (``draws`` counts them
+    # per party) and its detection noise once per group, and no draw is
+    # kept past the party's last receive: Alice's free-space draws are gone
+    # once her 9th receive is made.
+    counts, streams, peak, left = _traced_grid(monkeypatch, grid)
+    groups = work[1]
     assert counts == work
+    assert streams == {**{f"chan_{name}": n for name, n in zip(harness.PARTIES, draws)},
+                       **{f"det_{name}": groups for name in harness.PARTIES}}
     assert peak <= most_held
     assert left == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("preset", sorted(SCENARIO_PRESETS))
+def test_grid_points_match_lone_runs_over_link_fields(preset, jobs):
+    # Points whose Bob links differ only in noise level, loss, delay or
+    # drift share his draws of one drift; each report must still be that of
+    # a lone run of the point's config.
+    base = SCENARIO_PRESETS[preset](seed=4, n_symbols=20_000, ad_block=None)
+    for key, values in (("bob_link.rx_noise_var", [0.1, 0.6, 1.3]),
+                        ("bob_link.transmittance", [0.25, 0.6, 0.9]),
+                        ("bob_link.delay", [0, 7, 40]),
+                        ("bob_link.drift.walk_sigma", [0.0, 2e-4, 8e-4])):
+        for value, report in sweep(base, key, values, jobs=jobs):
+            lone = run_scenario(set_config_value(base, key, value)).report
+            assert report.to_json() == lone.to_json(), (key, value)
 
 
 def test_a_lone_run_frees_each_input_once_received(monkeypatch):
     # Outside a grid a run still drops each party's input field as that
     # party is received, and each party's raw quadratures once folded, so
-    # none is left by the time the run finishes.
+    # none is left by the time the run finishes. It holds no draw for a
+    # later receive, so each combine works in the link's draws themselves.
     transmit, detect, finish = harness._transmit, harness.heterodyne, harness._finish
     draw_link, draw_noise = harness._draw_link, harness.draw_detector_noise
-    fields, quadratures, draws = [], [], []
+    combine = harness.apply_channel
+    fields, quadratures, draws, links, combined = [], [], [], [], []
 
     def traced_transmit(config):
         syms, inputs = transmit(config)
@@ -851,12 +933,17 @@ def test_a_lone_run_frees_each_input_once_received(monkeypatch):
     def traced_draw_link(*args):
         out = draw_link(*args)
         draws.extend(weakref.ref(a) for a in out)
+        links.append([weakref.ref(a) for a in out])
         return out
 
     def traced_draw_noise(*args):
         noise = draw_noise(*args)
         draws.append(weakref.ref(noise))
         return noise
+
+    def checked_combine(stream, params, drawn):
+        combined.append(any(all(a is ref() for a, ref in zip(drawn, refs)) for refs in links))
+        return combine(stream, params, drawn)
 
     def checked_finish(*args):
         assert [ref() for ref in fields] == [None] * 3
@@ -868,11 +955,13 @@ def test_a_lone_run_frees_each_input_once_received(monkeypatch):
     monkeypatch.setattr(harness, "heterodyne", traced_detect)
     monkeypatch.setattr(harness, "_draw_link", traced_draw_link)
     monkeypatch.setattr(harness, "draw_detector_noise", traced_draw_noise)
+    monkeypatch.setattr(harness, "apply_channel", checked_combine)
     monkeypatch.setattr(harness, "_finish", checked_finish)
     run_scenario(freespace_scenario(seed=2, n_symbols=20_000, ad_block=None))
     assert len(fields) == 3
     assert len(quadratures) == 6
     assert len(draws) == 12
+    assert combined == [True] * 3
 
 
 def test_a_transmission_transforms_the_reference_once(monkeypatch):
