@@ -6,6 +6,8 @@ calibration (1-4 and 7-9, about 11 s). Exit codes: 0 success, 1 usage or
 validation error (including an empty or non-finite sweep grid and
 ``--jobs`` below 1, or a path argument that cannot be read or created,
 named by its argument), 2 runtime failure or a failed selftest criterion.
+``--seed`` and ``--n-symbols`` are read as the config file reads those keys,
+so ``0x10`` is 16 and ``010`` is rejected by name.
 The default output directory comes from ``THERMALQKD_OUT`` (falling back to
 ./runs). ``run`` writes its measurement CSVs in forked processes, so it
 needs ``os.fork`` (Linux, macOS).
@@ -15,13 +17,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import os
 import re
 import sys
 from pathlib import Path
 
-from .config import PARTIES, ConfigError, load_config
+from .config import PARTIES, ConfigError, load_config, parse_value, set_config_value
 from .harness import (CalibrationError, SCENARIO_PRESETS, calibrate_preset,
                       run_scenario, sweep, sweep_csv, sweep_values,
                       write_preset_file)
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario config and write artifacts")
     p_run.add_argument("config", help="scenario config file")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_run.add_argument("--seed", default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="output directory")
 
     # An option left out is not passed on, so the library default holds.
@@ -74,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
                            argument_default=argparse.SUPPRESS)
     p_cal.add_argument("preset", choices=sorted(SCENARIO_PRESETS))
     p_cal.add_argument("--out", default=None, help="write the calibrated preset file here")
-    p_cal.add_argument("--n-symbols", type=int)
-    p_cal.add_argument("--seed", type=int)
+    p_cal.add_argument("--n-symbols")
+    p_cal.add_argument("--seed")
 
     p_sweep = sub.add_parser("sweep", help="vary one parameter and emit metric-vs-value CSV",
                              argument_default=argparse.SUPPRESS)
@@ -89,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
     p_sweep.add_argument("--config", default=None,
                          help="base config file (default: built-in waveguide preset)")
-    p_sweep.add_argument("--n-symbols", type=int, help="override the base run length")
-    p_sweep.add_argument("--seed", type=int, help="override the base seed")
+    p_sweep.add_argument("--n-symbols", help="override the base run length")
+    p_sweep.add_argument("--seed", help="override the base seed")
     p_sweep.add_argument("--out", default=None, help="output CSV path")
     p_sweep.add_argument("--jobs", type=int, help=_JOBS_HELP)
 
@@ -102,7 +103,7 @@ def _cmd_run(args) -> int:
     with _path_arg("config", args.config):
         cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = set_config_value(cfg, "seed", args.seed)
     stem = Path(args.config).stem
     default_out = Path(os.environ.get("THERMALQKD_OUT", "runs"), f"{stem}-seed{cfg.seed}")
     out_dir = Path(args.out or default_out)
@@ -131,8 +132,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    given = _given(args, "n_symbols", "seed")
     try:
-        result = calibrate_preset(args.preset, **_given(args, "n_symbols", "seed"))
+        result = calibrate_preset(args.preset, **{k: parse_value(k, v) for k, v in given.items()})
     except CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         best = exc.best
@@ -154,7 +156,8 @@ def _cmd_sweep(args) -> int:
             base = load_config(args.config)
     else:
         base = SCENARIO_PRESETS["waveguide"](seed=0, n_symbols=300_000, ad_block=None)
-    base = dataclasses.replace(base, **_given(args, "seed", "n_symbols"))
+    for name, text in _given(args, "seed", "n_symbols").items():
+        base = set_config_value(base, name, text)
     values = sweep_values(args.start, args.stop, args.step)
     rows = sweep(base, args.param, values, **_given(args, "jobs"))
     text = sweep_csv(rows, args.param)

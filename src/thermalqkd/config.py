@@ -83,6 +83,8 @@ class ScenarioConfig:
         if self.coherence_len <= self.pilot_len:
             problems.append(
                 f"coherence_len: must be > pilot_len, got {self.coherence_len} <= {self.pilot_len}")
+        elif self.coherence_len > 10 ** 9:
+            problems.append(f"coherence_len: must be <= 1e9, got {self.coherence_len}")
         if self.ad_block is not None and self.ad_block < 2:
             problems.append(f"ad_block: must be >= 2 or absent, got {self.ad_block}")
         for name in _LINKS:
@@ -152,9 +154,9 @@ def _sections(cls, prefix: str = "") -> dict:
 _SECTIONS = _sections(ScenarioConfig)
 _REQUIRED = {key for _, fields in _SECTIONS.values()
              for _, key, nested, required in fields if required and not nested}
-# The (key, parser) pairs of each top-level field of ScenarioConfig, in table order.
-_GROUPS = {name: tuple(items) for name, items in
-           itertools.groupby(_KEYS.items(), lambda item: item[0].split(".")[0])}
+# The keys of each top-level field of ScenarioConfig, in table order.
+_GROUPS = {name: tuple(keys) for name, keys in
+           itertools.groupby(_KEYS, lambda key: key.split(".")[0])}
 _GETTERS = {key: attrgetter(key) for key in _KEYS}
 
 
@@ -193,6 +195,15 @@ def parse_config(text: str) -> ScenarioConfig:
     return config_from_dict(raw)
 
 
+def parse_value(key: str, text: str):
+    """The value of ``key`` that ``text`` gives in the file grammar; raises
+    ConfigError naming the key if it gives none."""
+    try:
+        return _KEYS[key](text)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError([f"{key}: {exc}"]) from None
+
+
 def _build(prefix: str, values: dict):
     """The section at ``prefix`` from parsed values; absent keys keep defaults."""
     cls, fields = _SECTIONS[prefix]
@@ -213,15 +224,15 @@ def config_from_dict(raw: dict[str, str]) -> ScenarioConfig:
     """
     problems = []
     kwargs = {}
-    for name, items in _GROUPS.items():
+    for name, keys in _GROUPS.items():
         before = len(problems)
         values = {}
-        for key, parse in items:
+        for key in keys:
             if key in raw:
                 try:
-                    values[key] = parse(raw[key])
-                except (ValueError, TypeError) as exc:
-                    problems.append(f"{key}: {exc}")
+                    values[key] = parse_value(key, raw[key])
+                except ConfigError as exc:
+                    problems += exc.problems
             elif key in _REQUIRED:
                 problems.append(f"{key}: missing required key")
         if len(problems) > before:

@@ -15,9 +15,9 @@ reductions so results do not depend on thread settings. A sweep or a
 calibration builds every point's config before it runs any, and every point
 runs at the base seed.
 
-A grid run (``_run_grid``, behind ``sweep`` and ``calibrate_preset``)
+A grid run (``_grid_reports``, behind ``sweep`` and ``calibrate_preset``)
 groups its points by ``_transmission_key``, all that ``_transmit`` reads,
-and maps the groups over the ``jobs`` pool. Within a group the points run
+and runs the groups on up to ``jobs`` threads. Within a group the points run
 in order, each one ``run_scenario`` call. The group transmits once and
 receives each distinct ``_receive_key`` (party, that party's link,
 ``coherence_len``, ``pilot_len``) once. Use counts come from the configs
@@ -49,23 +49,25 @@ detection noise, ``_draw_detector``, which draws ``det_<party>``), and
 ``_finish`` (common index, each party's slice of it, report and
 distillation; draws ``distill`` only when ``ad_block`` is set).
 
-A point with two or more new receives, outside a pool worker, starts
-``PARTY_THREADS`` party threads beside the calling thread. Each party
-thread draws one party's link while the caller transmits, then receives
-that party once the transmission is ready. The caller, once it has
-transmitted, receives the remaining party (with the default two threads,
-Eve), drawing its link itself, and then finishes. So while it waits for
-the transmission a party holds only its link draws, 32 B per symbol, and
-at most three receives run at once, one per thread. Each party's steps
-read only its own input and link and draw only its own streams, so the
-output bytes do not depend on how the threads are scheduled. Any other
-point (a single new receive or none, as at most points of a grid run)
-transmits and receives on the calling thread and starts no pool. Pools do
-not nest: a run or a ``_pool_map`` on a pool worker (a group of a grid run
-with ``jobs >= 2`` and more than one group) stays on that thread. At
-``jobs == 1``, or with a single group, a grid run maps its groups on the
-caller's thread, unmarked, so its points still receive their parties on
-party threads.
+Where a point's parties are received is settled by ``_grid_reports`` alone,
+through the ``threaded`` flag of the ``_GroupCache`` it hands each point
+(a lone run makes its own threaded group). It runs the groups on
+``min(jobs, os.cpu_count(), groups)`` threads. On one thread (``jobs ==
+1``, a single group or a single CPU) the groups run on the caller and are
+threaded; on a pool each group runs on one worker and receives in place,
+so pools never nest. In a threaded group, a point with two or more new
+receives starts ``PARTY_THREADS`` party threads beside the calling
+thread. Each party thread draws one party's link while the caller
+transmits, then receives that party once the transmission is ready. The
+caller, once it has transmitted, receives the remaining party (with the
+default two threads, Eve), drawing its link itself, and then finishes. So
+while it waits for the transmission a party holds only its link draws, 32
+B per symbol, and at most three receives run at once, one per thread.
+Each party's steps read only its own input and link and draw only its own
+streams, so the output bytes do not depend on how the threads are
+scheduled. Any other point (a single new receive or none, as at most
+points of a grid run) transmits and receives on the calling thread and
+starts no pool.
 
 ``RunArtifacts.write`` formats each measurement CSV in its own forked child
 process (``os.fork``, so POSIX only). It forks only after
@@ -76,12 +78,12 @@ lock that one of them holds.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import itertools
 import math
 import os
-import threading
 import traceback
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -218,35 +220,6 @@ def _stream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-_pool_worker = threading.local()
-
-
-def _mark_pool_worker() -> None:
-    _pool_worker.active = True
-
-
-def _pool_map(fn, items, jobs: int) -> list:
-    """``fn`` over ``items`` on ``min(jobs, os.cpu_count(), len(items))``
-    threads; results in input order.
-
-    At ``jobs == 1``, or for a single item, it maps on the calling thread
-    without marking it, so a run there still receives its parties on
-    ``PARTY_THREADS``. Called from one of its own workers, it maps on the
-    calling thread, so pools never nest and a run inside a sweep stays on
-    one thread.
-    """
-    if jobs < 1:
-        raise ConfigError([f"jobs: must be >= 1, got {jobs}"])
-    items = list(items)
-    if jobs == 1 or len(items) <= 1 or getattr(_pool_worker, "active", False):
-        return [fn(item) for item in items]
-    # pool.map submits every item at once, and the pool starts a thread per
-    # submit up to max_workers, so ``jobs`` alone could start a thread per item.
-    workers = min(jobs, os.cpu_count() or 1, len(items))
-    with ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_worker) as pool:
-        return list(pool.map(fn, items))
-
-
 def _segment_corrections(x, p, syms, lag, config):
     """Per-segment correction angle: the whole phase of the segment's pilots.
 
@@ -366,10 +339,11 @@ def _finish(config, received) -> RunArtifacts:
     u_lo = max(0, *(-alignment[name].lag for name in PARTIES))
     u_hi = min(n - 1 - max(0, alignment[name].lag) for name in PARTIES)
     # Each segment's data indices, cut to [u_lo, u_hi]: the values of
-    # arange(u_lo, u_hi + 1) whose remainder is >= pilot_len.
+    # arange(u_lo, u_hi + 1) whose remainder is >= pilot_len. No offset
+    # past u_hi is kept, so none is made.
     seg_len = config.coherence_len
     index = (np.arange(u_lo // seg_len, u_hi // seg_len + 1)[:, None] * seg_len
-             + np.arange(config.pilot_len, seg_len)).ravel()
+             + np.arange(config.pilot_len, min(seg_len, u_hi + 1))).ravel()
     index = index[np.searchsorted(index, u_lo):np.searchsorted(index, u_hi, "right")]
     # Slicing needs two symbols and distillation one whole block.
     for field, need in (("pilot_len", 2), ("ad_block", config.ad_block or 0)):
@@ -424,24 +398,26 @@ class _GroupCache:
     """The transmission of a group of points, the folded receives they
     share and the draws that those receives share.
 
-    Counts come from the group's configs before any point runs: the points
-    that read each receive, and each party's distinct receives, in all and
-    per drift of its link. A receive is dropped after the last point that
-    reads it. A party's input field, its detection noise and its link draws
-    for one drift each go to the last distinct receive that reads them.
-    Until then the group holds them, and each earlier receive reads the
-    field and takes copies of the draws, which it writes into: a party's
-    draws are 48 B per symbol. A held receive is the party's folded ``x``,
-    ``p`` and ``z``, which each point slices to its own common window.
+    ``uses`` counts from the group's configs before any point runs: the
+    points that read each receive, and each party's distinct receives, in
+    all and per drift of its link. A receive is dropped after the last
+    point that reads it. A party's input field, its detection noise and its
+    link draws for one drift each go to the last distinct receive that
+    reads them. Until then the group holds them, and each earlier receive
+    reads the field and takes copies of the draws, which it writes into: a
+    party's draws are 48 B per symbol. A held receive is the party's folded
+    ``x``, ``p`` and ``z``, which each point slices to its own common
+    window. A ``threaded`` group receives a point's new parties on party
+    threads when there are two or more of them.
     """
 
-    def __init__(self, configs):
+    def __init__(self, configs, threaded=True):
+        self.threaded = threaded
         self.uses = Counter(_receive_key(name, cfg) for cfg in configs for name in PARTIES)
         # Keyed by party (its field, and its detection noise, whose variance
         # is a constant) and by _link_draw_key (its link draws).
-        self.to_receive = Counter()
-        for name, link, *_ in self.uses:
-            self.to_receive.update([name, (name, link.drift)])
+        self.uses.update(key for name, link, *_ in list(self.uses)
+                         for key in (name, (name, link.drift)))
         self.held = {}
         self.draws = {}
         self.transmission = None
@@ -449,29 +425,34 @@ class _GroupCache:
     def received(self, config):
         """Each party's receive for one point; transmits on the first.
 
-        A point with two or more new receives, run outside a pool worker,
-        starts ``PARTY_THREADS`` party threads. Each draws one party's link,
-        unless the group holds that draw, while this thread transmits, then
+        In a threaded group, a point with two or more new receives starts
+        ``PARTY_THREADS`` party threads. Each draws one party's link, unless
+        the group holds that draw, while this thread transmits, then
         receives that party; this thread then receives any other party,
         drawing its link itself if need be. Any other point transmits and
-        receives on this thread and starts no pool.
+        receives on this thread and starts no pool. Whether a receive's
+        field and draws are shared is settled here, before any receive
+        starts.
         """
         keys = {name: _receive_key(name, config) for name in PARTIES}
         new = [name for name in PARTIES if keys[name] not in self.held]
-        if len(new) < 2 or getattr(_pool_worker, "active", False):
-            receive = self._receiver(config, new, {})
-            made = [receive(name) for name in new]
-        else:
-            workers = min(PARTY_THREADS, len(new))
-            with ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_worker) as pool:
-                early = {name: pool.submit(_draw_link, name, config) for name in new[:workers]
-                         if _link_draw_key(name, config) not in self.draws}
-                receive = self._receiver(config, new, early)
-                # Submitted after every early draw, so a receive waits only
-                # on a draw that a worker has started or finished.
-                pooled = [pool.submit(receive, name) for name in new[:workers]]
-                made = [receive(name) for name in new[workers:]]
-                made = [f.result() for f in pooled] + made
+        shared = {}
+        for name in new:
+            for key in (name, _link_draw_key(name, config)):
+                self.uses[key] -= 1
+                shared[key] = self.uses[key] > 0
+        workers = min(PARTY_THREADS, len(new)) if self.threaded and len(new) >= 2 else 0
+        with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
+            early = {name: pool.submit(_draw_link, name, config) for name in new[:workers]
+                     if _link_draw_key(name, config) not in self.draws}
+            if self.transmission is None:
+                self.transmission = _transmit(config) + (ReferenceSpectra(),)
+            # Submitted after every early draw, so a receive waits only on a
+            # draw that a worker has started or finished.
+            pooled = [pool.submit(self._receive, name, config, shared, early)
+                      for name in new[:workers]]
+            made = [self._receive(name, config, shared, early) for name in new[workers:]]
+            made = [f.result() for f in pooled] + made
         self.held.update(zip((keys[name] for name in new), made))
         received = {name: self.held[keys[name]] for name in PARTIES}
         for key in keys.values():
@@ -480,35 +461,20 @@ class _GroupCache:
                 del self.held[key]
         return received
 
-    def _receiver(self, config, new, early):
-        """``receive(name)`` for each party in ``new``, which takes the
-        party's link draws from its future in ``early``, from the group or
-        from a draw on the calling thread, and its detection noise from the
-        group or a draw (see ``_take``). The counts are taken here, before
-        any receive starts. Transmits first if the group has not."""
-        if self.transmission is None:
-            self.transmission = _transmit(config) + (ReferenceSpectra(),)
+    def _receive(self, name, config, shared, early):
+        """One new receive of ``name``. Its link draws come from its future
+        in ``early``, the group or a draw on this thread, and its detection
+        noise from the group or a draw (see ``_take``). The field and draw
+        dicts are built in the call, and the future is popped, so no name
+        here keeps an input alive once ``_receive_party`` has used it."""
         syms, inputs, spectra = self.transmission
-        fields, drawn, shared = {}, {}, {}
-        for name in new:
-            for key in (name, _link_draw_key(name, config)):
-                self.to_receive[key] -= 1
-                shared[key] = self.to_receive[key] > 0
-            fields[name] = inputs[name] if shared[name] else inputs.pop(name)
-
-        def receive(name):
-            link = _link_draw_key(name, config)
-            # A future is popped, so its draws are held only in ``drawn``
-            # (and the group, if shared) until used.
-            drawn[name] = self._take(link, shared[link], early.pop(name).result
-                                     if name in early else lambda: _draw_link(name, config))
-
-            def detect():
-                return self._take(name, shared[name], lambda: _draw_detector(name, config))
-
-            return _receive_party(name, fields, config, syms, drawn, detect, spectra)
-
-        return receive
+        link = _link_draw_key(name, config)
+        return _receive_party(
+            name, {name: inputs[name] if shared[name] else inputs.pop(name)}, config, syms,
+            {name: self._take(link, shared[link], early.pop(name).result if name in early
+                              else lambda: _draw_link(name, config))},
+            lambda: self._take(name, shared[name], lambda: _draw_detector(name, config)),
+            spectra)
 
     def _take(self, key, shared, make):
         """Draw ``key`` for one receive: the arrays the group holds, or
@@ -524,44 +490,50 @@ class _GroupCache:
         return copy.deepcopy(drawn)
 
 
-# The cache of the grid group that this thread runs, if any (see _run_grid).
-_grid = threading.local()
-
-
-def run_scenario(config: ScenarioConfig) -> RunArtifacts:
+def run_scenario(config: ScenarioConfig, _group=None) -> RunArtifacts:
     """Execute one scenario; fully deterministic given ``config.seed``.
 
     On its own it transmits while ``PARTY_THREADS`` threads draw the
     parties' links, receives the parties on those threads and its own and
     frees each party's input field once that party is received. As a point
-    of a grid run it takes the transmission and the receives it shares with
-    earlier points from its group's cache, so its bytes are the same.
+    of a grid run, ``_group`` is its group's ``_GroupCache``: the point
+    takes the transmission and the receives it shares with earlier points
+    from it, so its bytes are the same.
     """
-    cache = getattr(_grid, "cache", None) or _GroupCache([config])
-    return _finish(config, cache.received(config))
+    group = _group or _GroupCache([config])
+    return _finish(config, group.received(config))
 
 
-def _run_grid(configs, jobs: int) -> list[MetricsReport]:
+def _grid_reports(configs, jobs: int) -> list[MetricsReport]:
     """The report of each of ``configs``, in order.
 
     Points with the same ``_transmission_key`` form a group, and the groups
-    map over the ``jobs`` pool. A group's points run one after another, each
-    a ``run_scenario`` call that reads the group's ``_GroupCache`` from
-    ``_grid``, so no two of its ``_finish`` calls overlap.
+    run on ``min(jobs, os.cpu_count(), groups)`` threads. On one thread
+    they run on the caller, each group threaded, so its points receive
+    their parties on party threads; on a pool, each group receives in place
+    on its worker. A group's points run one after another, each a
+    ``run_scenario`` call given the group's ``_GroupCache``, so no two of
+    its ``_finish`` calls overlap.
     """
+    if jobs < 1:
+        raise ConfigError([f"jobs: must be >= 1, got {jobs}"])
     groups = {}
     for i, cfg in enumerate(configs):
         groups.setdefault(_transmission_key(cfg), []).append(i)
+    # pool.map submits every group at once, and the pool starts a thread per
+    # submit up to max_workers, so ``jobs`` alone could start a thread per group.
+    workers = min(jobs, os.cpu_count() or 1, len(groups))
 
     def run_group(indices):
-        _grid.cache = _GroupCache([configs[i] for i in indices])
-        try:
-            return [(i, run_scenario(configs[i]).report) for i in indices]
-        finally:
-            del _grid.cache
+        group = _GroupCache([configs[i] for i in indices], threaded=workers <= 1)
+        return [(i, run_scenario(configs[i], group).report) for i in indices]
 
-    reports = dict(itertools.chain.from_iterable(
-        _pool_map(run_group, groups.values(), jobs)))
+    if workers <= 1:
+        done = list(map(run_group, groups.values()))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            done = list(pool.map(run_group, groups.values()))
+    reports = dict(itertools.chain.from_iterable(done))
     return [reports[i] for i in range(len(configs))]
 
 
@@ -693,7 +665,7 @@ def calibrate_preset(target, n_symbols: int = 200_000, seed: int = 1_234_567,
             for dotted in key:
                 cfg = set_config_value(cfg, dotted, value)
         configs.append(cfg)
-    reports = _run_grid(configs, jobs)
+    reports = _grid_reports(configs, jobs)
 
     table = []
     for point, report in zip(points, reports):
@@ -736,7 +708,7 @@ def sweep(base: ScenarioConfig, param: str, values, jobs: int = 1):
     """
     values = list(values)
     configs = [set_config_value(base, param, v) for v in values]
-    reports = _run_grid(configs, jobs)
+    reports = _grid_reports(configs, jobs)
     return list(zip(values, reports))
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -40,10 +41,16 @@ def test_run_twice_is_byte_identical(tmp_path, config_file, capsys):
     assert "r_ab=" in text and "n_bits=" in text
 
 
-def test_run_seed_overrides_config(tmp_path, config_file):
+def test_run_seed_overrides_config(tmp_path, config_file, capsys):
     out = tmp_path / "out"
     assert main(["run", str(config_file), "--seed", "42", "--out", str(out)]) == 0
     assert "seed = 42" in (out / "config.cfg").read_text()
+    # Read as the config file reads seed: 0x10 is 16, and 010 is rejected by name.
+    assert main(["run", str(config_file), "--seed", "0x10", "--out", str(out)]) == 0
+    assert "seed = 16" in (out / "config.cfg").read_text()
+    capsys.readouterr()
+    assert main(["run", str(config_file), "--seed", "010", "--out", str(out)]) == 1
+    assert "seed: invalid literal" in capsys.readouterr().err
 
 
 def test_run_uses_env_output_dir(tmp_path, config_file, monkeypatch):
@@ -112,6 +119,20 @@ def test_field_bounds_keep_runs_finite(tmp_path, config_file, capsys, values, co
     else:
         report = json.loads((out / "report.json").read_text())
         assert all(math.isfinite(v) for v in report.values())
+
+
+def test_longest_coherence_segment_runs_in_bounded_memory(tmp_path, config_file):
+    # One segment far longer than the run: the finish makes the data
+    # offsets only up to the common window's end, not up to coherence_len
+    # (7.45 GiB of them here). The run itself peaks near 6 MB.
+    _edit_config(config_file, {"n_symbols": "20000", "coherence_len": str(10 ** 9)})
+    tracemalloc.start()
+    try:
+        assert main(["run", str(config_file), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
@@ -189,7 +210,15 @@ def test_sweep_seed_and_n_symbols_override_config(config_file, capsys):
     base = sweep_csv()
     assert sweep_csv("--seed", "5") != sweep_csv("--seed", "6")
     assert sweep_csv("--seed", "1") == base
-    assert n_bits(sweep_csv("--n-symbols", "20000")) > n_bits(base)
+    longer = sweep_csv("--n-symbols", "20000")
+    assert n_bits(longer) > n_bits(base)
+    # Read as the config file reads these keys: 0x prefixes are hex, and a
+    # leading zero is rejected by name.
+    assert sweep_csv("--seed", "0x1", "--n-symbols", "0x4e20") == longer
+    for flag, field in (("--seed", "seed"), ("--n-symbols", "n_symbols")):
+        argv = ["sweep", "eve_transmittance", "0.5", "0.5", "0.1", "--config", str(config_file)]
+        assert main([*argv, flag, "020000"]) == 1
+        assert f"{field}: invalid literal" in capsys.readouterr().err
 
 
 def _record_calls(monkeypatch):
@@ -216,7 +245,8 @@ def _record_calls(monkeypatch):
     (["--jobs", "2"], {"jobs": 2}),
     (["--jobs", "2", "--seed", "3", "--n-symbols", "5000"],
      {"n_symbols": 5000, "seed": 3, "jobs": 2}),
-], ids=["none", "n-symbols", "seed", "jobs", "all"])
+    (["--seed", "0x10", "--n-symbols", "0x1388"], {"n_symbols": 5000, "seed": 16}),
+], ids=["none", "n-symbols", "seed", "jobs", "all", "hex"])
 def test_cli_passes_on_only_the_options_given(monkeypatch, capsys, flags, kwargs):
     # The library's defaults hold unless a flag sets the value.
     calls = _record_calls(monkeypatch)
@@ -233,7 +263,8 @@ def test_cli_passes_on_only_the_options_given(monkeypatch, capsys, flags, kwargs
     (["--n-symbols", "5000"], {"n_symbols": 5000}),
     (["--seed", "3"], {"seed": 3}),
     (["--seed", "3", "--n-symbols", "5000"], {"n_symbols": 5000, "seed": 3}),
-], ids=["none", "n-symbols", "seed", "all"])
+    (["--seed", "0x10", "--n-symbols", "0x1388"], {"n_symbols": 5000, "seed": 16}),
+], ids=["none", "n-symbols", "seed", "all", "hex"])
 def test_calibrate_passes_on_only_the_options_given(monkeypatch, capsys, flags, kwargs):
     # A calibration is one group of points, so it takes no --jobs.
     calls = _record_calls(monkeypatch)
@@ -241,6 +272,15 @@ def test_calibrate_passes_on_only_the_options_given(monkeypatch, capsys, flags, 
     assert calls.pop() == (("waveguide",), kwargs)
     assert main(["calibrate", "waveguide", "--jobs", "2", *flags]) == 1
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("flag, field", [("--seed", "seed"), ("--n-symbols", "n_symbols")])
+def test_calibrate_rejects_a_leading_zero_by_name(monkeypatch, capsys, flag, field):
+    # The config file's integer grammar rejects 010, so calibrate does too.
+    calls = _record_calls(monkeypatch)
+    assert main(["calibrate", "waveguide", flag, "010"]) == 1
+    assert f"{field}: invalid literal" in capsys.readouterr().err
     assert calls == []
 
 
@@ -292,6 +332,7 @@ def test_sweep_values_checked_per_field(config_file, capsys, param, start, stop,
 _REJECTED = {
     "n_symbols": st.integers(10 ** 9 + 1, 10 ** 30) | st.integers(-10 ** 6, 999),
     "pilot_len": st.integers(-100, MIN_PILOTS - 1),
+    "coherence_len": st.integers(10 ** 9 + 1, 2 ** 80),
     "ad_block": st.integers(-100, 1),
     "eve_transmittance": st.floats(1.0, 1e300, exclude_min=True) | st.floats(-1e300, -1e-9),
     "source.nbar": st.floats(1e12, 1e300, exclude_min=True) | st.floats(-1e300, -1e-9),
@@ -301,7 +342,7 @@ _REJECTED = {
 
 # A valid first point for the keys that also reject values above it.
 _LATE_START = {"n_symbols": 1000.0, "eve_transmittance": 0.0, "source.nbar": 0.0,
-               "bob_link.delay": 0.0}
+               "bob_link.delay": 0.0, "coherence_len": 10.0 ** 9}
 
 
 _BAD_SWEEPS = ["non-finite", "step", "order", "size", "key", "jobs",
@@ -345,7 +386,7 @@ def _bad_sweep_argv(draw, kind):
             param, repr(start), repr(stop), repr(step)]
 
 
-def _no_run(cfg):
+def _no_run(cfg, *args):
     raise AssertionError(f"a rejected sweep ran a scenario of {cfg.n_symbols} symbols")
 
 
@@ -360,6 +401,9 @@ def test_bad_sweep_arguments_exit_one(kind, data):
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 1, err.getvalue()
     assert "runtime failure" not in err.getvalue()
+    if kind.startswith("value"):
+        # A section's dataclass names the field without its section.
+        assert argv[-4].rsplit(".", 1)[-1] in err.getvalue()
 
 
 def test_selftest_passes(capsys):

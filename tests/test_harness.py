@@ -6,6 +6,7 @@ import threading
 import time
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from thermalqkd import harness, kernels, modem
 from thermalqkd.config import format_config, set_config_value
 from thermalqkd.distill import PartyRecord, median_slice, read_bits_packed
 from thermalqkd.harness import (CSV_CHUNK_ROWS, SCENARIO_PRESETS, CalibrationError,
-                                _pool_map, _write_measurement_csv, calibrate_preset,
+                                _write_measurement_csv, calibrate_preset,
                                 freespace_scenario, run_scenario, sweep, sweep_csv,
                                 sweep_values, waveguide_scenario)
 from thermalqkd.infotheory import MetricsReport, build_report
@@ -187,25 +188,42 @@ def _artifact_bytes(art, out_dir):
     return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
 
 
-def test_one_job_maps_on_the_calling_thread_unmarked():
-    # An unmarked caller lets each run of a jobs=1 calibration or sweep
-    # still receive its parties on party threads.
-    def where(_):
-        return threading.get_ident(), getattr(harness._pool_worker, "active", False)
+def _stub_points(monkeypatch):
+    """Replace ``run_scenario`` by a stub whose report is the point's seed;
+    returns the list of each point's thread and its group's ``threaded``."""
+    where = []
 
-    assert _pool_map(where, range(3), 1) == [(threading.get_ident(), False)] * 3
-    # So does a one-item pool at any jobs: a lone grid group keeps its party threads.
-    assert _pool_map(where, [0], 2) == [(threading.get_ident(), False)]
+    def point(config, group):
+        where.append((threading.get_ident(), group.threaded))
+        return SimpleNamespace(report=config.seed)
+
+    monkeypatch.setattr(harness, "run_scenario", point)
+    return where
+
+
+def test_one_thread_grids_run_threaded_groups_on_the_caller(monkeypatch):
+    # At jobs=1, or with a single group at any jobs, a grid runs its points
+    # on the caller and each group still receives its parties on party
+    # threads; no grid pool is made.
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", None)
+    where = _stub_points(monkeypatch)
+    base = waveguide_scenario(n_symbols=20_000)
+    seeds = [set_config_value(base, "seed", seed) for seed in (1, 2, 3)]
+    assert harness._grid_reports(seeds, 1) == [1, 2, 3]
+    noises = [set_config_value(base, "bob_link.rx_noise_var", v) for v in (0.1, 0.3)]
+    assert harness._grid_reports(noises, 2) == [0, 0]
+    assert where == [(threading.get_ident(), True)] * 5
 
 
 @pytest.mark.parametrize("cpus, jobs, workers", [(2, 10_000, 2), (64, 3, 3), (None, 10_000, 1)])
 def test_pool_threads_are_capped_at_the_cpu_count(monkeypatch, cpus, jobs, workers):
-    # pool.map submits every item at once, so an uncapped pool would start
-    # one thread per item up to jobs.
+    # pool.map submits every group at once, so an uncapped pool would start
+    # one thread per group up to jobs. A grid left with one thread makes no
+    # pool and threads its groups; on a pool each group receives in place.
     started = []
 
     class InlinePool:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             started.append(max_workers)
 
         def __enter__(self):
@@ -219,8 +237,11 @@ def test_pool_threads_are_capped_at_the_cpu_count(monkeypatch, cpus, jobs, worke
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-    assert _pool_map(lambda i: i * i, range(5), jobs) == [0, 1, 4, 9, 16]
-    assert started == [workers]
+    where = _stub_points(monkeypatch)
+    configs = [waveguide_scenario(seed=seed, n_symbols=20_000) for seed in range(5)]
+    assert harness._grid_reports(configs, jobs) == [0, 1, 2, 3, 4]
+    assert started == ([workers] if workers > 1 else [])
+    assert {threaded for _, threaded in where} == {workers == 1}
 
 
 def test_segment_phases_are_whole_pilot_phases():
@@ -242,10 +263,10 @@ def test_segment_phases_are_whole_pilot_phases():
 def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
     # A run draws links on party threads while the caller transmits, then
     # receives and folds those parties there and any other party on the
-    # caller; inside a pool worker (a sweep or calibration point) the same
-    # run maps in place, with no nested pool. Every schedule must write the
-    # same nine files: one, two and three party threads, each under a 1 us
-    # switch interval.
+    # caller; in a group that is not threaded (each group of a grid run on
+    # a pool) the same run receives in place and makes no pool. Every
+    # schedule must write the same nine files: in place, and one, two and
+    # three party threads, each under a 1 us switch interval.
     receive, draw, transmit = harness._receive_party, harness._draw_link, harness._transmit
     pool_class = harness.ThreadPoolExecutor
     threads_used, draw_threads, transmit_threads = set(), set(), set()
@@ -264,15 +285,8 @@ def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
 
     caller = threading.get_ident()
 
-    def no_nested_pool(*args, **kwargs):
-        # The outer pool is made on the caller; any executor made on one of
-        # its workers is nested.
-        if threading.get_ident() != caller:
-            raise AssertionError("a pool worker started a nested pool")
-        return pool_class(*args, **kwargs)
-
-    def run_in_worker(cfg):
-        return run_scenario(cfg), threading.get_ident()
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a run in place started a pool")
 
     monkeypatch.setattr(harness, "_receive_party", traced_receive)
     monkeypatch.setattr(harness, "_draw_link", traced_draw)
@@ -280,15 +294,14 @@ def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
     interval = sys.getswitchinterval()
     for preset, make in SCENARIO_PRESETS.items():
         cfg = make(seed=7, n_symbols=20_000, ad_block=2)
-        threads_used.clear()
-        # Two items: a one-item pool maps on the caller, unmarked.
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_nested_pool)
-        (in_place, worker), (again, other) = _pool_map(run_in_worker, [cfg, cfg], 2)
+        for used in (threads_used, draw_threads, transmit_threads):
+            used.clear()
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        in_place = run_scenario(cfg, harness._GroupCache([cfg], threaded=False))
         monkeypatch.setattr(harness, "ThreadPoolExecutor", pool_class)
-        assert threads_used == {worker, other} and caller not in threads_used, preset
+        assert threads_used == draw_threads == transmit_threads == {caller}, preset
         expect = _artifact_bytes(in_place, tmp_path / preset / "in_place")
         assert len(expect) == 9
-        assert _artifact_bytes(again, tmp_path / preset / "again") == expect, preset
         for party_threads in (1, 2, 3):
             monkeypatch.setattr(harness, "PARTY_THREADS", party_threads)
             for used in (threads_used, draw_threads, transmit_threads):
@@ -313,17 +326,17 @@ def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
 def test_only_points_with_two_new_receives_start_a_pool(monkeypatch):
     # A calibration point with at most one new receive transmits (if it
     # must) and receives on the caller; the free-space grid's first point
-    # of each of its 9 rows receives two or three. Runs on a sweep's pool
-    # workers start no pool of their own.
+    # of each of its 9 rows receives two or three. Points of a sweep whose
+    # groups run on a pool start no pool of their own.
     run, receive, pool_class = harness.run_scenario, harness._receive_party, harness.ThreadPoolExecutor
     receives = []           # the config of each receive; appends are atomic
     pools = Counter()       # config of the point whose thread started it, or None
     current = threading.local()
 
-    def point(config):
+    def point(config, group):
         current.config = config
         try:
-            return run(config)
+            return run(config, group)
         finally:
             del current.config
 
@@ -338,6 +351,8 @@ def test_only_points_with_two_new_receives_start_a_pool(monkeypatch):
     monkeypatch.setattr(harness, "run_scenario", point)
     monkeypatch.setattr(harness, "_receive_party", counted_receive)
     monkeypatch.setattr(harness, "ThreadPoolExecutor", counted_pool)
+    # Two CPUs, so the sweep's three groups at jobs=2 run on a pool.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     calibrate_preset("freespace", n_symbols=20_000)
     per_point = Counter(receives)
     assert sorted(Counter(per_point.values()).items()) == [(1, 8), (2, 8), (3, 1)]
@@ -835,9 +850,9 @@ def _traced_grid(monkeypatch, run_grid):
         folds.append(None)
         return fold(*args)
 
-    def point(config):
+    def point(config, group):
         points.append((config, alive()))
-        return run_scenario(config)
+        return run_scenario(config, group)
 
     def sampled_finish(*args):
         peak[0] = max(peak[0], len(alive()))
@@ -899,9 +914,12 @@ def test_grid_runs_share_transmissions_and_receives(monkeypatch, grid, work, dra
 def test_grid_points_match_lone_runs_over_link_fields(preset, jobs):
     # Points whose Bob links differ only in noise level, loss, delay or
     # drift share his draws of one drift; each report must still be that of
-    # a lone run of the point's config.
+    # a lone run of the point's config. Each tap setting is a group of its
+    # own, so at jobs=2 (on two or more CPUs) those groups run on a pool
+    # and receive in place.
     base = SCENARIO_PRESETS[preset](seed=4, n_symbols=20_000, ad_block=None)
-    for key, values in (("bob_link.rx_noise_var", [0.1, 0.6, 1.3]),
+    for key, values in (("eve_transmittance", [0.3, 0.5, 0.7]),
+                        ("bob_link.rx_noise_var", [0.1, 0.6, 1.3]),
                         ("bob_link.transmittance", [0.25, 0.6, 0.9]),
                         ("bob_link.delay", [0, 7, 40]),
                         ("bob_link.drift.walk_sigma", [0.0, 2e-4, 8e-4])):
@@ -911,29 +929,40 @@ def test_grid_points_match_lone_runs_over_link_fields(preset, jobs):
 
 
 def test_a_lone_run_frees_each_input_once_received(monkeypatch):
-    # Outside a grid a run still drops each party's input field as that
-    # party is received, and each party's raw quadratures once folded, so
-    # none is left by the time the run finishes. It holds no draw for a
-    # later receive, so each combine works in the link's draws themselves.
+    # Outside a grid a run still drops each party's input field and link
+    # draws once combined, before its heterodyne, and each party's raw
+    # quadratures once folded, so none is left by the time the run
+    # finishes. It holds no draw for a later receive, so each combine works
+    # in the link's draws themselves.
     transmit, detect, finish = harness._transmit, harness.heterodyne, harness._finish
     draw_link, draw_noise = harness._draw_link, harness.draw_detector_noise
-    combine = harness.apply_channel
+    combine, receive = harness.apply_channel, harness._receive_party
     fields, quadratures, draws, links, combined = [], [], [], [], []
+    combined_inputs = {name: [] for name in harness.PARTIES}
+    party = threading.local()
 
     def traced_transmit(config):
         syms, inputs = transmit(config)
         fields.extend(weakref.ref(field) for field in inputs.values())
+        for name, field in inputs.items():
+            combined_inputs[name].append(weakref.ref(field))
         return syms, inputs
 
+    def named_receive(name, *args):
+        party.name = name
+        return receive(name, *args)
+
     def traced_detect(*args):
+        assert [ref() for ref in combined_inputs[party.name]] == [None] * 4, party.name
         x, p = detect(*args)
         quadratures.extend((weakref.ref(x), weakref.ref(p)))
         return x, p
 
-    def traced_draw_link(*args):
-        out = draw_link(*args)
+    def traced_draw_link(name, config):
+        out = draw_link(name, config)
         draws.extend(weakref.ref(a) for a in out)
         links.append([weakref.ref(a) for a in out])
+        combined_inputs[name].extend(weakref.ref(a) for a in out)
         return out
 
     def traced_draw_noise(*args):
@@ -952,6 +981,7 @@ def test_a_lone_run_frees_each_input_once_received(monkeypatch):
         return finish(*args)
 
     monkeypatch.setattr(harness, "_transmit", traced_transmit)
+    monkeypatch.setattr(harness, "_receive_party", named_receive)
     monkeypatch.setattr(harness, "heterodyne", traced_detect)
     monkeypatch.setattr(harness, "_draw_link", traced_draw_link)
     monkeypatch.setattr(harness, "draw_detector_noise", traced_draw_noise)
