@@ -105,8 +105,9 @@ def write_bits_packed(bits, path) -> None:
 def read_bits_packed(path) -> np.ndarray:
     """Bits of a file written by ``write_bits_packed``.
 
-    Raises ValueError for an empty file, a pad count above 7, or a nonzero
-    pad count with no payload byte to take it from.
+    Raises ValueError for an empty file, a pad count above 7, a nonzero pad
+    count with no payload byte to take it from, or a padding bit that is
+    set (the writer's ``np.packbits`` pads with zeros).
     """
     raw = Path(path).read_bytes()
     if not raw:
@@ -117,4 +118,6 @@ def read_bits_packed(path) -> np.ndarray:
     if pad and len(raw) == 1:
         raise ValueError(f"{path}: pad count {pad} with no payload byte")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8, offset=1))
+    if bits[bits.size - pad:].any():
+        raise ValueError(f"{path}: padding bits are not all zero")
     return bits[:bits.size - pad]

@@ -70,10 +70,12 @@ points of a grid run) transmits and receives on the calling thread and
 starts no pool.
 
 ``RunArtifacts.write`` formats each measurement CSV in its own forked child
-process (``os.fork``, so POSIX only). It forks only after
-``run_scenario`` has returned, when its party pools are shut down and their
-threads joined; a fork in a process with other live threads could copy a
-lock that one of them holds.
+process (``os.fork``, so POSIX only), a chunk of rows at a time: numpy
+writes every row it can (``_format_rows``) and Python's ``%`` the few it
+leaves, so the file holds the bytes ``%`` would write for every row. It
+forks only after ``run_scenario`` has returned, when its party pools are
+shut down and their threads joined; a fork in a process with other live
+threads could copy a lock that one of them holds.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -122,6 +125,14 @@ PARTY_THREADS = 2
 CSV_CHUNK_ROWS = 65_536
 _CSV_ROW = "%d,%.9g,%.9g,%.9g,%d\n"
 
+# A formatted row is 24 four-byte words of characters; blank slots are dropped.
+# Words 0-3: 12 index digits, 4 blanks. Words 4-9, 10-15, 16-21: x, p, z, each
+# a comma, a sign, 9 integer digits, a point and 12 fraction digits. Word 22:
+# comma, bit, newline; word 23 blank.
+_CSV_BLANK_ROW = b" " * 88 + b",0\n" + b" " * 5
+_CSV_FIELD_WORDS = (4, 10, 16)
+_CSV_BIT_BYTE = 89
+
 # A stream's index here is its spawn key, so this order is part of every output.
 _STREAM_NAMES = ("bits", "source", "chan_alice", "chan_bob", "chan_eve",
                  "det_alice", "det_bob", "det_eve", "distill")
@@ -141,12 +152,12 @@ class RunArtifacts:
     def write(self, out_dir) -> dict[str, Path]:
         """Write per-party CSVs, the JSON report and the config echo.
 
-        Each party's CSV is formatted in its own forked child process while
-        this process writes the rest, so the three ``%.9g`` loops share the
-        cores; the GIL rules out threads. Call it from a process running no
-        other threads. Every CSV is created here first, so a bad path raises
-        in the caller before any fork; a child that fails raises
-        RuntimeError naming its file.
+        Each party's CSV is formatted (``_write_measurement_csv``) in its own
+        forked child process while this process writes the rest, so the
+        three formatters share the cores; threads were measured slower. Call
+        it from a process running no other threads. Every CSV is created
+        here first, so a bad path raises in the caller before any fork; a
+        child that fails raises RuntimeError naming its file.
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -184,13 +195,156 @@ class RunArtifacts:
 
 
 def _write_measurement_csv(path: Path, index: np.ndarray, rec: PartyRecord) -> None:
-    # 9 significant digits for the float columns, one row per kept symbol.
+    # One row per kept symbol, the bytes of ``_CSV_ROW % row``: ``_format_rows``
+    # writes the rows it can, and ``%`` the rest in their place.
     columns = (index, rec.x, rec.p, rec.z, rec.bits)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,x,p,z,bit\n")
+    words = np.empty((min(len(index), CSV_CHUNK_ROWS), 24), np.uint32)
+    words.view(np.uint8)[:] = np.frombuffer(_CSV_BLANK_ROW, np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(b"index,x,p,z,bit\n")
         for lo in range(0, len(index), CSV_CHUNK_ROWS):
-            rows = zip(*(col[lo:lo + CSV_CHUNK_ROWS].tolist() for col in columns))
-            fh.write("".join(map(_CSV_ROW.__mod__, rows)))
+            chunk = [col[lo:lo + CSV_CHUNK_ROWS] for col in columns]
+            rows = words[:len(chunk[0])]
+            slow = np.flatnonzero(~_format_rows(chunk, rows))
+            start = 0
+            for at, row in zip(slow.tolist(), zip(*(col[slow].tolist() for col in chunk))):
+                fh.write(rows[start:at].tobytes().translate(None, b" "))
+                fh.write((_CSV_ROW % row).encode("ascii"))
+                start = at + 1
+            fh.write(rows[start:].tobytes().translate(None, b" "))
+
+
+def _format_rows(chunk, words: np.ndarray) -> np.ndarray:
+    """Write each row of ``chunk`` into ``words`` as ``_CSV_ROW`` formats it,
+    with blank slots to drop; returns which rows are written.
+
+    A row is written when its index is in ``[0, 10**10)``, its bit is 0 or 1
+    and each float ``v`` has ``1e-4 <= |v| < 1e9``, where ``%.9g`` uses fixed
+    point. Then ``E = floor(log10|v|)`` is exact: it is 5 less than the count
+    of ``pow10`` (``1e-4 ... 1e9``) at or below ``|v|``, and the double
+    nearest each ``10**k`` lies on or above it, so comparing with the double
+    is comparing with ``10**k``. ``q = |v| * 10**(8 - E)`` lies in ``[1e8,
+    1e9)`` and takes one rounding, of at most ``2**-24``, since each
+    ``10**k`` with ``k <= 22`` is an exact double. So unless ``frac(q)`` is
+    within ``1e-6`` of one half, ``rint(q)`` holds the nine digits that
+    ``%.9g`` rounds ``|v|`` to. The near-half test must come before anything
+    reads ``rint(q)``: ``9.999999995`` is the double ``9.99999999499...``,
+    whose ``q`` rounds to ``999999999.5``, and ``%.9g`` prints
+    ``9.99999999`` where a carry taken from ``rint`` would print ``10``. A
+    carry (``rint(q) == 10**9``) needs no case of its own: splitting
+    ``rint(q)`` at ``10**(8 - E)`` into whole and fraction digits is right
+    either way, unless the whole part reaches ``10**9``, where ``%.9g``
+    turns to an exponent. Leading zeros of the whole part, trailing zeros of
+    the fraction, a point with no fraction and a plus sign are blank. Any
+    other row is left to ``_CSV_ROW %``: one with a float that is zero,
+    non-finite, out of range or near a half, an index out of range, or a
+    bit that is not 0 or 1.
+    """
+    group, frac_digits, head, tail, pow10, exact10 = _csv_tables()
+    index = chunk[0].astype(np.int64)
+    ok = (index >= 0) & (index < 10 ** 10)
+    top, mid, low = _digit_groups(np.where(ok, index, 0).astype(np.float64), 1e8, 1e4)
+    words[:, 0] = group[(top + 1e4).astype(np.intp)]
+    words[:, 1] = group[(mid + 1e4 * (top == 0)).astype(np.intp)]
+    words[:, 2] = group[(low + 2e4 * ((top == 0) & (mid == 0))).astype(np.intp)]
+    for at, v in zip(_CSV_FIELD_WORDS, chunk[1:4]):
+        v = np.asarray(v, np.float64)
+        a = np.abs(v)
+        ok &= a >= 1e-4
+        ok &= a < 1e9
+        a = np.where(ok, a, 1.0)
+        e = np.searchsorted(pow10, a, side="right")  # E + 5
+        unit = exact10[13 - e]
+        q = a * unit
+        ok &= np.abs(q - np.floor(q) - 0.5) >= 1e-6
+        whole, frac = _digit_groups(np.rint(q), unit)
+        ok &= whole < 1e9
+        whole = np.minimum(whole, 999_999_999)
+        frac *= exact10[e - 1]                        # 12 fraction digits
+        w2, w4, w3 = _digit_groups(whole, 1e7, 1e3)
+        f0, f4, f8 = _digit_groups(frac, 1e8, 1e4)
+        words[:, at] = head[(w2 + 100 * (v < 0)).astype(np.intp)]
+        words[:, at + 1] = group[(w4 + 1e4 * (w2 == 0)).astype(np.intp)]
+        words[:, at + 2] = tail[(w3 + 1e3 * (whole < 1e3) + 2e3 * (frac > 0)).astype(np.intp)]
+        words[:, at + 3] = frac_digits[(f0 + 1e4 * ((f4 == 0) & (f8 == 0))).astype(np.intp)]
+        words[:, at + 4] = frac_digits[(f4 + 1e4 * (f8 == 0)).astype(np.intp)]
+        words[:, at + 5] = frac_digits[(f8 + 1e4).astype(np.intp)]
+    bits = chunk[4]
+    ok &= (bits == 0) | (bits == 1)
+    words.view(np.uint8)[:, _CSV_BIT_BYTE] = np.where(bits == 1, 49, 48)
+    return ok
+
+
+def _digit_groups(v: np.ndarray, *units: float) -> list[np.ndarray]:
+    """Split integers below ``10**12``, held as doubles, at each of ``units``
+    in turn: ``v // units[0]``, the remainder ``// units[1]``, ..., and the
+    last remainder. Each ``floor(v / unit)`` is exact: ``v / unit`` is an
+    integer or at least ``1 / unit`` below the next one, a relative gap of
+    at least ``1 / v``, far above the ``2**-53`` of one rounding."""
+    out = []
+    for unit in units:
+        hi = np.floor(v / unit)
+        out.append(hi)
+        v = v - hi * unit
+    return out + [v]
+
+
+def _digit_table(n: int, width: int, blank=None) -> np.ndarray:
+    """``(n, width)`` ASCII digits of ``0..n-1``, zero-padded, with the slots
+    where ``blank(g, place)`` holds made blank."""
+    g = np.arange(n)[:, None]
+    place = 10 ** np.arange(width - 1, -1, -1)
+    digits = ord("0") + g // place % 10
+    if blank is not None:
+        digits = np.where(blank(g, place), ord(" "), digits)
+    return digits.astype(np.uint8)
+
+
+@functools.cache
+def _csv_tables():
+    """Tables for ``_format_rows``, built on first use (a few ms), so that
+    importing the package builds none of them. Four-character words:
+
+    - ``group[g + 10**4 * mode]``: the 4 digits of ``g``; mode 1 blanks
+      leading zeros, mode 2 all leading zeros but the last digit;
+    - ``frac_digits[g + 10**4 * strip]``: the same, with trailing zeros
+      blank when ``strip``;
+    - ``head[g + 100 * neg]``: comma, sign, the 2 digits of ``g`` with
+      leading zeros blank;
+    - ``tail[g + 1000 * (lead + 2 * point)]``: the 3 digits of ``g``, with
+      leading zeros but the last digit blank when ``lead``, then the point
+      when ``point``.
+
+    And powers of ten: ``pow10``, the doubles nearest ``1e-4 ... 1e9``, and
+    ``exact10``, ``10**0 ... 10**13``, each an exact double.
+    """
+    def lead(g, place):
+        return g < place
+
+    def lead_but_last(g, place):
+        return (g < place) & (place > 1)
+
+    def trail(g, place):
+        return g % (10 * place) == 0
+
+    def words(*columns):
+        return np.concatenate(columns, axis=1).view(np.uint32).ravel()
+
+    def stack(n, width, *blanks):
+        return np.concatenate([_digit_table(n, width, blank) for blank in blanks])
+
+    group = words(stack(10_000, 4, None, lead, lead_but_last))
+    frac_digits = words(stack(10_000, 4, None, trail))
+    sign = np.array([[ord(","), ord(" ")], [ord(","), ord("-")]], np.uint8)
+    head = words(np.repeat(sign, 100, axis=0), np.tile(_digit_table(100, 2, lead), (2, 1)))
+    point = np.repeat(np.array([[ord(" ")], [ord(".")]], np.uint8), 2000, axis=0)
+    tail = words(np.tile(stack(1000, 3, None, lead_but_last), (2, 1)), point)
+    pow10 = np.array([float(f"1e{k}") for k in range(-4, 10)])
+    exact10 = np.array([float(10 ** k) for k in range(14)])
+    tables = group, frac_digits, head, tail, pow10, exact10
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
 
 
 def _fork_measurement_csv(path: Path, index: np.ndarray, rec: PartyRecord) -> int:

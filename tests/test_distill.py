@@ -145,11 +145,12 @@ def test_bit_export_round_trips(tmp_path):
 def test_read_bits_packed_rejects_malformed_files(tmp_path):
     path = tmp_path / "k.bin"
     for raw, why in ((b"", "empty"), (bytes([9, 0xFF]), "pad count 9"),
-                     (bytes([8, 0xFF]), "pad count 8"), (bytes([3]), "no payload")):
+                     (bytes([8, 0xFF]), "pad count 8"), (bytes([3]), "no payload"),
+                     (bytes([7, 0xFF]), "padding bits"), (bytes([1, 0x01]), "padding bits")):
         path.write_bytes(raw)
         with pytest.raises(ValueError, match=why):
             read_bits_packed(path)
-    # a pad of 0 to 7 over at least one byte, or an empty key, reads back
+    # a pad of 0 to 7 zero bits over at least one byte, or an empty key, reads back
     path.write_bytes(bytes([7, 0x80]))
     assert read_bits_packed(path).tolist() == [1]
     path.write_bytes(bytes([0]))

@@ -1,15 +1,20 @@
 import dataclasses
 import hashlib
 import os
+import subprocess
 import sys
 import threading
 import time
 import weakref
 from collections import Counter
+from decimal import Decimal
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermalqkd import harness, kernels, modem
 from thermalqkd.config import format_config, set_config_value
@@ -63,6 +68,117 @@ def test_measurement_csv_matches_reference_formatter(tmp_path, n):
     path = tmp_path / "m.csv"
     _write_measurement_csv(path, index, rec)
     assert path.read_bytes() == _csv_reference(index, rec)
+
+
+# The row format every measurement CSV row must match, fast path or not.
+_PERCENT_ROW = "%d,%.9g,%.9g,%.9g,%d\n"
+
+
+def _percent_csv(index, rec):
+    rows = zip(*(col.tolist() for col in (index, rec.x, rec.p, rec.z, rec.bits)))
+    return ("index,x,p,z,bit\n" + "".join(_PERCENT_ROW % row for row in rows)).encode("ascii")
+
+
+def _fast_floats():
+    """Floats the fast path writes: in [1e-4, 1e9) and not near a half at the
+    ninth digit. Every E from -4 to 8 at both ends of its decade (below 1e8
+    the top end carries into the next decade), a carry that prints 0.001, the
+    largest value short of 1e9 in the test, and halves at fewer digits."""
+    out = [0.00099999999995, 999999999.4999, 12.5, 0.5, 1234567.25]
+    for e in range(-4, 9):
+        low = float(f"1e{e}")
+        out += [low, np.nextafter(low, np.inf), low * 1.23456789]
+        if e < 8:
+            out.append(np.nextafter(float(f"1e{e + 1}"), 0))
+    return out
+
+
+# Floats ``%`` writes: near a half at the ninth digit (9.999999995 is the
+# double 9.99999999499..., which prints 9.99999999, not 10; 123456789.5 and
+# 1234567.125 are exact halves), rounding up to 1e9 (an exponent), out of
+# range, zero, subnormal or not finite.
+_PERCENT_FLOATS = [9.999999995, 99999999.95, 123456789.5, 1234567.125, 1.000000005,
+                   np.nextafter(1e9, 0), 1e9, np.nextafter(1e-4, 0), 1e-5, 1e300,
+                   0.0, -0.0, 5e-324, 1e-310, np.nan, np.inf, -np.inf]
+
+
+def test_fast_rows_match_percent_row_by_row(tmp_path, monkeypatch):
+    # Rows that fall back sit at chunk positions 0, CSV_CHUNK_ROWS - 1 and
+    # CSV_CHUNK_ROWS, among others, so their place in the file is pinned.
+    fast = np.array([s * v for v in _fast_floats() for s in (1.0, -1.0)])
+    n = CSV_CHUNK_ROWS + 200
+    index = np.arange(n, dtype=np.int64) * 7919
+    index[1:8] = [0, 10 ** 10 - 1, 9_999, 10_000, 100_000_005, 10 ** 9, 10 ** 9 + 10_000]
+    x, p, z = np.resize(fast, n), np.resize(fast[::-1], n), np.roll(np.resize(fast, n), 3)
+    bits = np.arange(n, dtype=np.int64) % 2
+    positions = iter([0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, *range(10, n, 101)])
+    slow = []
+    for v in _PERCENT_FLOATS:
+        for col in (x, p, z):
+            slow.append(next(positions))
+            col[slow[-1]] = v
+    for col, v in ((index, 10 ** 10), (index, -1), (bits, 2), (bits, -1)):
+        slow.append(next(positions))
+        col[slow[-1]] = v
+    rec = PartyRecord(x=x, p=p, z=z, bits=bits)
+
+    formatted = []
+
+    class Recording(str):
+        def __mod__(self, row):
+            formatted.append(row)
+            return str.__mod__(self, row)
+
+    monkeypatch.setattr(harness, "_CSV_ROW", Recording(_PERCENT_ROW))
+    path = tmp_path / "m.csv"
+    _write_measurement_csv(path, index, rec)
+    want = _percent_csv(index, rec).decode("ascii").splitlines(keepends=True)
+    got = path.read_text(encoding="ascii").splitlines(keepends=True)
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"line {k}"
+    assert [row[0] for row in formatted] == index[sorted(slow)].tolist()
+
+
+def test_fast_path_comparisons_with_powers_of_ten_are_exact():
+    # Each power of ten the exponent is compared with lies on or above 10**k.
+    *_, pow10, exact10 = harness._csv_tables()
+    assert all(Decimal(c) >= Decimal(10) ** k for c, k in zip(pow10.tolist(), range(-4, 10)))
+    assert all(c == 10 ** k for k, c in enumerate(exact10.tolist()))
+
+
+def test_importing_the_package_builds_no_csv_table():
+    code = ("import thermalqkd.cli, thermalqkd.harness as h; "
+            "print(h._csv_tables.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"
+
+
+_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=1e-4, max_value=1e9, exclude_max=True),
+    # near a half at the ninth digit, in every decade of the fast path
+    st.builds(lambda k, e: (k + 0.5) * 10.0 ** (e - 8),
+              st.integers(10 ** 8, 10 ** 9 - 1), st.integers(-4, 8)),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_measurement_csv_matches_percent_on_arbitrary_columns(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 40), label="rows")
+
+    def column(elements, dtype):
+        return np.array(data.draw(st.lists(elements, min_size=n, max_size=n)), dtype)
+
+    index = column(st.integers(0, 10 ** 10) | st.integers(-2 ** 63, 2 ** 63 - 1), np.int64)
+    x, p, z = (column(_FLOAT, np.float64) for _ in range(3))
+    rec = PartyRecord(x=x, p=p, z=z, bits=column(st.integers(-2, 3), np.int8))
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    _write_measurement_csv(path, index, rec)
+    assert path.read_bytes() == _percent_csv(index, rec)
 
 
 def _edge_artifacts(n):
