@@ -9,8 +9,8 @@ named by its argument), 2 runtime failure or a failed selftest criterion.
 ``--seed`` and ``--n-symbols`` are read as the config file reads those keys,
 so ``0x10`` is 16 and ``010`` is rejected by name.
 The default output directory comes from ``THERMALQKD_OUT`` (falling back to
-./runs). ``run`` writes its measurement CSVs in forked processes, so it
-needs ``os.fork`` (Linux, macOS).
+./runs), and a path error names where it came from. ``run`` writes its
+measurement CSVs in forked processes, so it needs ``os.fork`` (Linux, macOS).
 """
 
 from __future__ import annotations
@@ -107,11 +107,14 @@ def _cmd_run(args) -> int:
     stem = Path(args.config).stem
     default_out = Path(os.environ.get("THERMALQKD_OUT", "runs"), f"{stem}-seed{cfg.seed}")
     out_dir = Path(args.out or default_out)
-    # Made before the run, so a bad --out fails before the compute.
-    with _path_arg("--out", out_dir):
+    # A path error names where the directory came from. It is made before the
+    # run, so a bad one fails before the compute.
+    source = ("--out" if args.out else
+              "THERMALQKD_OUT" if "THERMALQKD_OUT" in os.environ else "default output directory")
+    with _path_arg(source, out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = run_scenario(cfg)
-    with _path_arg("--out", out_dir):
+    with _path_arg(source, out_dir):
         paths = artifacts.write(out_dir)
     rep = artifacts.report
     print(f"wrote {out_dir}")

@@ -11,71 +11,23 @@ advantage distillation afterwards.
 
 Everything is deterministic given the config seed: each random stream is
 made from ``(seed, name)`` by ``_stream``, and the metric path avoids BLAS
-reductions so results do not depend on thread settings. A sweep or a
-calibration builds every point's config before it runs any, and every point
-runs at the base seed.
+reductions so results do not depend on thread settings. Each stage draws
+only its own streams and each party's steps read only that party's input
+and link, so receiving a party again from the same transmission draws what
+the run drew, and the bytes do not depend on how threads are scheduled.
 
-A grid run (``_grid_reports``, behind ``sweep`` and ``calibrate_preset``)
-groups its points by ``_transmission_key``, all that ``_transmit`` reads,
-and runs the groups on up to ``jobs`` threads. Within a group the points run
-in order, each one ``run_scenario`` call. The group transmits once and
-receives each distinct ``_receive_key`` (party, that party's link,
-``coherence_len``, ``pilot_len``) once. Use counts come from the configs
-before any point runs, and a receive is dropped after the last point that
-reads it. A held receive is the party's folded ``x``, ``p`` and ``z``, 24 B
-per data symbol, so each distinct receive is folded once and each point
-only slices its common window from it. A group holds its transmission, the
-receives later points read (one inner axis of a product grid) and the
-current point's. The group also draws each party's detection noise once,
-and its link once per drift of the party's links: a link's draws read only
-its drift, and its noise is drawn at unit variance and scaled by the
-receive. While a later distinct receive of the party needs them, the group
-holds the party's draws, 48 B per symbol, and each receive takes copies,
-since it writes into them; the last takes the arrays themselves. The
-free-space calibration grid of 9 x 9 points makes 1 transmission, 27
-receives (27 folds) and 3 link and 3 detector draws, not 27 and 27, and
-holds at most 11 receives. A lone run has one receive per party, so it
-holds and copies no draw.
+The module, in order:
 
-``run_scenario`` composes the protocol's three phases from four stages.
-Each stage makes the streams it draws and takes no others, so receiving a
-party again from the same transmission draws what the run drew:
-``_transmit`` (bits, symbols, source, 50:50 split and tap; draws ``bits``
-and ``source``), per party ``_draw_link`` (the link's phase walk, its
-cosines and sines and its unit noise; draws ``chan_<party>`` and reads no
-field) and ``_receive_party`` (channel combine, heterodyne, alignment,
-pilot phases and the fold of the party's own data range; takes its
-detection noise, ``_draw_detector``, which draws ``det_<party>``), and
-``_finish`` (common index, each party's slice of it, report and
-distillation; draws ``distill`` only when ``ad_block`` is set).
-
-Where a point's parties are received is settled by ``_grid_reports`` alone,
-through the ``threaded`` flag of the ``_GroupCache`` it hands each point
-(a lone run makes its own threaded group). It runs the groups on
-``min(jobs, os.cpu_count(), groups)`` threads. On one thread (``jobs ==
-1``, a single group or a single CPU) the groups run on the caller and are
-threaded; on a pool each group runs on one worker and receives in place,
-so pools never nest. In a threaded group, a point with two or more new
-receives starts ``PARTY_THREADS`` party threads beside the calling
-thread. Each party thread draws one party's link while the caller
-transmits, then receives that party once the transmission is ready. The
-caller, once it has transmitted, receives the remaining party (with the
-default two threads, Eve), drawing its link itself, and then finishes. So
-while it waits for the transmission a party holds only its link draws, 32
-B per symbol, and at most three receives run at once, one per thread.
-Each party's steps read only its own input and link and draw only its own
-streams, so the output bytes do not depend on how the threads are
-scheduled. Any other point (a single new receive or none, as at most
-points of a grid run) transmits and receives on the calling thread and
-starts no pool.
-
-``RunArtifacts.write`` formats each measurement CSV in its own forked child
-process (``os.fork``, so POSIX only), a chunk of rows at a time: numpy
-writes every row it can (``_format_rows``) and Python's ``%`` the few it
-leaves, so the file holds the bytes ``%`` would write for every row. It
-forks only after ``run_scenario`` has returned, when its party pools are
-shut down and their threads joined; a fork in a process with other live
-threads could copy a lock that one of them holds.
+- ``RunArtifacts`` and its measurement CSV writer (``_fork_measurement_csv``,
+  ``_write_measurement_csv``, ``_format_rows`` and its tables);
+- the stages of a run: ``_transmit``, ``_draw_link``, ``_draw_detector``,
+  ``_receive_party`` (pilot phases by ``_segment_corrections``, data symbols
+  by ``_data_indices``) and ``_finish``;
+- ``_GroupCache``, the transmission, receives and draws that the points of
+  one group share, and ``run_scenario``, one point;
+- ``_grid_reports``, which groups and schedules the points of ``sweep`` and
+  ``calibrate_preset``;
+- the presets, the calibration and the sweeps.
 """
 
 from __future__ import annotations
@@ -121,6 +73,9 @@ MAX_SWEEP_POINTS = 10_000
 # Threads that receive and fold the three parties of one run.
 PARTY_THREADS = 2
 
+# Pilots phased per call; bounds the pilot pass's memory.
+PILOT_BLOCK = 65_536
+
 # Measurement CSV rows formatted per write; bounds the writer's memory.
 CSV_CHUNK_ROWS = 65_536
 _CSV_ROW = "%d,%.9g,%.9g,%.9g,%d\n"
@@ -150,14 +105,17 @@ class RunArtifacts:
     distilled: dict | None = None
 
     def write(self, out_dir) -> dict[str, Path]:
-        """Write per-party CSVs, the JSON report and the config echo.
+        """Write per-party CSVs, the JSON report, the config echo and any
+        distilled keys, as text and packed; returns every file's path.
 
         Each party's CSV is formatted (``_write_measurement_csv``) in its own
         forked child process while this process writes the rest, so the
         three formatters share the cores; threads were measured slower. Call
-        it from a process running no other threads. Every CSV is created
-        here first, so a bad path raises in the caller before any fork; a
-        child that fails raises RuntimeError naming its file.
+        it from a process running no other threads (``run_scenario`` joins its
+        party threads before it returns): a fork could copy a lock that one of
+        them holds. Every CSV is created here first, so a bad path raises in
+        the caller before any fork; a child that fails raises RuntimeError
+        naming its file.
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -181,9 +139,10 @@ class RunArtifacts:
             if self.distilled is not None:
                 for party in ("alice", "bob"):
                     bits = self.distilled[f"{party}_key"]
-                    write_bits_text(bits, out / f"key_{party}.txt")
-                    write_bits_packed(bits, out / f"key_{party}.bin")
                     paths[f"key_{party}"] = out / f"key_{party}.txt"
+                    paths[f"key_{party}_bin"] = out / f"key_{party}.bin"
+                    write_bits_text(bits, paths[f"key_{party}"])
+                    write_bits_packed(bits, paths[f"key_{party}_bin"])
         finally:
             codes = {name: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                      for name, pid in children.items()}
@@ -384,22 +343,31 @@ def _segment_corrections(x, p, syms, lag, config):
     ``lag >= 0`` (every link delays) its segment has all its pilots in
     range: the fallback fills only segments the fold never reads, or follows
     a negative lag, which only a wrong alignment gives.
+
+    Only the first and the last segment with pilots in range can have just
+    some of them in range, so the runs come in at most three lengths. The
+    segments of each length are estimated together, one row each,
+    ``PILOT_BLOCK`` pilots at a time.
     """
     n = config.n_symbols
-    psi = np.zeros(-(-n // config.coherence_len))
-    for s in range(psi.size):
-        tx0 = s * config.coherence_len
-        lo, hi = max(tx0, -lag), min(tx0 + config.pilot_len, n, n - lag)
-        if hi - lo < MIN_PILOTS:
-            psi[s] = psi[s - 1] if s else 0.0
-            continue
-        theta = estimate_global_phase(x[lo + lag:hi + lag], p[lo + lag:hi + lag], syms[lo:hi])
-        # Not psi = theta: the angle folded into [-pi/4, pi/4) plus whole
-        # quarter turns in 0..3 rounds differently, and this sum is what the
-        # golden digests in tests/test_harness.py pin for every preset run.
-        turns, rem = divmod(theta + np.pi / 4, np.pi / 2)
-        psi[s] = (rem - np.pi / 4) + (turns % 4) * (np.pi / 2)
-    return psi
+    tx0 = np.arange(0, n, config.coherence_len)
+    lo = np.maximum(tx0, -lag)
+    count = np.minimum(tx0 + config.pilot_len, n - max(0, lag)) - lo
+    valid = count >= MIN_PILOTS
+    theta = np.zeros(lo.size)
+    for size in set(count[valid].tolist()):  # not np.unique: it imports numpy.ma
+        rows = np.flatnonzero(count == size)
+        for block in np.split(rows, np.arange(0, rows.size, max(1, PILOT_BLOCK // size))[1:]):
+            tx = lo[block, None] + np.arange(size)
+            theta[block] = estimate_global_phase(x[tx + lag], p[tx + lag], syms[tx])
+    # Not psi = theta: the angle folded into [-pi/4, pi/4) plus whole quarter
+    # turns in 0..3 rounds differently, and this sum is what the golden
+    # digests in tests/test_harness.py pin for every preset run.
+    turns, rem = np.divmod(theta + np.pi / 4, np.pi / 2)
+    psi = (rem - np.pi / 4) + (turns % 4) * (np.pi / 2)
+    # Each segment takes the phase of the last valid one at or before it, 0 before any.
+    last = np.maximum.accumulate(np.where(valid, np.arange(psi.size), -1))
+    return np.where(last >= 0, psi[last], 0.0)
 
 
 def _transmit(config):
@@ -413,6 +381,16 @@ def _transmit(config):
         config.source, SYMBOL_PHASES, syms, _stream(config.seed, "source")), 0.5)
     bob_in, eve_in = apply_beamsplitter(broadcast, config.eve_transmittance)
     return syms, {"alice": alice_in, "bob": bob_in, "eve": eve_in}
+
+
+def _data_indices(lo, hi, config):
+    """Data symbols (not pilots) at transmitted indices in ``[lo, hi)``, listed
+    segment by segment. No offset at or past ``hi`` is made, so a segment far
+    longer than the run costs only the run."""
+    seg_len = config.coherence_len
+    index = (np.arange(lo // seg_len, (hi - 1) // seg_len + 1)[:, None] * seg_len
+             + np.arange(config.pilot_len, min(seg_len, hi))).ravel()
+    return index[np.searchsorted(index, lo):np.searchsorted(index, hi)]
 
 
 def _data_before(tx, config):
@@ -468,13 +446,12 @@ def _receive_party(name, inputs, config, syms, drawn, detect, spectra):
     found = estimate_delay_and_rotation(syms[:window], x[:window] + 1j * p[:window], max_lag,
                                         spectra)
     psi = _segment_corrections(x, p, syms, found.lag, config)
-    lo, hi = max(0, -found.lag), n - max(0, found.lag)
-    tx = np.arange(lo, hi)
-    keep = tx % config.coherence_len >= config.pilot_len
-    cells = (4 * (tx // config.coherence_len) + syms[lo:hi])[keep]
+    lo = max(0, -found.lag)
+    tx = _data_indices(lo, n - max(0, found.lag), config)
+    cells = 4 * (tx // config.coherence_len) + syms[tx]
+    tx += found.lag
+    x, p = x[tx], p[tx]
     del tx
-    rx = slice(lo + found.lag, hi + found.lag)
-    x, p = x[rx][keep], p[rx][keep]
     angle = (psi[:, None] + SYMBOL_PHASES).ravel()
     xf, pf, z = kernels.demod_fold(x, p, np.cos(angle)[cells], np.sin(angle)[cells])
     return found, _data_before(lo, config), xf, pf, z
@@ -492,13 +469,7 @@ def _finish(config, received) -> RunArtifacts:
     # |lag| <= max_lag <= n // 4, so it holds at least n/2 - 1 symbols.
     u_lo = max(0, *(-alignment[name].lag for name in PARTIES))
     u_hi = min(n - 1 - max(0, alignment[name].lag) for name in PARTIES)
-    # Each segment's data indices, cut to [u_lo, u_hi]: the values of
-    # arange(u_lo, u_hi + 1) whose remainder is >= pilot_len. No offset
-    # past u_hi is kept, so none is made.
-    seg_len = config.coherence_len
-    index = (np.arange(u_lo // seg_len, u_hi // seg_len + 1)[:, None] * seg_len
-             + np.arange(config.pilot_len, min(seg_len, u_hi + 1))).ravel()
-    index = index[np.searchsorted(index, u_lo):np.searchsorted(index, u_hi, "right")]
+    index = _data_indices(u_lo, u_hi + 1, config)
     # Slicing needs two symbols and distillation one whole block.
     for field, need in (("pilot_len", 2), ("ad_block", config.ad_block or 0)):
         if index.size < need:

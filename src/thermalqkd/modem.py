@@ -107,38 +107,28 @@ def estimate_delay_and_rotation(ref_symbols, rx, max_lag: int,
     return AlignmentResult(lag=lag, match_fraction=float(within / (hi - lo)))
 
 
-def estimate_global_phase(pilot_x, pilot_y, pilot_symbols) -> float:
-    """Channel phase in (-pi, pi].
+def estimate_global_phase(pilot_x, pilot_y, pilot_symbols) -> np.ndarray:
+    """Channel phase in (-pi, pi] of each row of pilots.
 
-    Estimated as the angle of the mean received sample after derotating each
-    pilot by its known cluster phase. The pilots are known, so the angle is
-    the whole phase, with no k*pi/2 ambiguity.
+    Estimated as the angle of the row's mean received sample after derotating
+    each pilot by its known cluster phase. The pilots are known, so the angle
+    is the whole phase, with no k*pi/2 ambiguity. The arrays are one shape,
+    the symbols in 0..3, and each row holds at least ``MIN_PILOTS``.
     """
-    x = np.asarray(pilot_x, dtype=float)
-    y = np.asarray(pilot_y, dtype=float)
-    syms = _check_symbols(pilot_symbols)
-    if not (x.shape == y.shape == syms.shape):
-        raise ValueError("pilot sequences must have matching lengths")
-    if x.size < MIN_PILOTS:
-        raise ValueError(f"need at least {MIN_PILOTS} pilot samples, got {x.size}")
-    c = _PHASE_COS[syms]
-    s = _PHASE_SIN[syms]
-    re = np.sum(x * c + y * s)
-    im = np.sum(y * c - x * s)
-    return float(np.arctan2(im, re))
-
-
-def _check_symbols(symbols) -> np.ndarray:
-    s = np.asarray(symbols)
-    if s.size and (s.min() < 0 or s.max() > 3):
-        raise ValueError("symbols must lie in 0..3")
-    return s.astype(np.int64)
+    c = _PHASE_COS[pilot_symbols]
+    s = _PHASE_SIN[pilot_symbols]
+    re = np.sum(pilot_x * c + pilot_y * s, axis=-1)
+    im = np.sum(pilot_y * c - pilot_x * s, axis=-1)
+    return np.arctan2(im, re)
 
 
 def _alignment_inputs(ref_symbols, rx, max_lag):
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-    ref = _check_symbols(ref_symbols)
+    ref = np.asarray(ref_symbols)
+    if ref.size and (ref.min() < 0 or ref.max() > 3):
+        raise ValueError("symbols must lie in 0..3")
+    ref = ref.astype(np.int64)
     rx = np.asarray(rx, dtype=complex)
     need = max(4 * max_lag, 1)
     if ref.size < need or rx.size < need:

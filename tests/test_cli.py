@@ -53,10 +53,21 @@ def test_run_seed_overrides_config(tmp_path, config_file, capsys):
     assert "seed: invalid literal" in capsys.readouterr().err
 
 
-def test_run_uses_env_output_dir(tmp_path, config_file, monkeypatch):
+def test_run_uses_env_output_dir(tmp_path, config_file, monkeypatch, capsys):
     monkeypatch.setenv("THERMALQKD_OUT", str(tmp_path / "envout"))
     assert main(["run", str(config_file)]) == 0
     assert (tmp_path / "envout" / "scenario-seed1" / "report.json").exists()
+    # Without --out, a directory that cannot be made is blamed on where it
+    # came from: the variable, or the default ./runs.
+    monkeypatch.setenv("THERMALQKD_OUT", str(config_file))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs").write_text("")
+    for source in ("THERMALQKD_OUT", "default output directory"):
+        capsys.readouterr()
+        assert main(["run", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert f"thermalqkd: {source}: cannot use" in err and "--out" not in err
+        monkeypatch.delenv("THERMALQKD_OUT", raising=False)
 
 
 def test_malformed_config_exits_one(tmp_path, capsys):

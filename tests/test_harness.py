@@ -10,6 +10,7 @@ from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from thermalqkd.harness import (CSV_CHUNK_ROWS, SCENARIO_PRESETS, CalibrationErr
                                 freespace_scenario, run_scenario, sweep, sweep_csv,
                                 sweep_values, waveguide_scenario)
 from thermalqkd.infotheory import MetricsReport, build_report
-from thermalqkd.modem import SYMBOL_PHASES, ReferenceSpectra, bits_to_symbols
+from thermalqkd.modem import MIN_PILOTS, SYMBOL_PHASES, ReferenceSpectra, bits_to_symbols
 
 
 def _read_bytes(path):
@@ -374,6 +375,82 @@ def test_segment_phases_are_whole_pilot_phases():
     psi = harness._segment_corrections(field.real, field.imag, syms, 0, cfg)
     off = np.angle(np.exp(1j * (psi - phase)))
     assert np.all(np.abs(off) < np.pi / 4), np.flatnonzero(np.abs(off) >= np.pi / 4)
+
+
+def _segment_corrections_per_segment(x, p, syms, lag, config):
+    """The reference pilot pass: one segment at a time, each phase from the
+    sums over one pilot slice, a scalar ``arctan2`` and Python's ``divmod``."""
+    n = config.n_symbols
+    psi = np.zeros(-(-n // config.coherence_len))
+    for s in range(psi.size):
+        tx0 = s * config.coherence_len
+        lo, hi = max(tx0, -lag), min(tx0 + config.pilot_len, n, n - lag)
+        if hi - lo < MIN_PILOTS:
+            psi[s] = psi[s - 1] if s else 0.0
+            continue
+        px, pp, k = x[lo + lag:hi + lag], p[lo + lag:hi + lag], syms[lo:hi]
+        c, si = np.cos(SYMBOL_PHASES)[k], np.sin(SYMBOL_PHASES)[k]
+        theta = float(np.arctan2(np.sum(pp * c - px * si), np.sum(px * c + pp * si)))
+        turns, rem = divmod(theta + np.pi / 4, np.pi / 2)
+        psi[s] = (rem - np.pi / 4) + (turns % 4) * (np.pi / 2)
+    return psi
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_segment_corrections_match_the_per_segment_loop(data):
+    # Segments of one pilot past the pilots, and longer than the run; lags
+    # of either sign out to n/4, so that the first or the last segment has
+    # only some of its pilots, or too few, in range.
+    n = data.draw(st.integers(1000, 20_000), label="n")
+    pilot_len = data.draw(st.integers(16, 999), label="pilot_len")
+    coherence_len = data.draw(st.one_of(
+        st.just(pilot_len + 1), st.integers(pilot_len + 1, 3 * pilot_len),
+        st.integers(pilot_len + 1, n), st.integers(n, 10 ** 9)), label="coherence_len")
+    edge = n // 4
+    lag = data.draw(st.one_of(st.just(0), st.integers(-edge, edge),
+                              st.integers(edge - 40, edge), st.integers(-edge, 40 - edge)),
+                    label="lag")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    syms = rng.integers(0, 4, n).astype(np.uint8)
+    x, p = rng.standard_normal(n), rng.standard_normal(n)
+    cfg = SimpleNamespace(n_symbols=n, coherence_len=coherence_len, pilot_len=pilot_len)
+    # Small blocks split one pilot count over many calls, down to a row each.
+    block = data.draw(st.sampled_from([harness.PILOT_BLOCK, 1000, 16]), label="block")
+    with mock.patch.object(harness, "PILOT_BLOCK", block):
+        psi = harness._segment_corrections(x, p, syms, lag, cfg)
+    want = _segment_corrections_per_segment(x, p, syms, lag, cfg)
+    assert psi.tobytes() == want.tobytes()
+
+
+def test_pilot_phases_are_estimated_per_pilot_count_not_per_segment(monkeypatch):
+    # 2,353 segments of 17 symbols per party; the delays leave the first
+    # segment whole, so each party has at most two pilot counts of one block,
+    # and every segment but the last has all 16 pilots in range.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return modem.estimate_global_phase(*args)
+
+    monkeypatch.setattr(harness, "estimate_global_phase", counted)
+    cfg = dataclasses.replace(waveguide_scenario(seed=3, n_symbols=40_000, ad_block=None),
+                              coherence_len=17, pilot_len=16)
+    run_scenario(cfg)
+    assert 3 <= len(calls) <= 6, calls
+    assert sum(rows for rows, _ in calls) >= 3 * (cfg.n_symbols // 17)
+
+
+def test_a_lone_run_imports_no_numpy_ma():
+    # np.unique imports numpy.ma on first use (10-18 ms), a cost that a
+    # process making one run pays in full.
+    code = ("import sys, thermalqkd.harness as h; "
+            "h.run_scenario(h.waveguide_scenario(n_symbols=20_000)); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_party_threads_match_in_place_run(tmp_path, monkeypatch):
@@ -769,7 +846,8 @@ def test_artifact_files_are_consistent(tmp_path):
     assert (tmp_path / "run" / "report.json").exists()
     assert (tmp_path / "run" / "config.cfg").exists()
     assert set(paths) == {"alice", "bob", "eve", "report", "config",
-                          "key_alice", "key_bob"}
+                          "key_alice", "key_bob", "key_alice_bin", "key_bob_bin"}
+    assert sorted(paths.values()) == sorted((tmp_path / "run").iterdir())
 
 
 def test_lossless_symmetric_config_is_highly_correlated():

@@ -301,11 +301,3 @@ def test_global_phase_noisy():
     syms = rng.integers(0, 4, 1000)
     x, p = _pilot_samples(syms, 0.2, 2.0, 5.0, rng)
     assert estimate_global_phase(x, p, syms) == pytest.approx(0.2, abs=0.03)
-
-
-def test_global_phase_validation():
-    syms = np.zeros(10, dtype=int)
-    with pytest.raises(ValueError):
-        estimate_global_phase(np.ones(10), np.ones(10), syms)  # too short
-    with pytest.raises(ValueError):
-        estimate_global_phase(np.ones(20), np.ones(19), np.zeros(20, dtype=int))
