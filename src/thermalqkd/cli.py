@@ -9,8 +9,9 @@ named by its argument), 2 runtime failure or a failed selftest criterion.
 ``--seed`` and ``--n-symbols`` are read as the config file reads those keys,
 so ``0x10`` is 16 and ``010`` is rejected by name.
 The default output directory comes from ``THERMALQKD_OUT`` (falling back to
-./runs), and a path error names where it came from. ``run`` writes its
-measurement CSVs in forked processes, so it needs ``os.fork`` (Linux, macOS).
+./runs when it is unset or empty), and a path error names where it came
+from. ``run`` writes its measurement CSVs in forked processes, so it needs
+``os.fork`` (Linux, macOS).
 """
 
 from __future__ import annotations
@@ -105,12 +106,13 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg = set_config_value(cfg, "seed", args.seed)
     stem = Path(args.config).stem
-    default_out = Path(os.environ.get("THERMALQKD_OUT", "runs"), f"{stem}-seed{cfg.seed}")
+    env_out = os.environ.get("THERMALQKD_OUT")  # empty is unset
+    default_out = Path(env_out or "runs", f"{stem}-seed{cfg.seed}")
     out_dir = Path(args.out or default_out)
     # A path error names where the directory came from. It is made before the
     # run, so a bad one fails before the compute.
     source = ("--out" if args.out else
-              "THERMALQKD_OUT" if "THERMALQKD_OUT" in os.environ else "default output directory")
+              "THERMALQKD_OUT" if env_out else "default output directory")
     with _path_arg(source, out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = run_scenario(cfg)

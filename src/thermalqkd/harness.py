@@ -76,8 +76,10 @@ PARTY_THREADS = 2
 # Pilots phased per call; bounds the pilot pass's memory.
 PILOT_BLOCK = 65_536
 
-# Measurement CSV rows formatted per write; bounds the writer's memory.
-CSV_CHUNK_ROWS = 65_536
+# Measurement CSV rows formatted per write: a chunk's word matrix (768 KiB) and
+# float temporaries (64 KiB each) stay in L2, and the temporaries are small
+# enough to be reused from the heap rather than mapped as fresh zeroed pages.
+CSV_CHUNK_ROWS = 8_192
 _CSV_ROW = "%d,%.9g,%.9g,%.9g,%d\n"
 
 # A formatted row is 24 four-byte words of characters; blank slots are dropped.
@@ -113,9 +115,10 @@ class RunArtifacts:
         three formatters share the cores; threads were measured slower. Call
         it from a process running no other threads (``run_scenario`` joins its
         party threads before it returns): a fork could copy a lock that one of
-        them holds. Every CSV is created here first, so a bad path raises in
-        the caller before any fork; a child that fails raises RuntimeError
-        naming its file.
+        them holds. The digit tables are built here, before the forks, so the
+        children share one copy. Every CSV is created here first, so a bad
+        path raises in the caller before any fork; a child that fails raises
+        RuntimeError naming its file.
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -125,6 +128,7 @@ class RunArtifacts:
         paths = {name: out / f"{name}.csv" for name in PARTIES}
         for path in paths.values():
             open(path, "w").close()
+        _csv_tables()
         children = {}
         try:
             for name in PARTIES:

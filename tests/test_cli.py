@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import shutil
 import tracemalloc
 from unittest import mock
 
@@ -68,6 +69,21 @@ def test_run_uses_env_output_dir(tmp_path, config_file, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert f"thermalqkd: {source}: cannot use" in err and "--out" not in err
         monkeypatch.delenv("THERMALQKD_OUT", raising=False)
+
+
+def test_run_treats_empty_env_output_dir_as_unset(tmp_path, config_file, monkeypatch, capsys):
+    monkeypatch.setenv("THERMALQKD_OUT", "")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(config_file)]) == 0
+    assert (tmp_path / "runs" / "scenario-seed1" / "report.json").exists()
+    assert not (tmp_path / "scenario-seed1").exists()
+    shutil.rmtree(tmp_path / "runs")
+    (tmp_path / "runs").write_text("")
+    capsys.readouterr()
+    assert main(["run", str(config_file)]) == 1
+    err = capsys.readouterr().err
+    assert "thermalqkd: default output directory: cannot use" in err
+    assert "THERMALQKD_OUT" not in err
 
 
 def test_malformed_config_exits_one(tmp_path, capsys):

@@ -63,7 +63,7 @@ def _edge_record(n, seed=11):
     return index, PartyRecord(x=x, p=p, z=z, bits=bits)
 
 
-@pytest.mark.parametrize("n", [1, 15, CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n", [1, 15, CSV_CHUNK_ROWS + 1, 65_537])  # one chunk, two, many
 def test_measurement_csv_matches_reference_formatter(tmp_path, n):
     index, rec = _edge_record(n)
     path = tmp_path / "m.csv"
@@ -78,6 +78,16 @@ _PERCENT_ROW = "%d,%.9g,%.9g,%.9g,%d\n"
 def _percent_csv(index, rec):
     rows = zip(*(col.tolist() for col in (index, rec.x, rec.p, rec.z, rec.bits)))
     return ("index,x,p,z,bit\n" + "".join(_PERCENT_ROW % row for row in rows)).encode("ascii")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, CSV_CHUNK_ROWS])
+def test_chunk_size_changes_no_byte(tmp_path, monkeypatch, chunk_rows):
+    # Fast and fallback rows alike, at every chunk boundary and none.
+    index, rec = _edge_record(3_001)
+    monkeypatch.setattr(harness, "CSV_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "m.csv"
+    _write_measurement_csv(path, index, rec)
+    assert path.read_bytes() == _percent_csv(index, rec)
 
 
 def _fast_floats():
@@ -146,6 +156,21 @@ def test_fast_path_comparisons_with_powers_of_ten_are_exact():
     *_, pow10, exact10 = harness._csv_tables()
     assert all(Decimal(c) >= Decimal(10) ** k for c, k in zip(pow10.tolist(), range(-4, 10)))
     assert all(c == 10 ** k for k, c in enumerate(exact10.tolist()))
+
+
+def test_write_builds_the_csv_tables_once_before_the_forks(tmp_path, monkeypatch):
+    # Built in the parent, the tables reach each child copy-on-write.
+    fork = harness._fork_measurement_csv
+    built = []
+
+    def recording_fork(*args):
+        built.append(harness._csv_tables.cache_info().currsize)
+        return fork(*args)
+
+    harness._csv_tables.cache_clear()
+    monkeypatch.setattr(harness, "_fork_measurement_csv", recording_fork)
+    _edge_artifacts(15).write(tmp_path)
+    assert built == [1, 1, 1]
 
 
 def test_importing_the_package_builds_no_csv_table():
