@@ -113,7 +113,7 @@ def _parse_taps(text: str) -> tuple[TapSpec, ...]:
         pieces = part.split(":")
         if len(pieces) != 3:
             raise ValueError(f"tap must be delay:amplitude:phase, got {part!r}")
-        taps.append(TapSpec(delay=int(pieces[0]), amplitude=float(pieces[1]),
+        taps.append(TapSpec(delay=_int(pieces[0]), amplitude=float(pieces[1]),
                             phase=float(pieces[2])))
     return tuple(taps)
 

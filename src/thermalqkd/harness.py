@@ -22,7 +22,8 @@ The module, in order:
   ``_write_measurement_csv``, ``_format_rows`` and its tables);
 - the stages of a run: ``_transmit``, ``_draw_link``, ``_draw_detector``,
   ``_receive_party`` (pilot phases by ``_segment_corrections``, data symbols
-  by ``_data_indices``) and ``_finish``;
+  by ``_data_indices``; the fold it returns is a ``_Receive``) and
+  ``_finish``;
 - ``_GroupCache``, the transmission, receives and draws that the points of
   one group share, and ``run_scenario``, one point;
 - ``_grid_reports``, which groups and schedules the points of ``sweep`` and
@@ -418,6 +419,41 @@ def _draw_detector(name, config):
                                _stream(config.seed, f"det_{name}"))
 
 
+@dataclass
+class _Receive:
+    """A party's fold: its ``alignment``, the data symbols before its folded
+    range (``start``) and the folded ``x``, ``p`` and ``z``, 24 B per folded
+    symbol.
+
+    It also holds what a finish took from it over the last common window
+    it read, keyed by the ``window``'s offset into the fold and its size:
+    the ``record`` over the window, with bits from ``median_slice``, and
+    the ``moments`` of its ``z`` (see ``infotheory.pearson_rs``), None
+    until a report has taken them.
+    """
+
+    alignment: AlignmentResult
+    start: int
+    x: np.ndarray
+    p: np.ndarray
+    z: np.ndarray
+    window: tuple[int, int] | None = None
+    record: PartyRecord | None = None
+    moments: tuple[float, float] | None = None
+
+    def record_at(self, first, size):
+        """The record of the ``size`` data symbols from the ``first``-th: the
+        one held if it covers that window, else a new one, held in its
+        place with no moments yet."""
+        window = (first - self.start, size)
+        if window != self.window:
+            part = slice(window[0], window[0] + size)
+            z = self.z[part]
+            self.window, self.moments = window, None
+            self.record = PartyRecord(x=self.x[part], p=self.p[part], z=z, bits=median_slice(z))
+        return self.record
+
+
 def _receive_party(name, inputs, config, syms, drawn, detect, spectra):
     """Channel, heterodyne, alignment, pilot phases and fold of one party.
 
@@ -436,9 +472,8 @@ def _receive_party(name, inputs, config, syms, drawn, detect, spectra):
     ``[0, n)``. Its angle is ``psi[segment] + SYMBOL_PHASES[symbol]``, so
     the cosines and sines are taken once per (segment, symbol) cell and
     gathered; each cell's angle is the same double sum as the per-symbol
-    one, so the bytes are too. Returns ``(alignment, start, x, p, z)``,
-    where ``start`` counts the data symbols before the range: 24 B per
-    folded symbol while it is held. The raw quadratures are freed here.
+    one, so the bytes are too. Returns the fold as a ``_Receive``. The raw
+    quadratures are freed here.
     """
     n = config.n_symbols
     link = getattr(config, f"{name}_link")
@@ -458,17 +493,23 @@ def _receive_party(name, inputs, config, syms, drawn, detect, spectra):
     del tx
     angle = (psi[:, None] + SYMBOL_PHASES).ravel()
     xf, pf, z = kernels.demod_fold(x, p, np.cos(angle)[cells], np.sin(angle)[cells])
-    return found, _data_before(lo, config), xf, pf, z
+    return _Receive(found, _data_before(lo, config), xf, pf, z)
 
 
 def _finish(config, received) -> RunArtifacts:
     """Post-processing over the public channel: common index, slice, report
     and distillation.
 
-    Each party's record is the common window's part of its folded receive.
+    Each party's record is the common window's part of its folded receive,
+    with bits from ``median_slice``. A receive that a grid's earlier point
+    read over the same window gives that point's record, and the moments of
+    its ``z`` that the report took, again (``_Receive.record_at``), so the
+    finish computes only what depends on the three parties together: the
+    joint bit table, the cross sums of the correlations, the BER and the
+    distillation. The bytes are those of a lone run.
     """
     n = config.n_symbols
-    alignment = {name: received[name][0] for name in PARTIES}
+    alignment = {name: received[name].alignment for name in PARTIES}
     # Common aligned range on the transmitted clock, data symbols only. Every
     # |lag| <= max_lag <= n // 4, so it holds at least n/2 - 1 symbols.
     u_lo = max(0, *(-alignment[name].lag for name in PARTIES))
@@ -482,13 +523,11 @@ def _finish(config, received) -> RunArtifacts:
                 f"leave {index.size} data symbols of {n}; need at least {need}"])
 
     first = _data_before(u_lo, config)
-    records = {}
-    for name in PARTIES:
-        _, start, x, p, z = received[name]
-        part = slice(first - start, first - start + index.size)
-        records[name] = PartyRecord(x=x[part], p=p[part], z=z[part], bits=median_slice(z[part]))
-
-    report = build_report(records["alice"], records["bob"], records["eve"])
+    records = {name: received[name].record_at(first, index.size) for name in PARTIES}
+    moments = [received[name].moments for name in PARTIES]
+    report = build_report(records["alice"], records["bob"], records["eve"], moments)
+    for name, taken in zip(PARTIES, moments):
+        received[name].moments = taken
 
     distilled = None
     if config.ad_block is not None:
@@ -534,10 +573,13 @@ class _GroupCache:
     link draws for one drift each go to the last distinct receive that
     reads them. Until then the group holds them, and each earlier receive
     reads the field and takes copies of the draws, which it writes into: a
-    party's draws are 48 B per symbol. A held receive is the party's folded
-    ``x``, ``p`` and ``z``, which each point slices to its own common
-    window. A ``threaded`` group receives a point's new parties on party
-    threads when there are two or more of them.
+    party's draws are 48 B per symbol. A held receive is a ``_Receive``,
+    the party's folded ``x``, ``p`` and ``z``, which each point slices to
+    its own common window. The receive keeps the last window's record and
+    the moments of its ``z``, so the points that read it over one window
+    slice, threshold and centre it once, and it drops them with itself.
+    A ``threaded`` group receives a point's new parties on party threads
+    when there are two or more of them.
     """
 
     def __init__(self, configs, threaded=True):

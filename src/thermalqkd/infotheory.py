@@ -69,21 +69,35 @@ def conditional_mutual_information(counts) -> float:
     return max(cmi, 0.0)
 
 
-def pearson_rs(*samples) -> dict[tuple[int, int], float]:
+def pearson_rs(*samples, moments=None) -> dict[tuple[int, int], float]:
     """Sample Pearson correlation coefficient of every pair of ``samples``,
     keyed ``(i, j)`` with ``i < j``.
 
     Each sample is centred once for all its pairs; a pair's r is the same
-    floating-point sum as for those two samples alone.
+    floating-point sum as for those two samples alone. ``moments``, if
+    given, holds an entry per sample that carries its mean and its sum of
+    squared deviations from one call to the next: a None entry is replaced
+    by the sample's ``(mean, sum of squares)``, and a sample whose entry an
+    earlier call filled is centred on that mean, which gives the same
+    bytes, without taking its sums again.
     """
     arrs = [np.asarray(s, dtype=float) for s in samples]
     if len(arrs) < 2 or any(a.ndim != 1 or a.shape != arrs[0].shape for a in arrs) \
             or arrs[0].size < 2:
         raise ValueError("inputs must be two or more equal-length 1-D sequences of length >= 2")
+    if moments is None:
+        moments = [None] * len(arrs)
+    if len(moments) != len(arrs):
+        raise ValueError(f"got {len(moments)} moments for {len(arrs)} samples")
     centred = []
-    for x in arrs:
-        dx = x - np.sum(x) / x.size
-        centred.append((dx, np.sum(dx * dx)))
+    for k, x in enumerate(arrs):
+        if moments[k] is None:
+            mean = np.sum(x) / x.size
+            dx = x - mean
+            moments[k] = mean, np.sum(dx * dx)
+        else:
+            dx = x - moments[k][0]
+        centred.append((dx, moments[k][1]))
     out = {}
     for i, j in itertools.combinations(range(len(arrs)), 2):
         (dx, vx), (dy, vy) = centred[i], centred[j]
@@ -153,8 +167,13 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def build_report(alice: PartyRecord, bob: PartyRecord, eve: PartyRecord) -> MetricsReport:
-    """Assemble the full metric set from three aligned party records."""
+def build_report(alice: PartyRecord, bob: PartyRecord, eve: PartyRecord,
+                 moments=None) -> MetricsReport:
+    """Assemble the full metric set from three aligned party records.
+
+    The correlations are ``pearson_rs`` of the three ``z``, which reads and
+    fills ``moments`` (one entry per party, in argument order) as its own.
+    """
     n = len(alice)
     if not (len(bob) == len(eve) == n) or n == 0:
         raise ValueError("party records must be aligned to one nonzero length")
@@ -162,7 +181,7 @@ def build_report(alice: PartyRecord, bob: PartyRecord, eve: PartyRecord) -> Metr
     i_ab = mutual_information(table3.sum(axis=2))
     i_ae = mutual_information(table3.sum(axis=1))
     i_be = mutual_information(table3.sum(axis=0))
-    r = pearson_rs(alice.z, bob.z, eve.z)
+    r = pearson_rs(alice.z, bob.z, eve.z, moments=moments)
     return MetricsReport(
         r_ab=r[0, 1],
         r_be=r[1, 2],

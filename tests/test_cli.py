@@ -98,7 +98,7 @@ def test_malformed_config_exits_one(tmp_path, capsys):
                             ("ad_block = 2", "ad_block = 100000", "ad_block:")]:
         assert old in text
         bad.write_text(text.replace(old, new))
-        assert main(["run", str(bad)]) == 1
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 1
         assert field in capsys.readouterr().err
 
 

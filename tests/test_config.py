@@ -217,6 +217,29 @@ def test_malformed_taps_rejected():
     assert "bob_link.taps" in str(err.value)
 
 
+# A tap delay is read as bob_link.delay is: with a base prefix, and a
+# leading zero without one is rejected naming the key.
+_TAPS = "bob_link.taps = 9:0.02:-0.8"
+
+
+@pytest.mark.parametrize("text", ["9", "0x9", "0o11", "0b1001"])
+def test_tap_delay_reads_integer_prefixes(text):
+    base = format_config(waveguide_scenario(seed=1, n_symbols=10_000))
+    cfg = parse_config(base.replace(_TAPS, f"bob_link.taps = {text}:0.02:0.6"))
+    assert cfg.bob_link.taps[0].delay == 9
+    assert parse_config(base.replace("bob_link.delay = 7", f"bob_link.delay = {text}")
+                        ).bob_link.delay == 9
+
+
+@pytest.mark.parametrize("old, new", [(_TAPS, "bob_link.taps = 09:0.02:0.6"),
+                                      ("bob_link.delay = 7", "bob_link.delay = 09")],
+                         ids=["taps", "delay"])
+def test_leading_zero_delay_is_rejected(old, new):
+    base = format_config(waveguide_scenario(seed=1, n_symbols=10_000))
+    with pytest.raises(ConfigError, match=new.split(" = ")[0]):
+        parse_config(base.replace(old, new))
+
+
 def test_scenario_invariants():
     cfg = waveguide_scenario(seed=1, n_symbols=10_000)
     with pytest.raises(ConfigError):

@@ -637,6 +637,13 @@ def _receive_alone(receive, name, inputs, config, syms):
                    lambda: harness._draw_detector(name, config), ReferenceSpectra())
 
 
+def _assert_same_receive(got, want, name):
+    """``got`` has the alignment, range start and folded bytes of ``want``."""
+    assert (got.alignment, got.start) == (want.alignment, want.start), name
+    for field in ("x", "p", "z"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (name, field)
+
+
 @pytest.mark.parametrize("preset", sorted(SCENARIO_PRESETS))
 def test_receiving_a_party_again_gives_the_same_bytes(monkeypatch, preset):
     # A party received twice more from one transmission gets the alignment,
@@ -653,11 +660,9 @@ def test_receiving_a_party_again_gives_the_same_bytes(monkeypatch, preset):
     run_scenario(cfg)
     syms, inputs = harness._transmit(cfg)
     for name in harness.PARTIES:
-        found, start, x, p, z = in_run[name]
         for _ in range(2):
-            again = _receive_alone(receive, name, inputs, cfg, syms)
-            assert [a.tobytes() for a in again[2:]] == [x.tobytes(), p.tobytes(), z.tobytes()], name
-            assert again[:2] == (found, start), name
+            _assert_same_receive(_receive_alone(receive, name, inputs, cfg, syms), in_run[name],
+                                 name)
 
 
 def test_a_receive_reads_only_its_own_link():
@@ -669,11 +674,9 @@ def test_a_receive_reads_only_its_own_link():
     deep = set_config_value(shallow, "eve_link.delay", 5_000)
     syms, inputs = harness._transmit(shallow)
     for name in ("alice", "bob"):
-        found, start, x, p, z = _receive_alone(harness._receive_party, name, inputs, shallow,
-                                               syms)
-        again = _receive_alone(harness._receive_party, name, inputs, deep, syms)
-        assert [a.tobytes() for a in again[2:]] == [x.tobytes(), p.tobytes(), z.tobytes()], name
-        assert again[:2] == (found, start), name
+        _assert_same_receive(_receive_alone(harness._receive_party, name, inputs, deep, syms),
+                             _receive_alone(harness._receive_party, name, inputs, shallow, syms),
+                             name)
 
 
 # sha256 of every artifact file of the presets at seed 7, 20k symbols,
@@ -1061,7 +1064,7 @@ def _traced_grid(monkeypatch, run_grid):
 
     def counted_receive(name, inputs, config, *args):
         out = receive(name, inputs, config, *args)
-        made.append((harness._receive_key(name, config), weakref.ref(out[4])))
+        made.append((harness._receive_key(name, config), weakref.ref(out.z)))
         receives.append((party(name, config), drawn_alive()))
         return out
 
@@ -1145,6 +1148,83 @@ def test_grid_points_match_lone_runs_over_link_fields(preset, jobs):
         for value, report in sweep(base, key, values, jobs=jobs):
             lone = run_scenario(set_config_value(base, key, value)).report
             assert report.to_json() == lone.to_json(), (key, value)
+
+
+def _count_calls(monkeypatch, name):
+    """Replace ``harness.<name>`` with a wrapper that logs each call's first
+    argument; return the log."""
+    original, log = getattr(harness, name), []
+
+    def counted(first, *args):
+        log.append(first)
+        return original(first, *args)
+
+    monkeypatch.setattr(harness, name, counted)
+    return log
+
+
+def test_a_calibration_slices_each_receive_once_per_window(monkeypatch):
+    # The free-space grid's 81 points read 27 receives, each over one common
+    # window, so each is median-sliced once and not once per point.
+    slices = _count_calls(monkeypatch, "median_slice")
+    result = calibrate_preset("freespace", n_symbols=20_000)
+    assert len(slices) == 27
+    assert _calibration_digest(result) == GOLDEN_CALIBRATIONS["freespace"]
+
+
+def test_a_moving_window_gives_shared_receives_fresh_records(monkeypatch):
+    # Eve's delays 3 and 5 leave Bob's 7 the deepest lag, so the first two
+    # points read Alice's and Bob's receives, made once for the sweep, over
+    # one window; Eve's 40 moves the window's end, and both are sliced
+    # again. Every point's report is that of a lone run.
+    base = waveguide_scenario(seed=4, n_symbols=20_000, ad_block=None)
+    receives = _count_calls(monkeypatch, "_receive_party")
+    slices = _count_calls(monkeypatch, "median_slice")
+    rows = sweep(base, "eve_link.delay", [3, 5, 40])
+    assert Counter(receives) == {"alice": 1, "bob": 1, "eve": 3}
+    sizes = [report.n_bits for _, report in rows]
+    assert sizes[0] == sizes[1] > sizes[2]
+    assert [z.size for z in slices] == [sizes[0]] * 4 + [sizes[2]] * 3
+    monkeypatch.undo()
+    for value, report in rows:
+        lone = run_scenario(set_config_value(base, "eve_link.delay", value)).report
+        assert report.to_json() == lone.to_json(), value
+
+
+def test_a_lone_run_keeps_no_other_per_symbol_array(monkeypatch):
+    # A lone run's receives, and the window records they memoise, are gone
+    # once it returns; its artifacts hold each party's x, p, z and bits and
+    # the common index, and no other array of one entry per symbol.
+    receive = harness._receive_party
+    made = []
+
+    def kept(*args):
+        out = receive(*args)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(harness, "_receive_party", kept)
+    art = run_scenario(freespace_scenario(seed=2, n_symbols=20_000, ad_block=2))
+    assert len(made) == 3 and [ref() for ref in made] == [None] * 3
+    arrays = []
+
+    def walk(path, obj):
+        if isinstance(obj, np.ndarray):
+            if obj.size >= art.report.n_bits:
+                arrays.append(path)
+        elif isinstance(obj, dict):
+            for key, value in obj.items():
+                walk(f"{path}.{key}", value)
+        elif isinstance(obj, (list, tuple)):
+            for i, value in enumerate(obj):
+                walk(f"{path}.{i}", value)
+        elif hasattr(obj, "__dict__"):
+            walk(path, vars(obj))
+
+    walk("art", art)
+    assert sorted(arrays) == sorted(["art.index"] + [f"art.parties.{name}.{field}"
+                                                     for name in harness.PARTIES
+                                                     for field in ("x", "p", "z", "bits")])
 
 
 def test_a_lone_run_frees_each_input_once_received(monkeypatch):

@@ -232,6 +232,18 @@ def test_build_report_correlations_equal_pearson_r_exactly():
     assert (report.r_ab, report.r_be, report.r_ae) == want
     assert (pearson_r(z[0], z[1]), pearson_r(z[1], z[2]), pearson_r(z[0], z[2])) == want
     assert pearson_rs(*z) == {(0, 1): want[0], (1, 2): want[1], (0, 2): want[2]}
+    # Moments that a report filled in give the same bytes when read back,
+    # and a pair of samples takes its entries from a call over three.
+    moments = [None] * 3
+    assert build_report(*recs, moments) == report
+    assert moments == [(np.sum(zi) / zi.size, np.sum((zi - np.sum(zi) / zi.size) ** 2))
+                       for zi in z]
+    assert build_report(*recs, list(moments)) == report
+    assert pearson_rs(z[0], z[2], moments=[moments[0], moments[2]]) == {(0, 1): want[2]}
+    shifted = [(mean + 1.0, ss) for mean, ss in moments]
+    assert pearson_rs(*z, moments=shifted) != pearson_rs(*z)
+    with pytest.raises(ValueError, match="2 moments for 3 samples"):
+        pearson_rs(*z, moments=moments[:2])
 
 
 def test_build_report_uninformative_eve():
