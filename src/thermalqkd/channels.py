@@ -19,7 +19,9 @@ comparisons across parameter changes stay sample-aligned. The draws
 (``draw_channel``) read no field and of the link only its drift: the noise
 is drawn at unit variance and scaled by the combine (``apply_channel``) that
 applies the draws to the link's input. So links that differ only in loss,
-delay, taps or noise level can share one set of draws.
+delay, taps or noise level can share one set of draws. Fields are planar
+``(re, im)`` pairs (see ``optics``); the combine builds the received field
+in the draws' cosines and sines and only reads the noise.
 """
 
 from __future__ import annotations
@@ -128,21 +130,22 @@ def draw_channel(drift: PhaseDriftParams, n: int, rng):
     return cos_t, np.sin(theta, out=theta), noise
 
 
-def apply_channel(stream, params: ChannelParams, drawn) -> np.ndarray:
-    """Apply the composite impairment model to a complex symbol stream,
-    with the link's draws ``drawn`` from ``draw_channel``, which it
-    consumes: the noise is scaled to ``rx_noise_var`` in place and the
-    cosines and sines are overwritten."""
-    src = np.ascontiguousarray(stream, dtype=complex)
-    if src.ndim != 1 or src.size == 0:
-        raise ValueError("stream must be a nonempty 1-D sequence of amplitudes")
+def apply_channel(stream, params: ChannelParams, drawn):
+    """Apply the composite impairment model to the field ``stream = (re,
+    im)``, with the link's draws ``drawn`` from ``draw_channel``. Returns
+    the received field ``(re, im)``, built in the draws' cosines and sines,
+    which it consumes; the noise is only read, and scaled to
+    ``rx_noise_var`` block by block in the combine."""
+    re, im = (np.ascontiguousarray(part, dtype=float) for part in stream)
+    if re.ndim != 1 or re.size == 0 or im.shape != re.shape:
+        raise ValueError("stream must be a nonempty 1-D field (re, im) of one shape")
     cos_t, sin_t, noise = drawn
-    if cos_t.shape != src.shape:
-        raise ValueError(f"draws cover {cos_t.size} symbols, the stream {src.size}")
-    noise *= np.sqrt(params.rx_noise_var)
+    if cos_t.shape != re.shape:
+        raise ValueError(f"draws cover {cos_t.size} symbols, the stream {re.size}")
     amp = np.sqrt(params.transmittance)
     tap_delays = np.array([t.delay for t in params.taps], dtype=np.int64)
     tap_cr = np.array([t.amplitude * np.cos(t.phase) * amp for t in params.taps])
     tap_ci = np.array([t.amplitude * np.sin(t.phase) * amp for t in params.taps])
-    return kernels.channel_combine(src, amp, int(params.delay), cos_t, sin_t,
-                                   tap_delays, tap_cr, tap_ci, noise)
+    return kernels.channel_combine(re, im, amp, int(params.delay), cos_t, sin_t,
+                                   tap_delays, tap_cr, tap_ci, noise,
+                                   np.sqrt(params.rx_noise_var))

@@ -21,11 +21,12 @@ The module, in order:
 - ``RunArtifacts`` and its measurement CSV writer (``_fork_measurement_csv``,
   ``_write_measurement_csv``, ``_format_rows`` and its tables);
 - the stages of a run: ``_transmit``, ``_draw_link``, ``_draw_detector``,
-  ``_receive_party`` (pilot phases by ``_segment_corrections``, data symbols
-  by ``_data_indices``; the fold it returns is a ``_Receive``) and
-  ``_finish``;
-- ``_GroupCache``, the transmission, receives and draws that the points of
-  one group share, and ``run_scenario``, one point;
+  ``_receive_party`` (pilot phases by ``_segment_corrections``, its data
+  range counted by ``_data_before``; the fold it returns is a
+  ``_Receive``) and ``_finish`` (the common window's data symbols listed by
+  ``_data_indices``);
+- ``_GroupCache``, the transmission, receives, draws and common index that
+  the points of one group share, and ``run_scenario``, one point;
 - ``_grid_reports``, which groups and schedules the points of ``sweep`` and
   ``calibrate_preset``;
 - the presets, the calibration and the sweeps.
@@ -34,7 +35,6 @@ The module, in order:
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import functools
 import itertools
@@ -73,9 +73,6 @@ MAX_SWEEP_POINTS = 10_000
 
 # Threads that receive and fold the three parties of one run.
 PARTY_THREADS = 2
-
-# Pilots phased per call; bounds the pilot pass's memory.
-PILOT_BLOCK = 65_536
 
 # Measurement CSV rows formatted per write: a chunk's word matrix (768 KiB) and
 # float temporaries (64 KiB each) stay in L2, and the temporaries are small
@@ -352,7 +349,7 @@ def _segment_corrections(x, p, syms, lag, config):
     Only the first and the last segment with pilots in range can have just
     some of them in range, so the runs come in at most three lengths. The
     segments of each length are estimated together, one row each,
-    ``PILOT_BLOCK`` pilots at a time.
+    ``kernels.BLOCK`` pilots at a time.
     """
     n = config.n_symbols
     tx0 = np.arange(0, n, config.coherence_len)
@@ -362,7 +359,7 @@ def _segment_corrections(x, p, syms, lag, config):
     theta = np.zeros(lo.size)
     for size in set(count[valid].tolist()):  # not np.unique: it imports numpy.ma
         rows = np.flatnonzero(count == size)
-        for block in np.split(rows, np.arange(0, rows.size, max(1, PILOT_BLOCK // size))[1:]):
+        for block in np.split(rows, np.arange(0, rows.size, max(1, kernels.BLOCK // size))[1:]):
             tx = lo[block, None] + np.arange(size)
             theta[block] = estimate_global_phase(x[tx + lag], p[tx + lag], syms[tx])
     # Not psi = theta: the angle folded into [-pi/4, pi/4) plus whole quarter
@@ -378,7 +375,8 @@ def _segment_corrections(x, p, syms, lag, config):
 def _transmit(config):
     """Bits, QPSK symbols and source fields, split 50:50 between Alice and
     the broadcast, whose tap passes ``eve_transmittance`` to Bob and the rest
-    to Eve. Returns ``(syms, inputs)``, one input field per party."""
+    to Eve. Returns ``(syms, inputs)``, one input field ``(re, im)`` per
+    party, 16 B per symbol each."""
     bits = _stream(config.seed, "bits").integers(0, 2, 2 * config.n_symbols, dtype=np.uint8)
     syms = bits_to_symbols(bits)
     # The source field is an argument only, so it is freed once split.
@@ -462,41 +460,42 @@ def _receive_party(name, inputs, config, syms, drawn, detect, spectra):
     a grid run makes each distinct receive once. Pops the party's input
     from ``inputs`` and its ``_draw_link`` draws from ``drawn``, and drops
     each once used; ``detect()`` gives the ``_draw_detector`` noise, taken
-    once the link's draws are freed. So two parties received at once hold
-    little besides their quadratures. The receive owns what it pops and
-    what ``detect`` gives, and writes into them. ``spectra`` holds the
+    once the link's input and noise are freed. The combine builds the
+    received field in the link's cosines and sines, and the heterodyne adds
+    the detection noise there, so the quadratures ``x`` and ``p`` are those
+    two arrays and a receive makes no other array of the run's length
+    before its fold. It writes into the cosines and sines it is given and
+    only reads the input field and both noises. ``spectra`` holds the
     transmission's reference transforms for the delay search.
 
     The fold covers the party's own data range on the transmitted clock:
     every data symbol ``tx`` whose received index ``tx + lag`` lies in
     ``[0, n)``. Its angle is ``psi[segment] + SYMBOL_PHASES[symbol]``, so
-    the cosines and sines are taken once per (segment, symbol) cell and
-    gathered; each cell's angle is the same double sum as the per-symbol
-    one, so the bytes are too. Returns the fold as a ``_Receive``. The raw
-    quadratures are freed here.
+    the cosines and sines are taken once per (segment, symbol) cell, and
+    ``kernels.demod_fold`` gathers them and the quadratures block by block;
+    each cell's angle is the same double sum as the per-symbol one, so the
+    bytes are too. Returns the fold as a ``_Receive``. The raw quadratures
+    are freed here.
     """
     n = config.n_symbols
     link = getattr(config, f"{name}_link")
     max_lag = min(max(MIN_ALIGNMENT_LAG, 2 * link.max_history), n // 4)
     window = min(n, max(8 * max_lag, ALIGNMENT_WINDOW))
-    rx_field = apply_channel(inputs.pop(name), link, drawn.pop(name))
-    x, p = heterodyne(rx_field, detect())
-    del rx_field
+    received = apply_channel(inputs.pop(name), link, drawn.pop(name))
+    x, p = heterodyne(received, detect())
+    del received
     found = estimate_delay_and_rotation(syms[:window], x[:window] + 1j * p[:window], max_lag,
                                         spectra)
     psi = _segment_corrections(x, p, syms, found.lag, config)
-    lo = max(0, -found.lag)
-    tx = _data_indices(lo, n - max(0, found.lag), config)
-    cells = 4 * (tx // config.coherence_len) + syms[tx]
-    tx += found.lag
-    x, p = x[tx], p[tx]
-    del tx
+    first = _data_before(max(0, -found.lag), config)
+    count = _data_before(n - max(0, found.lag), config) - first
     angle = (psi[:, None] + SYMBOL_PHASES).ravel()
-    xf, pf, z = kernels.demod_fold(x, p, np.cos(angle)[cells], np.sin(angle)[cells])
-    return _Receive(found, _data_before(lo, config), xf, pf, z)
+    xf, pf, z = kernels.demod_fold(x, p, syms, found.lag, first, count, config.coherence_len,
+                                   config.pilot_len, np.cos(angle), np.sin(angle))
+    return _Receive(found, first, xf, pf, z)
 
 
-def _finish(config, received) -> RunArtifacts:
+def _finish(config, received, common_index=_data_indices) -> RunArtifacts:
     """Post-processing over the public channel: common index, slice, report
     and distillation.
 
@@ -506,7 +505,9 @@ def _finish(config, received) -> RunArtifacts:
     its ``z`` that the report took, again (``_Receive.record_at``), so the
     finish computes only what depends on the three parties together: the
     joint bit table, the cross sums of the correlations, the BER and the
-    distillation. The bytes are those of a lone run.
+    distillation. The bytes are those of a lone run. ``common_index``
+    lists the window's data symbols: a grid's points take it from their
+    group, which makes it once per window (``_GroupCache.common_index``).
     """
     n = config.n_symbols
     alignment = {name: received[name].alignment for name in PARTIES}
@@ -514,7 +515,7 @@ def _finish(config, received) -> RunArtifacts:
     # |lag| <= max_lag <= n // 4, so it holds at least n/2 - 1 symbols.
     u_lo = max(0, *(-alignment[name].lag for name in PARTIES))
     u_hi = min(n - 1 - max(0, alignment[name].lag) for name in PARTIES)
-    index = _data_indices(u_lo, u_hi + 1, config)
+    index = common_index(u_lo, u_hi + 1, config)
     # Slicing needs two symbols and distillation one whole block.
     for field, need in (("pilot_len", 2), ("ad_block", config.ad_block or 0)):
         if index.size < need:
@@ -571,15 +572,17 @@ class _GroupCache:
     all and per drift of its link. A receive is dropped after the last
     point that reads it. A party's input field, its detection noise and its
     link draws for one drift each go to the last distinct receive that
-    reads them. Until then the group holds them, and each earlier receive
-    reads the field and takes copies of the draws, which it writes into: a
-    party's draws are 48 B per symbol. A held receive is a ``_Receive``,
-    the party's folded ``x``, ``p`` and ``z``, which each point slices to
-    its own common window. The receive keeps the last window's record and
-    the moments of its ``z``, so the points that read it over one window
-    slice, threshold and centre it once, and it drops them with itself.
-    A ``threaded`` group receives a point's new parties on party threads
-    when there are two or more of them.
+    reads them. Until then the group holds them, 48 B per symbol of draws
+    per party; each earlier receive reads the field, the detection noise
+    and the link noise, and takes copies of the link's cosines and sines
+    (16 B per symbol), which its combine writes into. A held receive is a
+    ``_Receive``, the party's folded ``x``, ``p`` and ``z``, which each
+    point slices to its own common window. The receive keeps the last
+    window's record and the moments of its ``z``, so the points that read
+    it over one window slice, threshold and centre it once, and it drops
+    them with itself. The group likewise keeps the last common index it
+    made (``common_index``). A ``threaded`` group receives a point's new
+    parties on party threads when there are two or more of them.
     """
 
     def __init__(self, configs, threaded=True):
@@ -592,6 +595,7 @@ class _GroupCache:
         self.held = {}
         self.draws = {}
         self.transmission = None
+        self.index = None, None
 
     def received(self, config):
         """Each party's receive for one point; transmits on the first.
@@ -643,22 +647,38 @@ class _GroupCache:
         return _receive_party(
             name, {name: inputs[name] if shared[name] else inputs.pop(name)}, config, syms,
             {name: self._take(link, shared[link], early.pop(name).result if name in early
-                              else lambda: _draw_link(name, config))},
+                              else lambda: _draw_link(name, config), _combined_copy)},
             lambda: self._take(name, shared[name], lambda: _draw_detector(name, config)),
             spectra)
 
-    def _take(self, key, shared, make):
+    def _take(self, key, shared, make, written=None):
         """Draw ``key`` for one receive: the arrays the group holds, or
         ``make()``'s. While ``shared`` (a later receive needs them) the
-        group holds them and the receive gets copies, since it writes into
-        its draws; otherwise the receive takes the arrays themselves."""
+        group holds them too, and the receive gets ``written(drawn)``,
+        copies of the arrays it writes into, when ``written`` is given;
+        otherwise the receive takes the arrays themselves."""
         drawn = self.draws.pop(key, None)
         if drawn is None:
             drawn = make()
         if not shared:
             return drawn
         self.draws[key] = drawn
-        return copy.deepcopy(drawn)
+        return written(drawn) if written else drawn
+
+    def common_index(self, lo, hi, config):
+        """``_data_indices(lo, hi, config)``, made again only when the window
+        or the segment layout differs from the last call's."""
+        key = lo, hi, config.coherence_len, config.pilot_len
+        if self.index[0] != key:
+            self.index = key, _data_indices(lo, hi, config)
+        return self.index[1]
+
+
+def _combined_copy(drawn):
+    """A link's draws with copies of the cosines and sines, which the
+    combine writes into, and the noise itself, which it only reads."""
+    cos_t, sin_t, noise = drawn
+    return cos_t.copy(), sin_t.copy(), noise
 
 
 def run_scenario(config: ScenarioConfig, _group=None) -> RunArtifacts:
@@ -672,7 +692,7 @@ def run_scenario(config: ScenarioConfig, _group=None) -> RunArtifacts:
     from it, so its bytes are the same.
     """
     group = _group or _GroupCache([config])
-    return _finish(config, group.received(config))
+    return _finish(config, group.received(config), group.common_index)
 
 
 def _grid_reports(configs, jobs: int) -> list[MetricsReport]:

@@ -2,69 +2,103 @@
 
 Each kernel consumes pre-drawn random arrays and pre-computed trigonometry
 and performs only IEEE add/mul/sqrt in a fixed order, so its output for a
-given input is fixed byte for byte.
+given input is fixed byte for byte. A field is a pair of contiguous float64
+arrays, ``(re, im)``. The per-symbol kernels work ``BLOCK`` symbols at a
+time, so their temporaries are a few blocks long whatever the run length;
+each element still takes the operands of the whole-array form in the same
+order, so the block size changes no byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# Symbols per block of every blocked per-symbol pass (the source draws, the
+# combine, the fold, and the pilots of one phase estimate in the harness):
+# bounds their temporaries whatever the run length.
+BLOCK = 65_536
 
-def channel_combine(src, amp, delay, cos_t, sin_t, tap_delays, tap_cr, tap_ci, noise):
-    """Delayed, phase-rotated, tap-echoed copy of the complex ``src`` plus noise.
+
+def channel_combine(src_re, src_im, amp, delay, cos_t, sin_t, tap_delays, tap_cr, tap_ci,
+                    noise, noise_sd):
+    """Delayed, phase-rotated, tap-echoed copy of the field ``src`` plus noise.
 
     out[t] = amp*e^{i*theta(t)}*src[t-delay]
              + sum_k (tap_cr[k]+i*tap_ci[k])*src[t-delay-tap_delays[k]]
-             + noise[t, 0] + i*noise[t, 1]
-    Out-of-range history reads as zero amplitude. ``noise`` is C-contiguous
-    of shape ``(n, 2)``, one ``(re, im)`` pair per symbol. The real and
-    imaginary sums are built in ``cos_t`` and ``sin_t``, which are
-    overwritten: each rotated sample is written over the cosine and sine it
-    was made from, and the echoes are added there. The sums are then
-    copied into the complex128 result and the noise is added through its
-    complex view. Every sum takes the operands of the one-expression form in
-    the same order, so the bytes are the same.
+             + noise[t, 0]*noise_sd + i*noise[t, 1]*noise_sd
+    Out-of-range history reads as zero amplitude. ``noise`` is of shape
+    ``(n, 2)``, one ``(re, im)`` pair per symbol, and is only read. The
+    result is built in ``cos_t`` and ``sin_t``, which are overwritten and
+    returned as ``(re, im)``: block by block, each rotated sample is
+    written over the cosine and sine it was made from, then the echoes and
+    the scaled noise are added there. Every sum takes the operands of the
+    one-expression form in the same order, so the bytes are the same.
     """
-    n = src.shape[0]
-    src_re, src_im = src.real, src.imag
-    acc_re, acc_im = cos_t, sin_t
-    if delay < n:
-        m = n - delay
-        c, s = cos_t[delay:], sin_t[delay:]
-        s_im = s * src_im[:m]
-        c_im = c * src_im[:m]
-        np.multiply(c, src_re[:m], out=c)
-        np.multiply(s, src_re[:m], out=s)
-        c -= s_im
-        c *= amp
-        s += c_im
-        s *= amp
-        del s_im, c_im
-    acc_re[:delay] = 0.0
-    acc_im[:delay] = 0.0
-    for k in range(tap_delays.shape[0]):
-        off = delay + int(tap_delays[k])
-        if off >= n:
-            continue
-        m = n - off
-        acc_re[off:] += tap_cr[k] * src_re[:m] - tap_ci[k] * src_im[:m]
-        acc_im[off:] += tap_cr[k] * src_im[:m] + tap_ci[k] * src_re[:m]
-    out = np.empty(n, dtype=complex)
-    out.real = acc_re
-    out.imag = acc_im
-    out += noise.view(complex)[:, 0]
-    return out
+    n = src_re.shape[0]
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        main = min(max(lo, delay), hi)   # first symbol of the block with a main path
+        cos_t[lo:main] = 0.0
+        sin_t[lo:main] = 0.0
+        if main < hi:
+            c, s = cos_t[main:hi], sin_t[main:hi]
+            re, im = src_re[main - delay:hi - delay], src_im[main - delay:hi - delay]
+            s_im = s * im
+            c_im = c * im
+            np.multiply(c, re, out=c)
+            np.multiply(s, re, out=s)
+            c -= s_im
+            c *= amp
+            s += c_im
+            s *= amp
+        for k in range(tap_delays.shape[0]):
+            off = delay + int(tap_delays[k])
+            first = max(lo, off)
+            if first >= hi:
+                continue
+            re, im = src_re[first - off:hi - off], src_im[first - off:hi - off]
+            cos_t[first:hi] += tap_cr[k] * re - tap_ci[k] * im
+            sin_t[first:hi] += tap_cr[k] * im + tap_ci[k] * re
+        cos_t[lo:hi] += noise[lo:hi, 0] * noise_sd
+        sin_t[lo:hi] += noise[lo:hi, 1] * noise_sd
+    return cos_t, sin_t
 
 
-def demod_fold(x, p, cos_a, sin_a):
-    """Rotate (x, p) by -psi where (cos_a, sin_a) = (cos psi, sin psi).
+def demod_fold(x, p, syms, lag, first, count, seg_len, pilot_len, cos_cells, sin_cells):
+    """Fold ``count`` data symbols from the ``first``-th: rotate each one's
+    ``(x, p)`` by minus its cell's angle and take the amplitude.
 
-    Returns the rotated pair plus the amplitude sqrt(x'^2 + p'^2).
+    Data symbols are numbered on the transmitted clock, skipping the
+    ``pilot_len`` pilots that open each ``seg_len`` segment: the ``k``-th
+    is ``tx = k + (k // (seg_len - pilot_len) + 1) * pilot_len``, received
+    at ``tx + lag`` and in segment ``tx // seg_len``. Its cell is ``4 *
+    segment + syms[tx]``, and ``(cos_cells, sin_cells)`` hold each cell's
+    ``(cos psi, sin psi)``. Returns ``(x', p', z)``, where
+    ``x' = x*cos psi + p*sin psi``, ``p' = p*cos psi - x*sin psi`` and
+    ``z = sqrt(x'^2 + p'^2)``, gathered and folded block by block into
+    arrays of ``count``.
     """
-    xr = x * cos_a + p * sin_a
-    pr = p * cos_a - x * sin_a
-    z = np.sqrt(xr * xr + pr * pr)
-    return xr, pr, z
+    data_len = seg_len - pilot_len
+    xf, pf, z = np.empty(count), np.empty(count), np.empty(count)
+    for lo in range(0, count, BLOCK):
+        hi = min(lo + BLOCK, count)
+        seg = np.arange(first + lo, first + hi)
+        tx = seg + pilot_len
+        seg //= data_len
+        tx += seg * pilot_len
+        cell = syms[tx] + 4 * seg
+        tx += lag
+        xb, pb = x[tx], p[tx]
+        cos_a, sin_a = cos_cells[cell], sin_cells[cell]
+        xr, pr = xf[lo:hi], pf[lo:hi]
+        np.multiply(xb, cos_a, out=xr)
+        xr += pb * sin_a
+        np.multiply(pb, cos_a, out=pr)
+        pr -= xb * sin_a
+        np.multiply(xr, xr, out=z[lo:hi])
+        z[lo:hi] += pr * pr
+        np.sqrt(z[lo:hi], out=z[lo:hi])
+    return xf, pf, z
 
 
 def distill_scan(a_bits, b_bits, r_bits, block):

@@ -5,18 +5,25 @@ a thermal state with mean photon number ``nbar`` has covariance
 ``(2*nbar + 1) * I``, and its sampled field amplitude carries a circular
 complex Gaussian fluctuation with per-quadrature variance ``nbar``.
 Heterodyne detection adds the noise variance it is given per quadrature;
-a run gives it one vacuum unit (``harness.DETECTION_NOISE_VAR``). Field
-amplitudes are plain complex numbers; streams of symbols are 1-D complex128
-arrays. Every beam splitter's second input is vacuum, the zero amplitude in
-this positive-P sampling, so a splitter takes one input.
+a run gives it one vacuum unit (``harness.DETECTION_NOISE_VAR``). A field
+is a pair ``(re, im)`` of float64 arrays of one shape, the real and
+imaginary parts of its amplitudes, from the source through the splitters,
+the channel (``channels.apply_channel``) and the heterodyne; it becomes
+complex nowhere. Every beam splitter's second input is vacuum, the zero
+amplitude in this positive-P sampling, so a splitter takes one input.
 
 Random draws are made into float64 arrays of shape ``(..., 2)``, one
-``(re, im)`` pair per amplitude, and a field is added into their complex
-view in place: ``x + y`` is ``y + x`` in IEEE arithmetic, so the sums equal
-the per-quadrature ones of a complex temporary. The source's displacement
-is a table of one entry per symbol phase, gathered by the symbols.
-Detection noise is drawn apart from the field it is added to
-(``draw_detector_noise``), so the draw is a stage of its own.
+``(re, im)`` pair per amplitude, as a complex draw would be laid out. The
+source draws its fluctuation ``kernels.BLOCK`` symbols at a time and adds
+the displacement part by part into its planar result; the heterodyne adds
+each quadrature of its noise into the field's part, which it consumes.
+``x + y`` is ``y + x`` in IEEE arithmetic, so each sum equals the
+per-quadrature one of a complex temporary. A complex product by a real
+scale also multiplies the other part by zero, which the planar product
+does not, so the two differ at most in the sign of an exact zero. The
+source's displacement is a table of one entry per symbol phase, gathered
+by the symbols. Detection noise is drawn apart from the field it is added
+to (``draw_detector_noise``), so the draw is a stage of its own.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import kernels
 
 
 @dataclass(frozen=True)
@@ -55,26 +64,37 @@ def sample_source_field(params: SourceParams, phases, symbols, rng):
     ``params.nbar``, so E|s|^2 = 2*nbar. ``d0`` is in the same field units:
     the coherent photon number is ``d0**2 / 2`` and the thermal photon number
     is ``nbar``. ``phases`` is a short table and ``symbols`` indexes it; the
-    result is a complex array of ``symbols``' shape, a view of the draws.
-    Each amplitude is the sum of the same two terms as
+    result is the field ``(re, im)``, two arrays of ``symbols``' shape. The
+    draws are those of one ``(..., 2)`` draw, made ``kernels.BLOCK`` symbols
+    at a time. Each part is the sum of the same two terms as the part of
     ``d0*np.exp(1j*phase) + s``, bit for bit, except that the sign of an
     exact zero may differ when both ``d0`` and ``nbar`` are 0.
     """
     symbols = np.asarray(symbols)
-    fluct = rng.normal(0.0, 1.0, symbols.shape + (2,))
-    fluct *= np.sqrt(params.nbar)
-    field = fluct.view(complex)[..., 0]
-    field += (params.d0 * np.exp(1j * np.asarray(phases, dtype=float)))[symbols]
-    return field
+    table = params.d0 * np.exp(1j * np.asarray(phases, dtype=float))
+    sd = np.sqrt(params.nbar)
+    flat = symbols.reshape(-1)
+    re, im = np.empty(flat.shape), np.empty(flat.shape)
+    for lo in range(0, flat.size, kernels.BLOCK):
+        hi = min(lo + kernels.BLOCK, flat.size)
+        fluct = rng.normal(0.0, 1.0, (hi - lo, 2))
+        fluct *= sd
+        block = flat[lo:hi]
+        np.add(fluct[:, 0], table.real[block], out=re[lo:hi])
+        np.add(fluct[:, 1], table.imag[block], out=im[lo:hi])
+    return re.reshape(symbols.shape), im.reshape(symbols.shape)
 
 
 def apply_beamsplitter(a, transmittance: float):
     """Beam splitter with vacuum at its second input: the through-port and
-    reflected amplitudes ``(sqrt(T)*a, sqrt(1-T)*a)``. Accepts scalars or arrays.
+    reflected fields ``(sqrt(T)*a, sqrt(1-T)*a)`` of the field ``a = (re,
+    im)``, each a new ``(re, im)`` pair. The parts may be scalars or arrays.
     """
     if not (0.0 <= transmittance <= 1.0):
         raise ValueError(f"transmittance must be in [0, 1], got {transmittance}")
-    return np.sqrt(transmittance) * a, np.sqrt(1.0 - transmittance) * a
+    re, im = a
+    through, reflected = np.sqrt(transmittance), np.sqrt(1.0 - transmittance)
+    return (through * re, through * im), (reflected * re, reflected * im)
 
 
 def draw_detector_noise(noise_var: float, shape, rng):
@@ -87,15 +107,19 @@ def draw_detector_noise(noise_var: float, shape, rng):
     return w
 
 
-def heterodyne(a, noise):
-    """Heterodyne outcome (re(a) + wx, im(a) + wp) of the field ``a``.
+def heterodyne(field, noise):
+    """Heterodyne outcome ``(x, p) = (re + wx, im + wp)`` of the field
+    ``(re, im)``, two float64 arrays.
 
-    ``noise`` comes from ``draw_detector_noise`` for ``a``'s shape and is
-    consumed: ``a`` is added into its complex view, and ``x`` and ``p`` are
-    views of it.
+    ``noise`` comes from ``draw_detector_noise`` for the field's shape and
+    is only read, so one draw can serve several fields. The field is
+    consumed: each quadrature of the noise is added into its part in place,
+    and ``x`` and ``p`` are its arrays.
     """
-    noise.view(complex)[..., 0] += a
-    return noise[..., 0], noise[..., 1]
+    x, p = field
+    x += noise[..., 0]
+    p += noise[..., 1]
+    return x, p
 
 
 def joint_covariance_oracle(links, nbar: float, eve_transmittance: float = 0.5) -> np.ndarray:

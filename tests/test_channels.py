@@ -7,8 +7,11 @@ from thermalqkd.harness import freespace_scenario, waveguide_scenario
 
 
 def _channel(stream, params, rng):
-    """The link's draws from ``rng``, applied to ``stream``."""
-    return apply_channel(stream, params, draw_channel(params.drift, len(stream), rng))
+    """The link's draws from ``rng``, applied to the complex ``stream`` as
+    the field ``(stream.real, stream.imag)``; returns the complex result."""
+    re, im = apply_channel((stream.real, stream.imag), params,
+                           draw_channel(params.drift, len(stream), rng))
+    return re + 1j * im
 
 
 def test_param_validation():
@@ -98,7 +101,9 @@ def test_apply_channel_rejects_empty():
         _channel(np.array([], dtype=complex), ChannelParams(), np.random.default_rng(0))
     drawn = draw_channel(PhaseDriftParams(), 9, np.random.default_rng(0))
     with pytest.raises(ValueError, match="draws cover 9 symbols, the stream 10"):
-        apply_channel(np.ones(10, dtype=complex), ChannelParams(), drawn)
+        apply_channel((np.ones(10), np.zeros(10)), ChannelParams(), drawn)
+    with pytest.raises(ValueError, match="one shape"):
+        apply_channel((np.ones(9), np.zeros(10)), ChannelParams(), drawn)
 
 
 def test_phase_walk_variance_growth():
@@ -187,12 +192,12 @@ def test_apply_channel_matches_scalar_reference_on_a_preset_link():
     out = _channel(stream, link, np.random.default_rng(13))
     rng_ref = np.random.default_rng(13)
     theta = _phase_walk_reference(link.drift, n, rng_ref)
-    noise = rng_ref.normal(0.0, 1.0, (n, 2)) * np.sqrt(link.rx_noise_var)
+    noise = rng_ref.normal(0.0, 1.0, (n, 2))
     amp = np.sqrt(link.transmittance)
     expect = _channel_reference(
-        stream, amp, link.delay, np.cos(theta), np.sin(theta),
+        stream.real, stream.imag, amp, link.delay, np.cos(theta), np.sin(theta),
         np.array([t.delay for t in link.taps], dtype=np.int64),
         np.array([t.amplitude * np.cos(t.phase) * amp for t in link.taps]),
         np.array([t.amplitude * np.sin(t.phase) * amp for t in link.taps]),
-        noise)
+        noise, np.sqrt(link.rx_noise_var))
     np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)

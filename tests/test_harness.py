@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from decimal import Decimal
@@ -441,8 +442,8 @@ def test_segment_corrections_match_the_per_segment_loop(data):
     x, p = rng.standard_normal(n), rng.standard_normal(n)
     cfg = SimpleNamespace(n_symbols=n, coherence_len=coherence_len, pilot_len=pilot_len)
     # Small blocks split one pilot count over many calls, down to a row each.
-    block = data.draw(st.sampled_from([harness.PILOT_BLOCK, 1000, 16]), label="block")
-    with mock.patch.object(harness, "PILOT_BLOCK", block):
+    block = data.draw(st.sampled_from([kernels.BLOCK, 1000, 16]), label="block")
+    with mock.patch.object(kernels, "BLOCK", block):
         psi = harness._segment_corrections(x, p, syms, lag, cfg)
     want = _segment_corrections_per_segment(x, p, syms, lag, cfg)
     assert psi.tobytes() == want.tobytes()
@@ -589,8 +590,9 @@ def test_tap_through_port_goes_to_bob(t, dark):
     cfg = dataclasses.replace(waveguide_scenario(seed=2, n_symbols=5_000), eve_transmittance=t)
     _, inputs = harness._transmit(cfg)
     lit, = {"bob", "eve"} - {dark}
-    assert not np.any(inputs[dark])
-    assert np.all(inputs[lit] != 0) and np.all(inputs["alice"] != 0)
+    assert not np.any(inputs[dark][0]) and not np.any(inputs[dark][1])
+    for name in (lit, "alice"):
+        assert all(np.all(part != 0) and part.flags.c_contiguous for part in inputs[name])
 
 
 @pytest.mark.parametrize("ad_block", [None, 2])
@@ -744,12 +746,16 @@ def _run_keeping_raw(monkeypatch, cfg):
 
 
 def _per_symbol_fold(cfg, raw, index):
-    """The reference fold of ``raw`` over ``index``, one angle per symbol."""
+    """The reference fold of ``raw`` over ``index``, one angle per symbol,
+    as whole-array expressions."""
     rng = harness._stream(cfg.seed, "bits")
     syms = bits_to_symbols(rng.integers(0, 2, size=2 * cfg.n_symbols, dtype=np.uint8))
     x, p, psi, lag = raw
     angle = psi[index // cfg.coherence_len] + SYMBOL_PHASES[syms[index]]
-    return kernels.demod_fold(x[index + lag], p[index + lag], np.cos(angle), np.sin(angle))
+    xs, ps, cos_a, sin_a = x[index + lag], p[index + lag], np.cos(angle), np.sin(angle)
+    xr = xs * cos_a + ps * sin_a
+    pr = ps * cos_a - xs * sin_a
+    return xr, pr, np.sqrt(xr * xr + pr * pr)
 
 
 def test_fold_table_matches_per_symbol_trig(monkeypatch):
@@ -1191,6 +1197,96 @@ def test_a_moving_window_gives_shared_receives_fresh_records(monkeypatch):
         assert report.to_json() == lone.to_json(), value
 
 
+def test_a_group_lists_each_common_window_once(monkeypatch):
+    # The 81 free-space points read one common window, so its data indices
+    # are listed once, not once per point; a sweep whose Eve delays move the
+    # window's end lists the two windows it reads once each.
+    windows = _count_calls(monkeypatch, "_data_indices")
+    result = calibrate_preset("freespace", n_symbols=20_000)
+    assert len(windows) == 1
+    assert _calibration_digest(result) == GOLDEN_CALIBRATIONS["freespace"]
+    windows.clear()
+    base = waveguide_scenario(seed=4, n_symbols=20_000, ad_block=None)
+    rows = sweep(base, "eve_link.delay", [3, 5, 40])
+    assert len(windows) == 2
+    monkeypatch.undo()
+    for value, report in rows:
+        lone = run_scenario(set_config_value(base, "eve_link.delay", value)).report
+        assert report.to_json() == lone.to_json(), value
+
+
+def test_shared_noises_are_read_in_place_and_only_sums_are_copied(monkeypatch):
+    # Bob's three receives in a sweep of his noise level share one draw of
+    # his link and of his detection noise. Every combine and heterodyne
+    # reads the held noises themselves; the two earlier combines write into
+    # copies of the cosines and sines, and the last into the draws'.
+    combine, detect, receive = harness.apply_channel, harness.heterodyne, harness._receive_party
+    draw_link = harness._draw_link
+    party = threading.local()
+    seen = {"draws": [], "combined": [], "detected": []}
+
+    def named_receive(name, *args):
+        party.name = name
+        return receive(name, *args)
+
+    def kept_draw(name, config):
+        out = draw_link(name, config)
+        if name == "bob":
+            seen["draws"].append(out)
+        return out
+
+    def kept_combine(stream, params, drawn):
+        if party.name == "bob":
+            seen["combined"].append(drawn)
+        return combine(stream, params, drawn)
+
+    def kept_detect(field, noise):
+        if party.name == "bob":
+            seen["detected"].append(noise)
+        return detect(field, noise)
+
+    monkeypatch.setattr(harness, "_receive_party", named_receive)
+    monkeypatch.setattr(harness, "_draw_link", kept_draw)
+    monkeypatch.setattr(harness, "apply_channel", kept_combine)
+    monkeypatch.setattr(harness, "heterodyne", kept_detect)
+    base = waveguide_scenario(seed=4, n_symbols=20_000, ad_block=None)
+    rows = sweep(base, "bob_link.rx_noise_var", [0.1, 0.2, 0.3])
+    (drawn,), combined, detected = seen["draws"], seen["combined"], seen["detected"]
+    assert len(combined) == len(detected) == 3
+    assert all(noise is detected[0] for noise in detected)
+    assert all(got[2] is drawn[2] for got in combined)
+    assert [[got[i] is drawn[i] for i in (0, 1)] for got in combined] == [[False] * 2] * 2 + [
+        [True] * 2]
+    monkeypatch.undo()
+    for value, report in rows:
+        lone = run_scenario(set_config_value(base, "bob_link.rx_noise_var", value)).report
+        assert report.to_json() == lone.to_json(), value
+
+
+def _peak_above_folds(n):
+    """Bytes traced at the peak of one free-space point's transmission and
+    receives, on this thread alone, above the folds that they return."""
+    cfg = freespace_scenario(seed=11, n_symbols=n, ad_block=None)
+    group = harness._GroupCache([cfg], threaded=False)
+    tracemalloc.start()
+    try:
+        received = group.received(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(r.x.nbytes + r.p.nbytes + r.z.nbytes for r in received.values())
+
+
+def test_a_receive_holds_a_bounded_number_of_bytes_per_symbol():
+    # The peak above the returned folds grows by 22.8 B per symbol of run
+    # length between these sizes, about the last party's input and link
+    # draws (48 B) less the fold it has yet to make (24 B); the blocks of
+    # the source, the combine and the fold do not grow with the run.
+    # Whole-run complex and gathered temporaries made it 47.7 B.
+    small, large = _peak_above_folds(300_000), _peak_above_folds(1_200_000)
+    assert (large - small) / 900_000 <= 28
+
+
 def test_a_lone_run_keeps_no_other_per_symbol_array(monkeypatch):
     # A lone run's receives, and the window records they memoise, are gone
     # once it returns; its artifacts hold each party's x, p, z and bits and
@@ -1229,31 +1325,33 @@ def test_a_lone_run_keeps_no_other_per_symbol_array(monkeypatch):
 
 def test_a_lone_run_frees_each_input_once_received(monkeypatch):
     # Outside a grid a run still drops each party's input field and link
-    # draws once combined, before its heterodyne, and each party's raw
+    # noise once combined, before its heterodyne, and each party's raw
     # quadratures once folded, so none is left by the time the run
-    # finishes. It holds no draw for a later receive, so each combine works
-    # in the link's draws themselves.
+    # finishes. It holds no draw for a later receive, so each combine
+    # builds the received field in the link's cosines and sines themselves,
+    # and the heterodyne turns those two arrays into the quadratures.
     transmit, detect, finish = harness._transmit, harness.heterodyne, harness._finish
     draw_link, draw_noise = harness._draw_link, harness.draw_detector_noise
     combine, receive = harness.apply_channel, harness._receive_party
-    fields, quadratures, draws, links, combined = [], [], [], [], []
+    fields, quadratures, draws, links, combined, detected = [], [], [], [], [], []
     combined_inputs = {name: [] for name in harness.PARTIES}
     party = threading.local()
 
     def traced_transmit(config):
         syms, inputs = transmit(config)
-        fields.extend(weakref.ref(field) for field in inputs.values())
         for name, field in inputs.items():
-            combined_inputs[name].append(weakref.ref(field))
+            fields.extend(weakref.ref(part) for part in field)
+            combined_inputs[name].extend(weakref.ref(part) for part in field)
         return syms, inputs
 
     def named_receive(name, *args):
         party.name = name
         return receive(name, *args)
 
-    def traced_detect(*args):
-        assert [ref() for ref in combined_inputs[party.name]] == [None] * 4, party.name
-        x, p = detect(*args)
+    def traced_detect(field, noise):
+        assert [ref() for ref in combined_inputs[party.name]] == [None] * 3, party.name
+        detected.append(any(all(a is ref() for a, ref in zip(field, refs[:2])) for refs in links))
+        x, p = detect(field, noise)
         quadratures.extend((weakref.ref(x), weakref.ref(p)))
         return x, p
 
@@ -1261,7 +1359,7 @@ def test_a_lone_run_frees_each_input_once_received(monkeypatch):
         out = draw_link(name, config)
         draws.extend(weakref.ref(a) for a in out)
         links.append([weakref.ref(a) for a in out])
-        combined_inputs[name].extend(weakref.ref(a) for a in out)
+        combined_inputs[name].append(weakref.ref(out[2]))
         return out
 
     def traced_draw_noise(*args):
@@ -1274,7 +1372,7 @@ def test_a_lone_run_frees_each_input_once_received(monkeypatch):
         return combine(stream, params, drawn)
 
     def checked_finish(*args):
-        assert [ref() for ref in fields] == [None] * 3
+        assert [ref() for ref in fields] == [None] * 6
         assert [ref() for ref in quadratures] == [None] * 6
         assert [ref() for ref in draws] == [None] * 12
         return finish(*args)
@@ -1287,10 +1385,11 @@ def test_a_lone_run_frees_each_input_once_received(monkeypatch):
     monkeypatch.setattr(harness, "apply_channel", checked_combine)
     monkeypatch.setattr(harness, "_finish", checked_finish)
     run_scenario(freespace_scenario(seed=2, n_symbols=20_000, ad_block=None))
-    assert len(fields) == 3
+    assert len(fields) == 6
     assert len(quadratures) == 6
     assert len(draws) == 12
     assert combined == [True] * 3
+    assert detected == [True] * 3
 
 
 def test_a_transmission_transforms_the_reference_once(monkeypatch):

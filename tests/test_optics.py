@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thermalqkd import kernels
 from thermalqkd.infotheory import g2
 from thermalqkd.modem import SYMBOL_PHASES
 from thermalqkd.optics import (SourceParams, apply_beamsplitter, draw_detector_noise,
@@ -18,40 +19,43 @@ def test_source_params_rejects_negative():
 def test_source_field_noiseless_is_pure_displacement():
     params = SourceParams(nbar=0.0, d0=1.0)
     rng = np.random.default_rng(0)
-    value = sample_source_field(params, [0.0], [0], rng)
-    assert value.tobytes() == np.array([1.0 + 0.0j]).tobytes()
+    re, im = sample_source_field(params, [0.0], [0], rng)
+    assert (re.tobytes(), im.tobytes()) == (np.array([1.0]).tobytes(), np.array([0.0]).tobytes())
 
 
 def test_source_field_thermal_variance():
     # Monte Carlo consistency: per-quadrature variance of the fluctuation is nbar.
     rng = np.random.default_rng(42)
-    field = _source_at_phase_zero(2.0, 0.0, 10 ** 6, rng)
-    assert abs(field.real.var() - 2.0) < 0.02
-    assert abs(field.imag.var() - 2.0) < 0.02
+    re, im = _source_at_phase_zero(2.0, 0.0, 10 ** 6, rng)
+    assert abs(re.var() - 2.0) < 0.02
+    assert abs(im.var() - 2.0) < 0.02
 
 
 def test_source_field_displaced_mean():
     rng = np.random.default_rng(7)
-    field = sample_source_field(SourceParams(nbar=2.0, d0=3.0), [0.1, np.pi / 2],
-                                np.ones(10 ** 6, dtype=np.uint8), rng)
-    assert abs(field.real.mean() - 0.0) < 0.01
-    assert abs(field.imag.mean() - 3.0) < 0.01
+    re, im = sample_source_field(SourceParams(nbar=2.0, d0=3.0), [0.1, np.pi / 2],
+                                 np.ones(10 ** 6, dtype=np.uint8), rng)
+    assert abs(re.mean() - 0.0) < 0.01
+    assert abs(im.mean() - 3.0) < 0.01
 
 
 @pytest.mark.parametrize("nbar, d0", [(60.0, 40.0), (0.0, 40.0), (60.0, 0.0), (1e-300, 0.0)])
 def test_source_table_matches_per_symbol_exp_byte_for_byte(nbar, d0):
-    # The phase table gathered by the symbols and added into the draws'
-    # complex view gives the bytes of the per-symbol expression, with a
-    # coherent source, a thermal one and a thermal one so faint that its
-    # draws round to zero.
-    syms = np.random.default_rng(1).integers(0, 4, 20_001).astype(np.uint8)
-    params = SourceParams(nbar=nbar, d0=d0)
-    rng = np.random.default_rng(3)
-    fluct = rng.normal(0.0, 1.0, syms.shape + (2,)) * np.sqrt(nbar)
-    expect = d0 * np.exp(1j * SYMBOL_PHASES[syms]) + fluct[..., 0] + 1j * fluct[..., 1]
-    got = sample_source_field(params, SYMBOL_PHASES, syms, np.random.default_rng(3))
-    assert got.dtype == expect.dtype and got.shape == expect.shape
-    assert got.tobytes() == expect.tobytes()
+    # The phase table gathered by the symbols and added part by part to the
+    # draws, made a block at a time, gives the bytes of the parts of the
+    # per-symbol expression over one whole draw, with a coherent source, a
+    # thermal one and a thermal one so faint that its draws round to zero,
+    # in one block and in three.
+    for n in (20_001, 2 * kernels.BLOCK + 1):
+        syms = np.random.default_rng(1).integers(0, 4, n).astype(np.uint8)
+        params = SourceParams(nbar=nbar, d0=d0)
+        rng = np.random.default_rng(3)
+        fluct = rng.normal(0.0, 1.0, syms.shape + (2,)) * np.sqrt(nbar)
+        expect = d0 * np.exp(1j * SYMBOL_PHASES[syms]) + fluct[..., 0] + 1j * fluct[..., 1]
+        got = sample_source_field(params, SYMBOL_PHASES, syms, np.random.default_rng(3))
+        for part, want in zip(got, (expect.real, expect.imag)):
+            assert part.dtype == want.dtype and part.shape == want.shape, n
+            assert part.flags.c_contiguous and part.tobytes() == want.tobytes(), n
 
 
 def test_dark_source_differs_from_per_symbol_exp_only_in_zero_signs():
@@ -69,69 +73,100 @@ def test_dark_source_differs_from_per_symbol_exp_only_in_zero_signs():
     assert not np.any(got) and not np.any(expect)
 
 
+def test_a_scalar_symbol_gives_a_zero_d_field():
+    re, im = sample_source_field(SourceParams(nbar=0.0, d0=2.0), [np.pi / 2], 0,
+                                 np.random.default_rng(0))
+    assert re.shape == im.shape == () and abs(re) < 1e-15 and im == 2.0
+
+
 def test_heterodyne_matches_strided_adds_byte_for_byte():
-    # Adding the field into the noise's complex view gives the bytes of the
-    # per-quadrature sums, signed zeros included.
+    # Adding each quadrature of the noise into the field's part gives the
+    # bytes of the per-quadrature sums, signed zeros included; the field's
+    # arrays become the quadratures and the noise is left as it was.
     rng = np.random.default_rng(8)
-    field = rng.normal(size=5000) + 1j * rng.normal(size=5000)
-    field[::7] = -0.0
-    field[::11] = 0.0 - 0.0j
+    re, im = rng.normal(size=5000), rng.normal(size=5000)
+    re[::7] = -0.0
+    im[::11] = -0.0
     for var in (1.0, 0.0):
-        w = rng.normal(0.0, 1.0, field.shape + (2,)) * np.sqrt(var)
-        expect = (field.real + w[..., 0], field.imag + w[..., 1])
-        got = heterodyne(field, w.copy())
+        w = rng.normal(0.0, 1.0, re.shape + (2,)) * np.sqrt(var)
+        kept = w.copy()
+        expect = (re + w[..., 0], im + w[..., 1])
+        field = (re.copy(), im.copy())
+        got = heterodyne(field, w)
+        assert got[0] is field[0] and got[1] is field[1]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expect], var
+        assert w.tobytes() == kept.tobytes()
+
+
+def _intensity(field):
+    re, im = field
+    return re * re + im * im
 
 
 def test_beamsplitter_identity_and_split():
-    out1, out2 = apply_beamsplitter(1.0 + 0.0j, 1.0)
-    assert out1 == 1.0 + 0.0j and out2 == 0.0j
-    out1, out2 = apply_beamsplitter(1.0 + 0.0j, 0.5)
-    assert out1 == pytest.approx(0.70710678118654752, abs=1e-12)
-    assert out2 == pytest.approx(0.70710678118654752, abs=1e-12)
+    out1, out2 = apply_beamsplitter((1.0, 0.0), 1.0)
+    assert out1 == (1.0, 0.0) and out2 == (0.0, 0.0)
+    out1, out2 = apply_beamsplitter((1.0, 0.0), 0.5)
+    assert out1 == pytest.approx((0.70710678118654752, 0.0), abs=1e-12)
+    assert out2 == pytest.approx((0.70710678118654752, 0.0), abs=1e-12)
 
 
 def test_beamsplitter_conserves_intensity():
     rng = np.random.default_rng(3)
-    a = rng.normal(size=500) + 1j * rng.normal(size=500)
+    a = rng.normal(size=500), rng.normal(size=500)
     for t in (0.0, 0.17, 0.5, 0.83, 1.0):
         o1, o2 = apply_beamsplitter(a, t)
-        np.testing.assert_allclose(np.abs(o1) ** 2 + np.abs(o2) ** 2, np.abs(a) ** 2,
-                                   atol=1e-12)
+        np.testing.assert_allclose(_intensity(o1) + _intensity(o2), _intensity(a), atol=1e-12)
+
+
+def test_beamsplitter_parts_are_the_complex_products():
+    # Each part of a port is the matching part of the complex product by
+    # the real amplitude, byte for byte, away from exact zeros.
+    rng = np.random.default_rng(4)
+    re, im = rng.normal(size=1000), rng.normal(size=1000)
+    for t in (0.17, 0.5, 0.83):
+        ports = apply_beamsplitter((re, im), t)
+        for (got_re, got_im), scale in zip(ports, (np.sqrt(t), np.sqrt(1.0 - t))):
+            want = scale * (re + 1j * im)
+            assert got_re.tobytes() == want.real.tobytes()
+            assert got_im.tobytes() == want.imag.tobytes()
 
 
 def test_beamsplitter_rejects_bad_transmittance():
     with pytest.raises(ValueError):
-        apply_beamsplitter(1.0 + 0j, 1.1)
+        apply_beamsplitter((1.0, 0.0), 1.1)
     with pytest.raises(ValueError):
-        apply_beamsplitter(1.0 + 0j, -0.1)
+        apply_beamsplitter((1.0, 0.0), -0.1)
 
 
 def test_beamsplitter_vacuum_port_limits_and_conservation():
     # The eavesdropper tap: Bob keeps sqrt(T) of the broadcast, Eve takes
     # sqrt(1-T), and the second input port is vacuum (zero amplitude).
     rng = np.random.default_rng(10)
-    stream = rng.normal(size=200) + 1j * rng.normal(size=200)
+    stream = rng.normal(size=200), rng.normal(size=200)
     bob, eve = apply_beamsplitter(stream, 1.0)
     assert np.array_equal(bob, stream)
-    assert np.array_equal(eve, np.zeros_like(stream))
-    bob, eve = apply_beamsplitter(np.full(5, 1.0 + 0j), 0.5)
-    np.testing.assert_allclose(bob, np.full(5, np.sqrt(0.5)), atol=1e-14)
-    np.testing.assert_allclose(eve, np.full(5, np.sqrt(0.5)), atol=1e-14)
+    assert np.array_equal(eve, np.zeros((2, 200)))
+    bob, eve = apply_beamsplitter((np.full(5, 1.0), np.zeros(5)), 0.5)
+    np.testing.assert_allclose(bob, [np.full(5, np.sqrt(0.5)), np.zeros(5)], atol=1e-14)
+    np.testing.assert_allclose(eve, [np.full(5, np.sqrt(0.5)), np.zeros(5)], atol=1e-14)
     bob, eve = apply_beamsplitter(stream, 0.37)
-    np.testing.assert_allclose(np.abs(bob) ** 2 + np.abs(eve) ** 2,
-                               np.abs(stream) ** 2, atol=1e-12)
+    np.testing.assert_allclose(_intensity(bob) + _intensity(eve), _intensity(stream),
+                               atol=1e-12)
     with pytest.raises(ValueError):
         apply_beamsplitter(stream, -0.1)
 
 
 def test_heterodyne_noiseless_and_moments():
     rng = np.random.default_rng(5)
-    assert heterodyne(1.0 + 1.0j, draw_detector_noise(0.0, (), rng)) == (1.0, 1.0)
-    x, p = heterodyne(np.zeros(10 ** 6, dtype=complex), draw_detector_noise(1.0, (10 ** 6,), rng))
+    assert heterodyne((np.array(1.0), np.array(1.0)),
+                      draw_detector_noise(0.0, (), rng)) == (1.0, 1.0)
+    x, p = heterodyne((np.zeros(10 ** 6), np.zeros(10 ** 6)),
+                      draw_detector_noise(1.0, (10 ** 6,), rng))
     assert abs(x.var() - 1.0) < 0.01
     assert abs(p.var() - 1.0) < 0.01
-    x, p = heterodyne(np.full(10 ** 6, 5.0 + 0.0j), draw_detector_noise(1.0, (10 ** 6,), rng))
+    x, p = heterodyne((np.full(10 ** 6, 5.0), np.zeros(10 ** 6)),
+                      draw_detector_noise(1.0, (10 ** 6,), rng))
     assert abs(x.mean() - 5.0) < 0.01
     assert abs(p.mean()) < 0.01
     with pytest.raises(ValueError):
@@ -175,7 +210,8 @@ def _simulate_rounds(links, nbar, t_eve, n, rng, d0=0.0):
     bob, eve = apply_beamsplitter(broadcast, t_eve)
     rows = []
     for arm, (eta, noise) in zip((alice, bob, eve), links):
-        x, p = heterodyne(np.sqrt(eta) * arm, draw_detector_noise(noise, arm.shape, rng))
+        x, p = heterodyne([np.sqrt(eta) * part for part in arm],
+                          draw_detector_noise(noise, (n,), rng))
         rows += [x, p]
     return np.stack(rows)
 
@@ -203,7 +239,7 @@ def test_thermal_heterodyne_shows_bunching():
     # Hanbury Brown-Twiss signature: g2(0) = 2 for thermal light, 1 at long lag.
     rng = np.random.default_rng(33)
     field = _source_at_phase_zero(5.0, 0.0, 10 ** 6, rng)
-    x, p = heterodyne(field, draw_detector_noise(1.0, field.shape, rng))
+    x, p = heterodyne(field, draw_detector_noise(1.0, (10 ** 6,), rng))
     intensity = x * x + p * p
     assert abs(g2(intensity, 0) - 2.0) < 0.05
     assert abs(g2(intensity, 1000) - 1.0) < 0.05
@@ -223,4 +259,4 @@ def test_displaced_thermal_g2_pins_d0_unit(nbar, d0, bar):
     expected = 1.0 + (4 * d0 ** 2 * nbar + 4 * nbar ** 2) / (d0 ** 2 + 2 * nbar) ** 2
     rng = np.random.default_rng(71)
     field = _source_at_phase_zero(nbar, d0, 10 ** 6, rng)
-    assert abs(g2(np.abs(field) ** 2, 0) - expected) < bar
+    assert abs(g2(np.hypot(*field) ** 2, 0) - expected) < bar
