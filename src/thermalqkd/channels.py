@@ -7,7 +7,9 @@ The composite channel acting on a symbol stream is
              + w(t)
 
 where theta(t) is a Gaussian random walk with occasional hops and w(t) is
-circular Gaussian receiver noise with per-quadrature variance rx_noise_var.
+circular Gaussian noise with per-quadrature variance rx_noise_var, plus
+whatever noise the receiving detector adds (``apply_channel``'s
+``detector_noise_var``): nothing acts between the two, so they are one draw.
 Out-of-range history reads as vacuum (zero amplitude). An active drift
 process (walk_sigma > 0 or hop_prob > 0) starts from a uniformly random
 carrier offset in [0, 2*pi); an inactive one keeps theta identically zero so
@@ -130,12 +132,13 @@ def draw_channel(drift: PhaseDriftParams, n: int, rng):
     return cos_t, np.sin(theta, out=theta), noise
 
 
-def apply_channel(stream, params: ChannelParams, drawn):
+def apply_channel(stream, params: ChannelParams, drawn, detector_noise_var: float = 0.0):
     """Apply the composite impairment model to the field ``stream = (re,
     im)``, with the link's draws ``drawn`` from ``draw_channel``. Returns
     the received field ``(re, im)``, built in the draws' cosines and sines,
-    which it consumes; the noise is only read, and scaled to
-    ``rx_noise_var`` block by block in the combine."""
+    which it consumes; the noise is only read, and scaled block by block in
+    the combine to ``sqrt(detector_noise_var + rx_noise_var)``: the link's
+    noise and the detector's, as one circular Gaussian."""
     re, im = (np.ascontiguousarray(part, dtype=float) for part in stream)
     if re.ndim != 1 or re.size == 0 or im.shape != re.shape:
         raise ValueError("stream must be a nonempty 1-D field (re, im) of one shape")
@@ -148,4 +151,4 @@ def apply_channel(stream, params: ChannelParams, drawn):
     tap_ci = np.array([t.amplitude * np.sin(t.phase) * amp for t in params.taps])
     return kernels.channel_combine(re, im, amp, int(params.delay), cos_t, sin_t,
                                    tap_delays, tap_cr, tap_ci, noise,
-                                   np.sqrt(params.rx_noise_var))
+                                   np.sqrt(detector_noise_var + params.rx_noise_var))

@@ -2,7 +2,7 @@
 
 Subcommands: ``run`` a scenario config, ``calibrate`` a named preset,
 ``sweep`` one parameter, ``selftest`` the acceptance criteria that need no
-calibration (1-4 and 7-9, about 11 s). Exit codes: 0 success, 1 usage or
+calibration (1-4 and 7-9, about 3 s). Exit codes: 0 success, 1 usage or
 validation error (including an empty or non-finite sweep grid and
 ``--jobs`` below 1, or a path argument that cannot be read or created,
 named by its argument), 2 runtime failure or a failed selftest criterion.

@@ -2,8 +2,8 @@
 
 One run executes the central-broadcast pipeline: random bits -> QPSK symbols
 -> displaced-thermal source fields -> 50:50 split (Alice | broadcast) ->
-eavesdropper tap on the broadcast -> per-link impairments -> heterodyne ->
-delay alignment of the complex field against the public symbols ->
+eavesdropper tap on the broadcast -> per-link impairments, whose noise
+holds the heterodyne's vacuum unit -> delay alignment of the complex field against the public symbols ->
 pilot-based phase recovery per coherence segment, at the pilots the lag
 locates -> cluster folding and amplitudes over the party's own data range ->
 the common window -> median slicing -> secrecy metrics, with optional
@@ -20,11 +20,10 @@ The module, in order:
 
 - ``RunArtifacts`` and its measurement CSV writer (``_fork_measurement_csv``,
   ``_write_measurement_csv``, ``_format_rows`` and its tables);
-- the stages of a run: ``_transmit``, ``_draw_link``, ``_draw_detector``,
-  ``_receive_party`` (pilot phases by ``_segment_corrections``, its data
-  range counted by ``_data_before``; the fold it returns is a
-  ``_Receive``) and ``_finish`` (the common window's data symbols listed by
-  ``_data_indices``);
+- the stages of a run: ``_transmit``, ``_draw_link``, ``_receive_party``
+  (pilot phases by ``_segment_corrections``, its data range counted by
+  ``_data_before``; the fold it returns is a ``_Receive``) and ``_finish``
+  (the common window's data symbols listed by ``_data_indices``);
 - ``_GroupCache``, the transmission, receives, draws and common index that
   the points of one group share, and ``run_scenario``, one point;
 - ``_grid_reports``, which groups and schedules the points of ``sweep`` and
@@ -56,10 +55,12 @@ from .distill import (PartyRecord, advantage_distill, bit_error_rate, median_sli
 from .infotheory import MetricsReport, build_report
 from .modem import (MIN_PILOTS, SYMBOL_PHASES, AlignmentResult, ReferenceSpectra,
                     bits_to_symbols, estimate_delay_and_rotation, estimate_global_phase)
-from .optics import (SourceParams, apply_beamsplitter, draw_detector_noise, heterodyne,
-                     sample_source_field)
+from .optics import SourceParams, apply_beamsplitter, sample_source_field
 
-# One vacuum unit of detection noise per quadrature at every receiver.
+# One vacuum unit of detection noise per quadrature at every receiver. The
+# heterodyne adds it right after the link noise, with nothing between, so a
+# receive draws the two as one: its link noise is scaled to this plus the
+# link's ``rx_noise_var``.
 DETECTION_NOISE_VAR = 1.0
 
 # Delay search covers at least this many symbols either side of zero.
@@ -89,8 +90,7 @@ _CSV_FIELD_WORDS = (4, 10, 16)
 _CSV_BIT_BYTE = 89
 
 # A stream's index here is its spawn key, so this order is part of every output.
-_STREAM_NAMES = ("bits", "source", "chan_alice", "chan_bob", "chan_eve",
-                 "det_alice", "det_bob", "det_eve", "distill")
+_STREAM_NAMES = ("bits", "source", "chan_alice", "chan_bob", "chan_eve", "distill")
 
 
 @dataclass
@@ -404,17 +404,11 @@ def _data_before(tx, config):
 
 def _draw_link(name, config):
     """A party's link draws, ``chan_<name>``: the phase walk's cosines and
-    sines and the unit-variance receiver noise, 32 B per symbol. They read
-    no field, so they can be made while the source is transmitted, and of
-    the link only its drift."""
+    sines and the unit-variance noise of its receiver and detector, 32 B
+    per symbol. They read no field, so they can be made while the source is
+    transmitted, and of the link only its drift."""
     return draw_channel(getattr(config, f"{name}_link").drift, config.n_symbols,
                         _stream(config.seed, f"chan_{name}"))
-
-
-def _draw_detector(name, config):
-    """A party's detection noise, ``det_<name>``, 16 B per symbol."""
-    return draw_detector_noise(DETECTION_NOISE_VAR, (config.n_symbols,),
-                               _stream(config.seed, f"det_{name}"))
 
 
 @dataclass
@@ -452,21 +446,21 @@ class _Receive:
         return self.record
 
 
-def _receive_party(name, inputs, config, syms, drawn, detect, spectra):
-    """Channel, heterodyne, alignment, pilot phases and fold of one party.
+def _receive_party(name, inputs, config, syms, drawn, spectra):
+    """Channel with heterodyne, alignment, pilot phases and fold of one party.
 
     Reads no other party's link, its delay search included, so a receive
     depends only on the transmission and ``_receive_key(name, config)``;
     a grid run makes each distinct receive once. Pops the party's input
     from ``inputs`` and its ``_draw_link`` draws from ``drawn``, and drops
-    each once used; ``detect()`` gives the ``_draw_detector`` noise, taken
-    once the link's input and noise are freed. The combine builds the
-    received field in the link's cosines and sines, and the heterodyne adds
-    the detection noise there, so the quadratures ``x`` and ``p`` are those
-    two arrays and a receive makes no other array of the run's length
-    before its fold. It writes into the cosines and sines it is given and
-    only reads the input field and both noises. ``spectra`` holds the
-    transmission's reference transforms for the delay search.
+    each once used. The heterodyne's vacuum unit and the link's receiver
+    noise are one circular Gaussian, so the combine adds the link's unit
+    noise scaled to ``sqrt(DETECTION_NOISE_VAR + rx_noise_var)`` and its
+    output is the quadratures ``x`` and ``p``. It builds them in the link's
+    cosines and sines, so a receive makes no other array of the run's
+    length before its fold; it only reads the input field and the noise.
+    ``spectra`` holds the transmission's reference transforms for the
+    delay search.
 
     The fold covers the party's own data range on the transmitted clock:
     every data symbol ``tx`` whose received index ``tx + lag`` lies in
@@ -481,9 +475,7 @@ def _receive_party(name, inputs, config, syms, drawn, detect, spectra):
     link = getattr(config, f"{name}_link")
     max_lag = min(max(MIN_ALIGNMENT_LAG, 2 * link.max_history), n // 4)
     window = min(n, max(8 * max_lag, ALIGNMENT_WINDOW))
-    received = apply_channel(inputs.pop(name), link, drawn.pop(name))
-    x, p = heterodyne(received, detect())
-    del received
+    x, p = apply_channel(inputs.pop(name), link, drawn.pop(name), DETECTION_NOISE_VAR)
     found = estimate_delay_and_rotation(syms[:window], x[:window] + 1j * p[:window], max_lag,
                                         spectra)
     psi = _segment_corrections(x, p, syms, found.lag, config)
@@ -570,26 +562,25 @@ class _GroupCache:
     ``uses`` counts from the group's configs before any point runs: the
     points that read each receive, and each party's distinct receives, in
     all and per drift of its link. A receive is dropped after the last
-    point that reads it. A party's input field, its detection noise and its
-    link draws for one drift each go to the last distinct receive that
-    reads them. Until then the group holds them, 48 B per symbol of draws
-    per party; each earlier receive reads the field, the detection noise
-    and the link noise, and takes copies of the link's cosines and sines
-    (16 B per symbol), which its combine writes into. A held receive is a
-    ``_Receive``, the party's folded ``x``, ``p`` and ``z``, which each
-    point slices to its own common window. The receive keeps the last
-    window's record and the moments of its ``z``, so the points that read
-    it over one window slice, threshold and centre it once, and it drops
-    them with itself. The group likewise keeps the last common index it
-    made (``common_index``). A ``threaded`` group receives a point's new
-    parties on party threads when there are two or more of them.
+    point that reads it. A party's input field and its link draws for one
+    drift each go to the last distinct receive that reads them. Until then
+    the group holds them, 32 B per symbol of draws per party; each earlier
+    receive reads the field and the noise, and takes copies of the link's
+    cosines and sines (16 B per symbol), which its combine writes into. A
+    held receive is a ``_Receive``, the party's folded ``x``, ``p`` and
+    ``z``, which each point slices to its own common window. The receive
+    keeps the last window's record and the moments of its ``z``, so the
+    points that read it over one window slice, threshold and centre it
+    once, and it drops them with itself. The group likewise keeps the last
+    common index it made (``common_index``). A ``threaded`` group receives
+    a point's new parties on party threads when there are two or more of
+    them.
     """
 
     def __init__(self, configs, threaded=True):
         self.threaded = threaded
         self.uses = Counter(_receive_key(name, cfg) for cfg in configs for name in PARTIES)
-        # Keyed by party (its field, and its detection noise, whose variance
-        # is a constant) and by _link_draw_key (its link draws).
+        # Keyed by party (its field) and by _link_draw_key (its link draws).
         self.uses.update(key for name, link, *_ in list(self.uses)
                          for key in (name, (name, link.drift)))
         self.held = {}
@@ -638,32 +629,32 @@ class _GroupCache:
 
     def _receive(self, name, config, shared, early):
         """One new receive of ``name``. Its link draws come from its future
-        in ``early``, the group or a draw on this thread, and its detection
-        noise from the group or a draw (see ``_take``). The field and draw
-        dicts are built in the call, and the future is popped, so no name
-        here keeps an input alive once ``_receive_party`` has used it."""
+        in ``early``, the group or a draw on this thread (see ``_take``).
+        The field and draw dicts are built in the call, and the future is
+        popped, so no name here keeps an input alive once
+        ``_receive_party`` has used it."""
         syms, inputs, spectra = self.transmission
         link = _link_draw_key(name, config)
         return _receive_party(
             name, {name: inputs[name] if shared[name] else inputs.pop(name)}, config, syms,
             {name: self._take(link, shared[link], early.pop(name).result if name in early
-                              else lambda: _draw_link(name, config), _combined_copy)},
-            lambda: self._take(name, shared[name], lambda: _draw_detector(name, config)),
+                              else lambda: _draw_link(name, config))},
             spectra)
 
-    def _take(self, key, shared, make, written=None):
-        """Draw ``key`` for one receive: the arrays the group holds, or
-        ``make()``'s. While ``shared`` (a later receive needs them) the
-        group holds them too, and the receive gets ``written(drawn)``,
-        copies of the arrays it writes into, when ``written`` is given;
-        otherwise the receive takes the arrays themselves."""
+    def _take(self, key, shared, make):
+        """Link draws ``key`` for one receive: the arrays the group holds,
+        or ``make()``'s. While ``shared`` (a later receive needs them) the
+        group holds them too, and the receive gets copies of the cosines and
+        sines, which its combine writes into, and the noise itself, which it
+        only reads; otherwise the receive takes the arrays themselves."""
         drawn = self.draws.pop(key, None)
         if drawn is None:
             drawn = make()
         if not shared:
             return drawn
         self.draws[key] = drawn
-        return written(drawn) if written else drawn
+        cos_t, sin_t, noise = drawn
+        return cos_t.copy(), sin_t.copy(), noise
 
     def common_index(self, lo, hi, config):
         """``_data_indices(lo, hi, config)``, made again only when the window
@@ -672,13 +663,6 @@ class _GroupCache:
         if self.index[0] != key:
             self.index = key, _data_indices(lo, hi, config)
         return self.index[1]
-
-
-def _combined_copy(drawn):
-    """A link's draws with copies of the cosines and sines, which the
-    combine writes into, and the noise itself, which it only reads."""
-    cos_t, sin_t, noise = drawn
-    return cos_t.copy(), sin_t.copy(), noise
 
 
 def run_scenario(config: ScenarioConfig, _group=None) -> RunArtifacts:

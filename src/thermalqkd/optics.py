@@ -4,11 +4,16 @@ Conventions (shot-noise units): the vacuum state has identity covariance,
 a thermal state with mean photon number ``nbar`` has covariance
 ``(2*nbar + 1) * I``, and its sampled field amplitude carries a circular
 complex Gaussian fluctuation with per-quadrature variance ``nbar``.
-Heterodyne detection adds the noise variance it is given per quadrature;
-a run gives it one vacuum unit (``harness.DETECTION_NOISE_VAR``). A field
-is a pair ``(re, im)`` of float64 arrays of one shape, the real and
-imaginary parts of its amplitudes, from the source through the splitters,
-the channel (``channels.apply_channel``) and the heterodyne; it becomes
+Heterodyne detection adds the noise variance it is given per quadrature.
+A run's receivers add one vacuum unit (``harness.DETECTION_NOISE_VAR``),
+but not through ``heterodyne``: nothing acts between a link's receiver
+noise and the detector's, so a run draws the two as one circular Gaussian
+of variance ``1 + rx_noise_var`` per quadrature, inside the channel's noise
+scale (``channels.apply_channel``). ``heterodyne`` and
+``draw_detector_noise`` detect fields that cross no channel, as the
+sampler checks do. A field is a pair ``(re, im)`` of float64 arrays of one
+shape, the real and imaginary parts of its amplitudes, from the source
+through the splitters and the channel, or the heterodyne; it becomes
 complex nowhere. Every beam splitter's second input is vacuum, the zero
 amplitude in this positive-P sampling, so a splitter takes one input.
 
@@ -23,7 +28,7 @@ scale also multiplies the other part by zero, which the planar product
 does not, so the two differ at most in the sign of an exact zero. The
 source's displacement is a table of one entry per symbol phase, gathered
 by the symbols. Detection noise is drawn apart from the field it is added
-to (``draw_detector_noise``), so the draw is a stage of its own.
+to (``draw_detector_noise``), so one draw can serve several fields.
 """
 
 from __future__ import annotations

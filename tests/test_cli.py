@@ -148,6 +148,21 @@ def test_field_bounds_keep_runs_finite(tmp_path, config_file, capsys, values, co
         assert all(math.isfinite(v) for v in report.values())
 
 
+@pytest.mark.filterwarnings("error")
+def test_receiver_noise_at_its_bound_runs(tmp_path, capsys):
+    # Bob's and Eve's rx_noise_var at the 1e12 bound: the receive adds the
+    # detector's vacuum unit in its noise scale, past what a link may hold,
+    # and the run still exits 0 with finite metrics.
+    path = tmp_path / "noisy.cfg"
+    save_config(waveguide_scenario(seed=1, n_symbols=5_000), path)
+    _edit_config(path, {"bob_link.rx_noise_var": "1e12", "eve_link.rx_noise_var": "1e12"})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert "runtime failure" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert all(math.isfinite(v) for v in report.values())
+
+
 def test_longest_coherence_segment_runs_in_bounded_memory(tmp_path, config_file):
     # One segment far longer than the run: the finish makes the data
     # offsets only up to the common window's end, not up to coherence_len

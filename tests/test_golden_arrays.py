@@ -32,22 +32,22 @@ def _run_digest(art) -> str:
 
 # (preset, seed, n_symbols) -> digest, all at ad_block=2.
 GOLDEN_ARRAYS = {
-    ("freespace", 0, 20000): "88d0780822a319d81052e9b7529a3531f32557d9ef2831c5ffc788527f7fdb58",
-    ("freespace", 0, 100000): "da3df4434e02da8e4b975abb8a421d18dfc29ab1cad69233bf9a86a645cfacee",
-    ("freespace", 1, 20000): "6c476aabfb48abc3079f7ac0423e664847fc42206bd82621544636f9ea3b590d",
-    ("freespace", 1, 100000): "dbfe8c0b72a428192ecae0f1352a328fcc6cfef8445b53fa6a045275bc009d3e",
-    ("freespace", 7, 20000): "564e3b2275dc24a4085ed3e5c5c5cb0e46e69d8efd59de24dfe03a3aee7df0f4",
-    ("freespace", 7, 100000): "79f2dc52b8aed3a7b624be6a2dfc9f67eae6b59f72489f5c99b2a367456b27d4",
-    ("freespace", 109, 20000): "1f501c2bc03bee308d146a5bb9aec062acf92fb769a55de0c9ab3b20dfa69ed8",
-    ("freespace", 109, 100000): "48aa3db890b5823e2a888e2549b899e08282a0153f497d4a48a678aa0b42bee6",
-    ("waveguide", 0, 20000): "a8df9bcab2f1ffb1bc53e3ca61bffdd60f2d55a5b6f9bf1bbcc6b15ba0f942cb",
-    ("waveguide", 0, 100000): "6378d2cc85a5fdb91ae1dba87b0328356c5604ede76be1b4699ebb82c883783b",
-    ("waveguide", 1, 20000): "88b21f17d2c7099bc49c47fd0e35d1b0dbfb1d121434a942108766f896eb21c4",
-    ("waveguide", 1, 100000): "357abd4c1e7caff800157df7f9f7ddac507f2edac0b765d524070376116577be",
-    ("waveguide", 7, 20000): "b6f7d241ac877e633906a5fa2fccbd89a6ed31fe5a346d24e5d6c5d13b9d37fd",
-    ("waveguide", 7, 100000): "d94b69336ba58cbb40eb5155b15cc9087fa4d878eaa24e6d9af0fef37aa3729e",
-    ("waveguide", 109, 20000): "42a967c95860e45bea493fe5b09cd55183e1bab37608c65c3b58ca8f146b49da",
-    ("waveguide", 109, 100000): "08255d6f080bb6af06d3927beba18a084dfc20bc87110a156d6127fe5f887b0f",
+    ("freespace", 0, 20000): "8dacf0f09f434e657d79f9dfc2b6c19cb56078698a0baf6de63aa36213e2cb82",
+    ("freespace", 0, 100000): "4319a1208e081d4f5dcc298fbb248ca4a5f1ce9d669bd0e0d641ffc1c1bf08c9",
+    ("freespace", 1, 20000): "af3c23517c8596df2830a96de40753f8d5da4219a62b7b2ce1c1140dde775a0a",
+    ("freespace", 1, 100000): "643abd1ece0ca343d019a6d4fe803e94e18c83ea3d32b55713c0cae4e9645387",
+    ("freespace", 7, 20000): "96e0a9408fdbb238a75cea756fb390dd3e299834ea20e012ad6e46d6f95c325c",
+    ("freespace", 7, 100000): "b9adda6479bea9c94f4e93d7ebd978e5f6af9de77b6553ba239b55a009fe21e8",
+    ("freespace", 109, 20000): "d5720280694059ff872326be2c86b765128530d991c1e262b4be658a786dbd5b",
+    ("freespace", 109, 100000): "ee60acbc3d3294268a1b9cfb83aa50071924f2c87ff2f8103e52f7a36d1942a6",
+    ("waveguide", 0, 20000): "25d439d58922014790ce25b19be71f90ef870992a56818f4cfdbd2d2423dd015",
+    ("waveguide", 0, 100000): "49354320be4d687897da24fc8ddb11fb9c731e4eb80952dcce206dd69b4e6478",
+    ("waveguide", 1, 20000): "84b5b2fcb006744e07f081764a8794db1270ec52ef617b6c975e684f1537f61b",
+    ("waveguide", 1, 100000): "18db0ed75dd463c99abc81a1626e63bf35cdb8754639107a7a1dcc7dc60384ef",
+    ("waveguide", 7, 20000): "2b5102a2df04c03ded9efd536fe96efca83c99f491eff397bc58f3017f4f647e",
+    ("waveguide", 7, 100000): "5599353198f7c82dc7bdca38d84d1b7d5e0194dd13005fde0c018fa7db3492cc",
+    ("waveguide", 109, 20000): "6ce8e65e668874204ce5b45ba5463155f1a4e2b6e115b5ddf29711b252498561",
+    ("waveguide", 109, 100000): "335e56fb639f03ddb865ba7a882da09f9b22aca4715f3a38d88319a48c32f09a",
 }
 
 
@@ -65,13 +65,13 @@ def test_every_output_array_matches_its_pinned_digest(preset):
 # with no receiver noise whose drift only hops (Bob) or hops by zero (Eve).
 GOLDEN_EDGES = {
     "dark-source": ({"source.nbar": 0.0, "source.d0": 0.0},
-                    "79ca24f1c16f3b85c538e52ee40f80bd932ee2192b92c597f69e4fa9d03ce2bb"),
+                    "fdd1bca030bcf6903b6c8094dbf223c3dfa22c34f9bcb82111b406a3b899ab73"),
     "coherent-source": ({"source.nbar": 0.0},
-                        "20a298a99ec7b04af4ee9314211a5ebbf6a64bdc5ce37b73368735aeaa343760"),
+                        "3152c5a33d9ee2f3f0125db8bc23f14d73da64fa82a3932f2c990359e2403a24"),
     "hop-only-noiseless": ({"bob_link.drift.walk_sigma": 0.0, "bob_link.drift.hop_prob": 0.01,
                             "bob_link.rx_noise_var": 0.0, "eve_link.drift.hop_scale": 0.0,
                             "eve_link.drift.hop_prob": 0.5, "eve_link.rx_noise_var": 0.0},
-                           "7797bff52bd9c54da23deb91f4e6b33c84af91c75ccad52c340b987e479ff093"),
+                           "9ce7811bcada9b9bfcd09df9704dc09f33635a22d3b51d1c3ffd9ec8cd46c8bc"),
 }
 
 
