@@ -23,7 +23,9 @@ is drawn at unit variance and scaled by the combine (``apply_channel``) that
 applies the draws to the link's input. So links that differ only in loss,
 delay, taps or noise level can share one set of draws. Fields are planar
 ``(re, im)`` pairs (see ``optics``); the combine builds the received field
-in the draws' cosines and sines and only reads the noise.
+in the draws' cosines and sines and only reads the noise. A link's input
+is a beam splitter port, which the combine makes from the source field and
+the port's chain of amplitudes a block at a time.
 """
 
 from __future__ import annotations
@@ -132,13 +134,17 @@ def draw_channel(drift: PhaseDriftParams, n: int, rng):
     return cos_t, np.sin(theta, out=theta), noise
 
 
-def apply_channel(stream, params: ChannelParams, drawn, detector_noise_var: float = 0.0):
-    """Apply the composite impairment model to the field ``stream = (re,
-    im)``, with the link's draws ``drawn`` from ``draw_channel``. Returns
-    the received field ``(re, im)``, built in the draws' cosines and sines,
-    which it consumes; the noise is only read, and scaled block by block in
-    the combine to ``sqrt(detector_noise_var + rx_noise_var)``: the link's
-    noise and the detector's, as one circular Gaussian."""
+def apply_channel(stream, params: ChannelParams, drawn, detector_noise_var: float = 0.0,
+                  chain=()):
+    """Apply the composite impairment model to the port that is the field
+    ``stream = (re, im)`` times each amplitude of ``chain`` in turn (the
+    beam splitters between the field and the link), with the link's draws
+    ``drawn`` from ``draw_channel``. Returns the received field ``(re,
+    im)``, built in the draws' cosines and sines, which it consumes; the
+    field and the noise are only read, the port is made block by block in
+    the combine, and the noise is scaled there to ``sqrt(detector_noise_var
+    + rx_noise_var)``: the link's noise and the detector's, as one circular
+    Gaussian."""
     re, im = (np.ascontiguousarray(part, dtype=float) for part in stream)
     if re.ndim != 1 or re.size == 0 or im.shape != re.shape:
         raise ValueError("stream must be a nonempty 1-D field (re, im) of one shape")
@@ -149,6 +155,6 @@ def apply_channel(stream, params: ChannelParams, drawn, detector_noise_var: floa
     tap_delays = np.array([t.delay for t in params.taps], dtype=np.int64)
     tap_cr = np.array([t.amplitude * np.cos(t.phase) * amp for t in params.taps])
     tap_ci = np.array([t.amplitude * np.sin(t.phase) * amp for t in params.taps])
-    return kernels.channel_combine(re, im, amp, int(params.delay), cos_t, sin_t,
+    return kernels.channel_combine(re, im, tuple(chain), amp, int(params.delay), cos_t, sin_t,
                                    tap_delays, tap_cr, tap_ci, noise,
                                    np.sqrt(detector_noise_var + params.rx_noise_var))

@@ -12,18 +12,21 @@ advantage distillation afterwards.
 Everything is deterministic given the config seed: each random stream is
 made from ``(seed, name)`` by ``_stream``, and the metric path avoids BLAS
 reductions so results do not depend on thread settings. Each stage draws
-only its own streams and each party's steps read only that party's input
-and link, so receiving a party again from the same transmission draws what
-the run drew, and the bytes do not depend on how threads are scheduled.
+only its own streams and each party's steps read only the source field and
+that party's link, so receiving a party again from the same transmission
+draws what the run drew, and the bytes do not depend on how threads are
+scheduled. No splitter output is built: a party's input is the source field
+times its chain of port amplitudes, applied block by block in its combine.
 
 The module, in order:
 
 - ``RunArtifacts`` and its measurement CSV writer (``_fork_measurement_csv``,
   ``_write_measurement_csv``, ``_format_rows`` and its tables);
-- the stages of a run: ``_transmit``, ``_draw_link``, ``_receive_party``
-  (pilot phases by ``_segment_corrections``, its data range counted by
-  ``_data_before``; the fold it returns is a ``_Receive``) and ``_finish``
-  (the common window's data symbols listed by ``_data_indices``);
+- the stages of a run: ``_transmit`` (each party's input named by its
+  ``_port_chain``), ``_draw_link``, ``_receive_party`` (pilot phases by
+  ``_segment_corrections``, its data range counted by ``_data_before``; the
+  fold it returns is a ``_Receive``) and ``_finish`` (the common window's
+  data symbols listed by ``_data_indices``);
 - ``_GroupCache``, the transmission, receives, draws and common index that
   the points of one group share, and ``run_scenario``, one point;
 - ``_grid_reports``, which groups and schedules the points of ``sweep`` and
@@ -55,7 +58,7 @@ from .distill import (PartyRecord, advantage_distill, bit_error_rate, median_sli
 from .infotheory import MetricsReport, build_report
 from .modem import (MIN_PILOTS, SYMBOL_PHASES, AlignmentResult, ReferenceSpectra,
                     bits_to_symbols, estimate_delay_and_rotation, estimate_global_phase)
-from .optics import SourceParams, apply_beamsplitter, sample_source_field
+from .optics import SourceParams, sample_source_field, splitter_amplitudes
 
 # One vacuum unit of detection noise per quadrature at every receiver. The
 # heterodyne adds it right after the link noise, with nothing between, so a
@@ -373,17 +376,24 @@ def _segment_corrections(x, p, syms, lag, config):
 
 
 def _transmit(config):
-    """Bits, QPSK symbols and source fields, split 50:50 between Alice and
-    the broadcast, whose tap passes ``eve_transmittance`` to Bob and the rest
-    to Eve. Returns ``(syms, inputs)``, one input field ``(re, im)`` per
-    party, 16 B per symbol each."""
+    """Bits, QPSK symbols and the source field. Returns ``(syms, field)``,
+    the field ``(re, im)`` at 16 B per symbol. No splitter output is built:
+    every party's input is this field times its ``_port_chain``, which the
+    party's channel combine applies block by block."""
     bits = _stream(config.seed, "bits").integers(0, 2, 2 * config.n_symbols, dtype=np.uint8)
     syms = bits_to_symbols(bits)
-    # The source field is an argument only, so it is freed once split.
-    alice_in, broadcast = apply_beamsplitter(sample_source_field(
-        config.source, SYMBOL_PHASES, syms, _stream(config.seed, "source")), 0.5)
-    bob_in, eve_in = apply_beamsplitter(broadcast, config.eve_transmittance)
-    return syms, {"alice": alice_in, "bob": bob_in, "eve": eve_in}
+    return syms, sample_source_field(config.source, SYMBOL_PHASES, syms,
+                                     _stream(config.seed, "source"))
+
+
+def _port_chain(name, config):
+    """The amplitudes that take the source field to ``name``'s input, in the
+    order the splitters apply them: the 50:50 split passes its through port
+    to Alice and its reflected port to the broadcast, whose tap passes
+    ``eve_transmittance`` to Bob and the rest to Eve."""
+    alice, broadcast = splitter_amplitudes(0.5)
+    bob, eve = splitter_amplitudes(config.eve_transmittance)
+    return {"alice": (alice,), "bob": (broadcast, bob), "eve": (broadcast, eve)}[name]
 
 
 def _data_indices(lo, hi, config):
@@ -415,7 +425,9 @@ def _draw_link(name, config):
 class _Receive:
     """A party's fold: its ``alignment``, the data symbols before its folded
     range (``start``) and the folded ``x``, ``p`` and ``z``, 24 B per folded
-    symbol.
+    symbol. ``x`` and ``p`` are views of the received quadratures, which the
+    fold overwrote, so they live in the link's cosines and sines (or the
+    copies a grid gave the receive).
 
     It also holds what a finish took from it over the last common window
     it read, keyed by the ``window``'s offset into the fold and its size:
@@ -451,14 +463,16 @@ def _receive_party(name, inputs, config, syms, drawn, spectra):
 
     Reads no other party's link, its delay search included, so a receive
     depends only on the transmission and ``_receive_key(name, config)``;
-    a grid run makes each distinct receive once. Pops the party's input
-    from ``inputs`` and its ``_draw_link`` draws from ``drawn``, and drops
-    each once used. The heterodyne's vacuum unit and the link's receiver
+    a grid run makes each distinct receive once. Pops the source field
+    from ``inputs[name]`` and its ``_draw_link`` draws from ``drawn``, and
+    drops each once combined. The combine applies the party's
+    ``_port_chain`` to the field block by block, so the party's input is
+    never built. The heterodyne's vacuum unit and the link's receiver
     noise are one circular Gaussian, so the combine adds the link's unit
     noise scaled to ``sqrt(DETECTION_NOISE_VAR + rx_noise_var)`` and its
     output is the quadratures ``x`` and ``p``. It builds them in the link's
     cosines and sines, so a receive makes no other array of the run's
-    length before its fold; it only reads the input field and the noise.
+    length before its fold; it only reads the field and the noise.
     ``spectra`` holds the transmission's reference transforms for the
     delay search.
 
@@ -468,14 +482,16 @@ def _receive_party(name, inputs, config, syms, drawn, spectra):
     the cosines and sines are taken once per (segment, symbol) cell, and
     ``kernels.demod_fold`` gathers them and the quadratures block by block;
     each cell's angle is the same double sum as the per-symbol one, so the
-    bytes are too. Returns the fold as a ``_Receive``. The raw quadratures
-    are freed here.
+    bytes are too. The fold writes ``x'`` and ``p'`` over the quadratures
+    and makes only ``z``, 8 B per folded symbol. Returns the fold as a
+    ``_Receive``.
     """
     n = config.n_symbols
     link = getattr(config, f"{name}_link")
     max_lag = min(max(MIN_ALIGNMENT_LAG, 2 * link.max_history), n // 4)
     window = min(n, max(8 * max_lag, ALIGNMENT_WINDOW))
-    x, p = apply_channel(inputs.pop(name), link, drawn.pop(name), DETECTION_NOISE_VAR)
+    x, p = apply_channel(inputs.pop(name), link, drawn.pop(name), DETECTION_NOISE_VAR,
+                         _port_chain(name, config))
     found = estimate_delay_and_rotation(syms[:window], x[:window] + 1j * p[:window], max_lag,
                                         spectra)
     psi = _segment_corrections(x, p, syms, found.lag, config)
@@ -560,12 +576,13 @@ class _GroupCache:
     share and the draws that those receives share.
 
     ``uses`` counts from the group's configs before any point runs: the
-    points that read each receive, and each party's distinct receives, in
-    all and per drift of its link. A receive is dropped after the last
-    point that reads it. A party's input field and its link draws for one
-    drift each go to the last distinct receive that reads them. Until then
-    the group holds them, 32 B per symbol of draws per party; each earlier
-    receive reads the field and the noise, and takes copies of the link's
+    points that read each receive, and each party's distinct receives per
+    drift of its link. A receive is dropped after the last point that reads
+    it. The group holds the source field until the point that makes its
+    last new receives, and those receives hold it until they have combined.
+    A party's link draws for one drift go to the last distinct receive that
+    reads them. Until then the group holds them, 32 B per symbol per party;
+    each earlier receive reads the noise, and takes copies of the link's
     cosines and sines (16 B per symbol), which its combine writes into. A
     held receive is a ``_Receive``, the party's folded ``x``, ``p`` and
     ``z``, which each point slices to its own common window. The receive
@@ -580,12 +597,13 @@ class _GroupCache:
     def __init__(self, configs, threaded=True):
         self.threaded = threaded
         self.uses = Counter(_receive_key(name, cfg) for cfg in configs for name in PARTIES)
-        # Keyed by party (its field) and by _link_draw_key (its link draws).
-        self.uses.update(key for name, link, *_ in list(self.uses)
-                         for key in (name, (name, link.drift)))
+        self.unmade = len(self.uses)   # distinct receives not yet made
+        # Keyed by _link_draw_key: the distinct receives that read each link draw.
+        self.uses.update((name, link.drift) for name, link, *_ in list(self.uses))
         self.held = {}
         self.draws = {}
         self.transmission = None
+        self.field = None
         self.index = None, None
 
     def received(self, config):
@@ -597,27 +615,34 @@ class _GroupCache:
         receives that party; this thread then receives any other party,
         drawing its link itself if need be. Any other point transmits and
         receives on this thread and starts no pool. Whether a receive's
-        field and draws are shared is settled here, before any receive
-        starts.
+        draws are shared, and whether the group lets the source field go,
+        is settled here, before any receive starts: each receive gets the
+        field in a dict entry of its own, which it pops.
         """
         keys = {name: _receive_key(name, config) for name in PARTIES}
         new = [name for name in PARTIES if keys[name] not in self.held]
         shared = {}
         for name in new:
-            for key in (name, _link_draw_key(name, config)):
-                self.uses[key] -= 1
-                shared[key] = self.uses[key] > 0
+            key = _link_draw_key(name, config)
+            self.uses[key] -= 1
+            shared[key] = self.uses[key] > 0
+        self.unmade -= len(new)
         workers = min(PARTY_THREADS, len(new)) if self.threaded and len(new) >= 2 else 0
         with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
             early = {name: pool.submit(_draw_link, name, config) for name in new[:workers]
                      if _link_draw_key(name, config) not in self.draws}
             if self.transmission is None:
-                self.transmission = _transmit(config) + (ReferenceSpectra(),)
+                syms, self.field = _transmit(config)
+                self.transmission = syms, ReferenceSpectra()
+            inputs = dict.fromkeys(new, self.field)
+            if not self.unmade:
+                self.field = None
             # Submitted after every early draw, so a receive waits only on a
             # draw that a worker has started or finished.
-            pooled = [pool.submit(self._receive, name, config, shared, early)
+            pooled = [pool.submit(self._receive, name, config, inputs, shared, early)
                       for name in new[:workers]]
-            made = [self._receive(name, config, shared, early) for name in new[workers:]]
+            made = [self._receive(name, config, inputs, shared, early)
+                    for name in new[workers:]]
             made = [f.result() for f in pooled] + made
         self.held.update(zip((keys[name] for name in new), made))
         received = {name: self.held[keys[name]] for name in PARTIES}
@@ -627,16 +652,16 @@ class _GroupCache:
                 del self.held[key]
         return received
 
-    def _receive(self, name, config, shared, early):
-        """One new receive of ``name``. Its link draws come from its future
-        in ``early``, the group or a draw on this thread (see ``_take``).
-        The field and draw dicts are built in the call, and the future is
-        popped, so no name here keeps an input alive once
-        ``_receive_party`` has used it."""
-        syms, inputs, spectra = self.transmission
+    def _receive(self, name, config, inputs, shared, early):
+        """One new receive of ``name``, which pops the source field from
+        ``inputs``. Its link draws come from its future in ``early``, the
+        group or a draw on this thread (see ``_take``). The draw dict is
+        built in the call, and the future is popped, so no name here keeps
+        an input alive once ``_receive_party`` has used it."""
+        syms, spectra = self.transmission
         link = _link_draw_key(name, config)
         return _receive_party(
-            name, {name: inputs[name] if shared[name] else inputs.pop(name)}, config, syms,
+            name, inputs, config, syms,
             {name: self._take(link, shared[link], early.pop(name).result if name in early
                               else lambda: _draw_link(name, config))},
             spectra)

@@ -15,7 +15,11 @@ sampler checks do. A field is a pair ``(re, im)`` of float64 arrays of one
 shape, the real and imaginary parts of its amplitudes, from the source
 through the splitters and the channel, or the heterodyne; it becomes
 complex nowhere. Every beam splitter's second input is vacuum, the zero
-amplitude in this positive-P sampling, so a splitter takes one input.
+amplitude in this positive-P sampling, so a splitter takes one input and
+each output port is that input times one of ``splitter_amplitudes``. A
+run builds no port: each party's input is the source field times its chain
+of port amplitudes, which the channel combine applies block by block
+(``kernels.channel_combine``), the products ``apply_beamsplitter`` makes.
 
 Random draws are made into float64 arrays of shape ``(..., 2)``, one
 ``(re, im)`` pair per amplitude, as a complex draw would be laid out. The
@@ -90,15 +94,21 @@ def sample_source_field(params: SourceParams, phases, symbols, rng):
     return re.reshape(symbols.shape), im.reshape(symbols.shape)
 
 
+def splitter_amplitudes(transmittance: float):
+    """Amplitudes ``(sqrt(T), sqrt(1-T))`` of a beam splitter's through and
+    reflected ports, for power transmittance ``T``."""
+    if not (0.0 <= transmittance <= 1.0):
+        raise ValueError(f"transmittance must be in [0, 1], got {transmittance}")
+    return np.sqrt(transmittance), np.sqrt(1.0 - transmittance)
+
+
 def apply_beamsplitter(a, transmittance: float):
     """Beam splitter with vacuum at its second input: the through-port and
     reflected fields ``(sqrt(T)*a, sqrt(1-T)*a)`` of the field ``a = (re,
     im)``, each a new ``(re, im)`` pair. The parts may be scalars or arrays.
     """
-    if not (0.0 <= transmittance <= 1.0):
-        raise ValueError(f"transmittance must be in [0, 1], got {transmittance}")
     re, im = a
-    through, reflected = np.sqrt(transmittance), np.sqrt(1.0 - transmittance)
+    through, reflected = splitter_amplitudes(transmittance)
     return (through * re, through * im), (reflected * re, reflected * im)
 
 

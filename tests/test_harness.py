@@ -28,6 +28,7 @@ from thermalqkd.harness import (CSV_CHUNK_ROWS, SCENARIO_PRESETS, CalibrationErr
                                 sweep_values, waveguide_scenario)
 from thermalqkd.infotheory import MetricsReport, build_report
 from thermalqkd.modem import MIN_PILOTS, SYMBOL_PHASES, ReferenceSpectra, bits_to_symbols
+from thermalqkd.optics import apply_beamsplitter
 
 
 def _read_bytes(path):
@@ -584,16 +585,40 @@ def test_only_points_with_two_new_receives_start_a_pool(monkeypatch):
     assert pools == {None: 1}
 
 
+def _party_input(field, name, config):
+    """``name``'s input, built whole: the source field times its port chain."""
+    for gain in harness._port_chain(name, config):
+        field = tuple(part * gain for part in field)
+    return field
+
+
 @pytest.mark.parametrize("t, dark", [(1.0, "eve"), (0.0, "bob")])
 def test_tap_through_port_goes_to_bob(t, dark):
     # eve_transmittance is the power transmittance of the tap's through-port,
-    # which feeds Bob; Eve takes 1 - t.
+    # which feeds Bob; Eve takes 1 - t. A transmission is the one source
+    # field, and each party's input that field times its port chain.
     cfg = dataclasses.replace(waveguide_scenario(seed=2, n_symbols=5_000), eve_transmittance=t)
-    _, inputs = harness._transmit(cfg)
+    _, field = harness._transmit(cfg)
+    assert all(np.all(part != 0) and part.flags.c_contiguous for part in field)
     lit, = {"bob", "eve"} - {dark}
-    assert not np.any(inputs[dark][0]) and not np.any(inputs[dark][1])
+    dark_in = _party_input(field, dark, cfg)
+    assert not np.any(dark_in[0]) and not np.any(dark_in[1])
     for name in (lit, "alice"):
-        assert all(np.all(part != 0) and part.flags.c_contiguous for part in inputs[name])
+        assert all(np.all(part != 0) for part in _party_input(field, name, cfg))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 0.5, 1.0])
+def test_port_chains_give_the_bytes_of_the_built_ports(t):
+    # Each party's chain of amplitudes, applied to the source field in turn,
+    # gives the port that apply_beamsplitter builds from the 50:50 split and
+    # the tap, byte for byte.
+    cfg = dataclasses.replace(waveguide_scenario(seed=2, n_symbols=5_000), eve_transmittance=t)
+    _, field = harness._transmit(cfg)
+    alice, broadcast = apply_beamsplitter(field, 0.5)
+    ports = dict(zip(harness.PARTIES, (alice, *apply_beamsplitter(broadcast, t))))
+    for name, port in ports.items():
+        got = _party_input(field, name, cfg)
+        assert [part.tobytes() for part in got] == [part.tobytes() for part in port], name
 
 
 @pytest.mark.parametrize("ad_block", [None, 2])
@@ -619,14 +644,14 @@ def test_each_stage_draws_only_its_own_streams(monkeypatch, ad_block):
         assert all(rng.bit_generator.state != state for _, rng, state in made)
         return out, sorted(name for name, _, _ in made)
 
-    (syms, inputs), names = drawn(harness._transmit, cfg)
+    (syms, field), names = drawn(harness._transmit, cfg)
     assert names == ["bits", "source"]
     received = {}
     spectra = ReferenceSpectra()
     for name in harness.PARTIES:
         draws, names = drawn(harness._draw_link, name, cfg)
         assert names == [f"chan_{name}"], name
-        received[name], names = drawn(harness._receive_party, name, inputs, cfg, syms,
+        received[name], names = drawn(harness._receive_party, name, {name: field}, cfg, syms,
                                       {name: draws}, spectra)
         assert names == [], name
     _, names = drawn(harness._finish, cfg, received)
@@ -638,10 +663,10 @@ def test_each_stage_draws_only_its_own_streams(monkeypatch, ad_block):
         + (["distill"] if ad_block else []))
 
 
-def _receive_alone(receive, name, inputs, config, syms):
-    """``receive`` of one party from a copy of ``inputs``, with fresh draws
+def _receive_alone(receive, name, field, config, syms):
+    """``receive`` of one party from the source ``field``, with fresh draws
     and reference transforms."""
-    return receive(name, dict(inputs), config, syms, {name: harness._draw_link(name, config)},
+    return receive(name, {name: field}, config, syms, {name: harness._draw_link(name, config)},
                    ReferenceSpectra())
 
 
@@ -666,10 +691,10 @@ def test_receiving_a_party_again_gives_the_same_bytes(monkeypatch, preset):
 
     monkeypatch.setattr(harness, "_receive_party", keep)
     run_scenario(cfg)
-    syms, inputs = harness._transmit(cfg)
+    syms, field = harness._transmit(cfg)
     for name in harness.PARTIES:
         for _ in range(2):
-            _assert_same_receive(_receive_alone(receive, name, inputs, cfg, syms), in_run[name],
+            _assert_same_receive(_receive_alone(receive, name, field, cfg, syms), in_run[name],
                                  name)
 
 
@@ -680,10 +705,10 @@ def test_a_receive_reads_only_its_own_link():
     shallow = freespace_scenario(seed=3, n_symbols=200_000, ad_block=None)
     shallow = set_config_value(shallow, "eve_link.delay", 9)
     deep = set_config_value(shallow, "eve_link.delay", 5_000)
-    syms, inputs = harness._transmit(shallow)
+    syms, field = harness._transmit(shallow)
     for name in ("alice", "bob"):
-        _assert_same_receive(_receive_alone(harness._receive_party, name, inputs, deep, syms),
-                             _receive_alone(harness._receive_party, name, inputs, shallow, syms),
+        _assert_same_receive(_receive_alone(harness._receive_party, name, field, deep, syms),
+                             _receive_alone(harness._receive_party, name, field, shallow, syms),
                              name)
 
 
@@ -725,7 +750,8 @@ def test_preset_artifacts_match_golden_digests(tmp_path):
 
 def _run_keeping_raw(monkeypatch, cfg):
     """``run_scenario(cfg)`` and each party's raw ``(x, p, psi, lag)``, taken
-    from the channel and pilot phase steps of its receive."""
+    from the channel and pilot phase steps of its receive; ``x`` and ``p``
+    are copies, since the fold writes over the quadratures."""
     receive, combine = harness._receive_party, harness.apply_channel
     corrections = harness._segment_corrections
     party = threading.local()
@@ -741,7 +767,7 @@ def _run_keeping_raw(monkeypatch, cfg):
 
     def kept_corrections(x, p, syms, lag, config):
         assert x is combined[party.name][0] and p is combined[party.name][1]
-        raw[party.name] = x, p, corrections(x, p, syms, lag, config), lag
+        raw[party.name] = x.copy(), p.copy(), corrections(x, p, syms, lag, config), lag
         return raw[party.name][2]
 
     monkeypatch.setattr(harness, "_receive_party", named_receive)
@@ -785,21 +811,21 @@ def test_fold_table_matches_per_symbol_trig(monkeypatch):
 @pytest.mark.parametrize("case", ["waveguide", "freespace", "noiseless-bob-loudest-eve"])
 def test_a_receive_is_its_links_combine_with_one_vacuum_unit_more_noise(monkeypatch, case):
     # The heterodyne adds nothing of its own: each party's x and p are the
-    # combine of its input with its chan_<party> draws, the unit noise scaled
-    # to sqrt(DETECTION_NOISE_VAR + rx_noise_var), byte for byte.
+    # combine of its input, built whole, with its chan_<party> draws, the unit
+    # noise scaled to sqrt(DETECTION_NOISE_VAR + rx_noise_var), byte for byte.
     cfg = SCENARIO_PRESETS[case if case in SCENARIO_PRESETS else "waveguide"](
         seed=6, n_symbols=20_000, ad_block=None)
     if case not in SCENARIO_PRESETS:
         cfg = set_config_value(cfg, "bob_link.rx_noise_var", 0.0)
         cfg = set_config_value(cfg, "eve_link.rx_noise_var", 1e12)
     _, raw = _run_keeping_raw(monkeypatch, cfg)
-    _, inputs = harness._transmit(cfg)
+    _, field = harness._transmit(cfg)
     for name in harness.PARTIES:
         link = getattr(cfg, f"{name}_link")
         cos_t, sin_t, noise = harness._draw_link(name, cfg)
         amp = np.sqrt(link.transmittance)
         want = kernels.channel_combine(
-            *inputs[name], amp, link.delay, cos_t, sin_t,
+            *_party_input(field, name, cfg), (), amp, link.delay, cos_t, sin_t,
             np.array([t.delay for t in link.taps], dtype=np.int64),
             np.array([t.amplitude * np.cos(t.phase) * amp for t in link.taps]),
             np.array([t.amplitude * np.sin(t.phase) * amp for t in link.taps]),
@@ -821,9 +847,10 @@ def test_received_noise_is_one_vacuum_unit_above_the_links(monkeypatch, noise_va
     cfg = dataclasses.replace(freespace_scenario(seed=5, n_symbols=200_000, ad_block=None),
                               **links)
     _, raw = _run_keeping_raw(monkeypatch, cfg)
-    _, inputs = harness._transmit(cfg)
+    _, field = harness._transmit(cfg)
     for name, t in gains.items():
-        rx, rp = (q - np.sqrt(t) * part for q, part in zip(raw[name][:2], inputs[name]))
+        rx, rp = (q - np.sqrt(t) * part
+                  for q, part in zip(raw[name][:2], _party_input(field, name, cfg)))
         vx, vp = np.mean(rx * rx), np.mean(rp * rp)
         assert abs(vx / (1 + noise_var) - 1) < 0.02, name
         assert abs(vp / (1 + noise_var) - 1) < 0.02, name
@@ -1084,7 +1111,8 @@ def _traced_grid(monkeypatch, run_grid):
     folds and draws.
     Also check that each receive alive as a point starts is read by that
     point or a later one, and that none of a party's draws is alive once
-    its group's last receive of that party is made. Return the counts, the
+    its group's last receive of that party is made, but for the cosines and
+    sines that a live receive's fold was written over. Return the counts, the
     draws made of each stream (``chan_<party>``), the most
     receives alive at once (sampled as each point finishes) and the number
     of receives and draws alive after."""
@@ -1094,6 +1122,7 @@ def _traced_grid(monkeypatch, run_grid):
     # Lists, not counters: a list append is atomic across pool threads.
     transmitted = []
     made = []           # (receive key, weak reference to its z)
+    folded = []         # weak references to the arrays each fold was written over
     folds = []
     points = []         # (config, keys of the receives alive as it starts)
     draws = []          # (stream, party of a group, weak references to its arrays)
@@ -1116,7 +1145,9 @@ def _traced_grid(monkeypatch, run_grid):
         return counted
 
     def drawn_alive():
-        return {who for _, who, refs in draws if any(ref() is not None for ref in refs)}
+        in_folds = {id(a) for a in (ref() for ref in folded) if a is not None}
+        return {who for _, who, refs in draws
+                if any(ref() is not None and id(ref()) not in in_folds for ref in refs)}
 
     def counted_transmit(config):
         transmitted.append(config)
@@ -1125,6 +1156,7 @@ def _traced_grid(monkeypatch, run_grid):
     def counted_receive(name, inputs, config, *args):
         out = receive(name, inputs, config, *args)
         made.append((harness._receive_key(name, config), weakref.ref(out.z)))
+        folded.extend((weakref.ref(out.x.base), weakref.ref(out.p.base)))
         receives.append((party(name, config), drawn_alive()))
         return out
 
@@ -1179,7 +1211,8 @@ def test_grid_runs_share_transmissions_and_receives(monkeypatch, grid, work, dra
     # receives and one point's Bob and Eve at most. Each party's link is
     # drawn once per drift of its links in the group (``draws`` counts them
     # per party), and no draw is kept past the party's last receive:
-    # Alice's free-space draws are gone once her 9th receive is made.
+    # Alice's free-space draws are gone once her 9th receive is made, but
+    # for the cosines and sines her 9th fold was written over.
     counts, streams, peak, left = _traced_grid(monkeypatch, grid)
     assert counts == work
     assert streams == {f"chan_{name}": n for name, n in zip(harness.PARTIES, draws)}
@@ -1321,13 +1354,37 @@ def _peak_above_folds(n):
 
 
 def test_a_receive_holds_a_bounded_number_of_bytes_per_symbol():
-    # The peak above the returned folds grows by 22.8 B per symbol of run
-    # length between these sizes, about the last party's input and link
-    # draws (48 B) less the fold it has yet to make (24 B); the blocks of
-    # the source, the combine and the fold do not grow with the run.
-    # Whole-run complex and gathered temporaries made it 47.7 B.
+    # The peak above the returned folds grows by about 26 B per symbol of
+    # run length between these sizes. 24 B are the source field (16 B) and
+    # the last party's link draws (32 B), less that party's fold (24 B),
+    # which is built in those draws; the symbols and the pilots' slots left
+    # in the folded quadratures are the rest. The blocks of the source, the
+    # combine and the fold do not grow with the run. Whole-run complex and
+    # gathered temporaries made it 47.7 B.
     small, large = _peak_above_folds(300_000), _peak_above_folds(1_200_000)
     assert (large - small) / 900_000 <= 28
+
+
+def _lone_run_peak(seed, n):
+    """Bytes traced at the peak of a lone threaded free-space run."""
+    cfg = freespace_scenario(seed=seed, n_symbols=n, ad_block=None)
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_a_lone_run_holds_one_field_and_three_link_draws_at_most(seed):
+    # Whatever the schedule, a lone run holds at most the one source field
+    # (16 B per symbol), the symbols (1 B) and the three parties' link draws
+    # (96 B), so its peak grows by at most about 114 B per symbol of run
+    # length; its finish holds the three folds (72 B) and the report's
+    # centred copies (32 B).
+    small, large = _lone_run_peak(seed, 300_000), _lone_run_peak(seed, 1_200_000)
+    assert (large - small) / 900_000 <= 118
 
 
 def test_a_lone_run_keeps_no_other_per_symbol_array(monkeypatch):
@@ -1367,51 +1424,53 @@ def test_a_lone_run_keeps_no_other_per_symbol_array(monkeypatch):
 
 
 def test_a_lone_run_frees_each_input_once_received(monkeypatch):
-    # Outside a grid a run still drops each party's input field and link
-    # noise once combined, before its alignment, and each party's raw
-    # quadratures once folded, so none is left by the time the run
-    # finishes. It holds no draw for a later receive, so each combine
-    # builds the quadratures in the link's cosines and sines themselves.
+    # Outside a grid a run holds one source field for its three parties and
+    # frees it once the last of them has combined, before the finish:
+    # received in place, it is alive at Alice's and Bob's alignments and
+    # gone by Eve's. Each party's link noise is dropped once combined,
+    # before its alignment. The run holds no draw for a later receive, so
+    # each combine builds the quadratures in the link's cosines and sines
+    # themselves, and the fold writes over them: each folded x and p is a
+    # view of its party's quadratures.
     transmit, align, finish = (harness._transmit, harness.estimate_delay_and_rotation,
                                harness._finish)
     draw_link, combine, receive = harness._draw_link, harness.apply_channel, harness._receive_party
-    fields, quadratures, draws, links, combined, detected = [], [], [], [], [], []
-    combined_inputs = {name: [] for name in harness.PARTIES}
+    fields, links, combined, detected = [], [], [], []
+    noises, quadratures, field_at_alignment = {}, {}, {}
     party = threading.local()
 
     def traced_transmit(config):
-        syms, inputs = transmit(config)
-        for name, field in inputs.items():
-            fields.extend(weakref.ref(part) for part in field)
-            combined_inputs[name].extend(weakref.ref(part) for part in field)
-        return syms, inputs
+        syms, field = transmit(config)
+        fields.extend(weakref.ref(part) for part in field)
+        return syms, field
 
     def named_receive(name, *args):
         party.name = name
-        return receive(name, *args)
+        out = receive(name, *args)
+        assert out.x.base is quadratures[name][0]() and out.p.base is quadratures[name][1](), name
+        return out
 
     def traced_align(*args):
-        assert [ref() for ref in combined_inputs[party.name]] == [None] * 3, party.name
+        assert noises[party.name]() is None, party.name
+        field_at_alignment[party.name] = [ref() is not None for ref in fields]
         return align(*args)
 
     def traced_draw_link(name, config):
         out = draw_link(name, config)
-        draws.extend(weakref.ref(a) for a in out)
         links.append([weakref.ref(a) for a in out])
-        combined_inputs[name].append(weakref.ref(out[2]))
+        noises[name] = weakref.ref(out[2])
         return out
 
-    def checked_combine(stream, params, drawn, *noise_var):
+    def checked_combine(stream, params, drawn, *args):
         combined.append(any(all(a is ref() for a, ref in zip(drawn, refs)) for refs in links))
-        x, p = combine(stream, params, drawn, *noise_var)
+        x, p = combine(stream, params, drawn, *args)
         detected.append(any(x is refs[0]() and p is refs[1]() for refs in links))
-        quadratures.extend((weakref.ref(x), weakref.ref(p)))
+        quadratures[party.name] = weakref.ref(x), weakref.ref(p)
         return x, p
 
     def checked_finish(*args):
-        assert [ref() for ref in fields] == [None] * 6
-        assert [ref() for ref in quadratures] == [None] * 6
-        assert [ref() for ref in draws] == [None] * 9
+        assert [ref() for ref in fields] == [None] * 2
+        assert [ref() for ref in noises.values()] == [None] * 3
         return finish(*args)
 
     monkeypatch.setattr(harness, "_transmit", traced_transmit)
@@ -1420,12 +1479,18 @@ def test_a_lone_run_frees_each_input_once_received(monkeypatch):
     monkeypatch.setattr(harness, "_draw_link", traced_draw_link)
     monkeypatch.setattr(harness, "apply_channel", checked_combine)
     monkeypatch.setattr(harness, "_finish", checked_finish)
-    run_scenario(freespace_scenario(seed=2, n_symbols=20_000, ad_block=None))
-    assert len(fields) == 6
-    assert len(quadratures) == 6
-    assert len(draws) == 9
-    assert combined == [True] * 3
-    assert detected == [True] * 3
+    cfg = freespace_scenario(seed=2, n_symbols=20_000, ad_block=None)
+    for group in (harness._GroupCache([cfg], threaded=False), None):
+        for log in (fields, links, combined, detected):
+            log.clear()
+        field_at_alignment.clear()
+        run_scenario(cfg, group)
+        assert len(fields) == 2 and len(links) == 3
+        assert combined == [True] * 3
+        assert detected == [True] * 3
+        if group is not None:
+            assert field_at_alignment == {"alice": [True] * 2, "bob": [True] * 2,
+                                          "eve": [False] * 2}
 
 
 def test_a_transmission_transforms_the_reference_once(monkeypatch):

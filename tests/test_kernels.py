@@ -4,22 +4,32 @@ import numpy as np
 import pytest
 
 from thermalqkd import kernels
+from thermalqkd.optics import apply_beamsplitter
 
 
-def _channel_case(rng, n, n_taps, delay, max_tap=8):
+def _channel_case(rng, n, n_taps, delay, max_tap=8, chain=()):
     theta = rng.normal(size=n)
     taps = rng.integers(1, max_tap + 1, n_taps).astype(np.int64)
-    return dict(src_re=rng.normal(size=n), src_im=rng.normal(size=n), amp=0.7, delay=delay,
+    return dict(src_re=rng.normal(size=n), src_im=rng.normal(size=n), chain=chain, amp=0.7,
+                delay=delay,
                 cos_t=np.cos(theta), sin_t=np.sin(theta),
                 tap_delays=taps, tap_cr=rng.normal(size=n_taps) * 0.1,
                 tap_ci=rng.normal(size=n_taps) * 0.1,
                 noise=rng.normal(size=(n, 2)), noise_sd=np.sqrt(0.6))
 
 
+def _port(src_re, src_im, chain):
+    """The field ``src`` times each amplitude of ``chain`` in turn, whole."""
+    for gain in chain:
+        src_re, src_im = src_re * gain, src_im * gain
+    return src_re, src_im
+
+
 def _channel_reference(src_re, src_im, amp, delay, cos_t, sin_t, tap_delays, tap_cr, tap_ci,
-                       noise, noise_sd):
-    """Scalar per-element reference, independent of the vectorised kernel;
-    returns the complex result."""
+                       noise, noise_sd, chain=()):
+    """Scalar per-element reference, independent of the vectorised kernel,
+    from the whole port; returns the complex result."""
+    src_re, src_im = _port(src_re, src_im, chain)
     n = src_re.size
     out = np.zeros(n, dtype=complex)
     for t in range(n):
@@ -37,16 +47,17 @@ def _channel_reference(src_re, src_im, amp, delay, cos_t, sin_t, tap_delays, tap
 
 
 def _copied(case):
-    """``case`` with every array copied: the kernel overwrites ``cos_t`` and
-    ``sin_t``."""
+    """``case`` with every array copied: the combine overwrites ``cos_t`` and
+    ``sin_t``, and the fold ``x`` and ``p``."""
     return {key: value.copy() if isinstance(value, np.ndarray) else value
             for key, value in case.items()}
 
 
 def test_channel_combine_matches_reference():
     rng = np.random.default_rng(0)
-    for delay, n_taps in ((0, 0), (3, 1), (5, 3), (40, 2), (250, 1)):
-        case = _channel_case(rng, 200, n_taps, delay)
+    for delay, n_taps, chain in ((0, 0, ()), (3, 1, (0.5,)), (5, 3, (0.7, 0.6)), (40, 2, ()),
+                                 (250, 1, (0.3,))):
+        case = _channel_case(rng, 200, n_taps, delay, chain=chain)
         given = _copied(case)
         re, im = kernels.channel_combine(**given)
         assert re is given["cos_t"] and im is given["sin_t"]
@@ -54,9 +65,11 @@ def test_channel_combine_matches_reference():
 
 
 def _channel_combine_strided(src_re, src_im, amp, delay, cos_t, sin_t, tap_delays, tap_cr,
-                             tap_ci, noise, noise_sd):
+                             tap_ci, noise, noise_sd, chain=()):
     """The kernel as whole-array expressions, one per sum, into zeroed
-    results, the scaled noise added part by part through strided views."""
+    results, the scaled noise added part by part through strided views,
+    from the whole port."""
+    src_re, src_im = _port(src_re, src_im, chain)
     n = src_re.shape[0]
     out_re, out_im = np.zeros(n), np.zeros(n)
     if delay < n:
@@ -106,13 +119,16 @@ BLOCK_EDGE_CASES = [(47, 0, 3), (49, 0, 3), (49, 14, 5), (64, 15, 17), (49, 49, 
 @pytest.mark.parametrize("n, delay, max_tap", BLOCK_EDGE_CASES)
 def test_blocked_combine_matches_whole_array_forms_at_block_edges(monkeypatch, n, delay,
                                                                   max_tap):
+    # Each block makes its part of the port, history included, from the
+    # field and the chain: no chain, one splitter and two.
     monkeypatch.setattr(kernels, "BLOCK", 16)
     rng = np.random.default_rng(n + 100 * delay + max_tap)
     for n_taps in (0, 1, 3):
-        case = _channel_case(rng, n, n_taps, delay, max_tap)
-        _assert_combine_matches_strided(case)
-        re, im = kernels.channel_combine(**_copied(case))
-        np.testing.assert_allclose(re + 1j * im, _channel_reference(**case), atol=1e-12)
+        for chain in ((), (np.sqrt(0.5),), (np.sqrt(0.5), np.sqrt(0.63))):
+            case = _channel_case(rng, n, n_taps, delay, max_tap, chain)
+            _assert_combine_matches_strided(case)
+            re, im = kernels.channel_combine(**_copied(case))
+            np.testing.assert_allclose(re + 1j * im, _channel_reference(**case), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2 * kernels.BLOCK - 1, 2 * kernels.BLOCK + 1])
@@ -122,6 +138,27 @@ def test_combine_matches_strided_form_around_two_blocks(n):
     case = _channel_case(rng, n, 2, kernels.BLOCK - 3)
     case["tap_delays"] = np.array([2, 7], dtype=np.int64)
     _assert_combine_matches_strided(case)
+
+
+@pytest.mark.parametrize("n", [kernels.BLOCK - 1, kernels.BLOCK + 1, 2 * kernels.BLOCK + 1])
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_combine_of_chain_matches_combine_of_built_port(n, t):
+    # The combine of (source, the ports' amplitudes) gives the bytes of the
+    # combine of each port that apply_beamsplitter builds, at the real block
+    # size, with a delay and echoes whose 25-symbol reach crosses its edge.
+    rng = np.random.default_rng(n + int(100 * t))
+    case = _channel_case(rng, n, 2, 5)
+    case["tap_delays"] = np.array([3, 20], dtype=np.int64)
+    src = case["src_re"], case["src_im"]
+    alice, broadcast = apply_beamsplitter(src, 0.5)
+    bob, eve = apply_beamsplitter(broadcast, t)
+    half, rest = np.sqrt(0.5), np.sqrt(1.0 - 0.5)
+    for port, chain in ((alice, (half,)), (bob, (rest, np.sqrt(t))),
+                        (eve, (rest, np.sqrt(1.0 - t)))):
+        got = kernels.channel_combine(**dict(_copied(case), chain=chain))
+        built = dict(_copied(case), src_re=port[0], src_im=port[1])
+        want = kernels.channel_combine(**built)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], chain
 
 
 def _fold_case(rng, n, seg_len, pilot_len):
@@ -166,9 +203,12 @@ def test_blocked_fold_matches_per_symbol_form(monkeypatch, n, seg_len, pilot_len
     case = _fold_case(np.random.default_rng(n + seg_len + lag), n, seg_len, pilot_len)
     first, count = _data_range(n, seg_len, pilot_len, lag)
     for part in ((first, count), (first + 1, count - 2), (first, 1)):
-        got = kernels.demod_fold(lag=lag, first=part[0], count=part[1], **case)
+        given = _copied(case)
+        got = kernels.demod_fold(lag=lag, first=part[0], count=part[1], **given)
         want = _fold_reference(lag=lag, first=part[0], count=part[1], **case)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want], part
+        # x' and p' are written over the head of x and p.
+        assert got[0].base is given["x"] and got[1].base is given["p"], part
 
 
 @pytest.mark.parametrize("seg_len", [10_000, 100_000])
@@ -180,7 +220,7 @@ def test_fold_matches_per_symbol_form_around_two_blocks(count_off, seg_len):
     count = 2 * kernels.BLOCK + count_off
     n = count + 2 * seg_len
     case = _fold_case(np.random.default_rng(count), n, seg_len, pilot_len)
-    got = kernels.demod_fold(lag=-31, first=100, count=count, **case)
+    got = kernels.demod_fold(lag=-31, first=100, count=count, **_copied(case))
     want = _fold_reference(lag=-31, first=100, count=count, **case)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -188,7 +228,7 @@ def test_fold_matches_per_symbol_form_around_two_blocks(count_off, seg_len):
 def test_demod_fold_matches_rotation():
     rng = np.random.default_rng(2)
     case = _fold_case(rng, 300, 100, 16)
-    xr, pr, z = kernels.demod_fold(lag=0, first=0, count=252, **case)
+    xr, pr, z = kernels.demod_fold(lag=0, first=0, count=252, **_copied(case))
     tx = np.flatnonzero(np.arange(300) % 100 >= 16)
     angle = np.angle(case["cos_cells"] + 1j * case["sin_cells"])[
         4 * (tx // 100) + case["syms"][tx]]
