@@ -19,13 +19,17 @@ RNG consumption is independent of parameter values: a channel always draws
 the same number of variates for a given stream length, so frozen-seed
 comparisons across parameter changes stay sample-aligned. The draws
 (``draw_channel``) read no field and of the link only its drift: the noise
-is drawn at unit variance and scaled by the combine (``apply_channel``) that
-applies the draws to the link's input. So links that differ only in loss,
-delay, taps or noise level can share one set of draws. Fields are planar
-``(re, im)`` pairs (see ``optics``); the combine builds the received field
-in the draws' cosines and sines and only reads the noise. A link's input
-is a beam splitter port, which the combine makes from the source field and
-the port's chain of amplitudes a block at a time.
+is drawn at unit variance, after the walk from the same generator, and
+scaled by the combine (``apply_channel``) that applies the draws to the
+link's input. So links that differ only in loss, delay, taps or noise level
+can share one set of draws. The noise is either one ``(n, 2)`` array, drawn
+whole once the walk is made and only read by each combine, or the generator
+itself, from which the combine draws it a block at a time: a normal draw
+made in blocks gives the values of one draw, so the bytes are the same.
+Fields are planar ``(re, im)`` pairs (see ``optics``); the combine builds
+the received field in the draws' cosines and sines. A link's input is a
+beam splitter port, which the combine makes from the source field and the
+port's chain of amplitudes a block at a time.
 """
 
 from __future__ import annotations
@@ -122,16 +126,17 @@ def sample_phase_walk(drift: PhaseDriftParams, n: int, rng) -> np.ndarray:
 
 
 def draw_channel(drift: PhaseDriftParams, n: int, rng):
-    """A link's draws for ``n`` symbols: ``(cos theta, sin theta, noise)``.
+    """A link's draws for ``n`` symbols: ``(cos theta, sin theta, rng)``.
 
     Reads no field and of the link only ``drift``, so it can run before the
-    link's input is known. ``noise`` holds one unit-variance ``(re, im)``
-    pair per symbol.
+    link's input is known. It draws no noise: ``rng`` is left just past the
+    walk, and its next ``normal(0.0, 1.0, (n, 2))`` values are the link's
+    unit-variance ``(re, im)`` noise pair per symbol, which the combine
+    draws a block at a time, or a caller draws whole.
     """
     theta = sample_phase_walk(drift, n, rng)
-    noise = rng.normal(0.0, 1.0, (n, 2))
     cos_t = np.cos(theta)
-    return cos_t, np.sin(theta, out=theta), noise
+    return cos_t, np.sin(theta, out=theta), rng
 
 
 def apply_channel(stream, params: ChannelParams, drawn, detector_noise_var: float = 0.0,
@@ -141,9 +146,10 @@ def apply_channel(stream, params: ChannelParams, drawn, detector_noise_var: floa
     beam splitters between the field and the link), with the link's draws
     ``drawn`` from ``draw_channel``. Returns the received field ``(re,
     im)``, built in the draws' cosines and sines, which it consumes; the
-    field and the noise are only read, the port is made block by block in
-    the combine, and the noise is scaled there to ``sqrt(detector_noise_var
-    + rx_noise_var)``: the link's noise and the detector's, as one circular
+    field is only read, the port is made block by block in the combine, and
+    the noise (an ``(n, 2)`` array, only read, or the generator it is drawn
+    from a block at a time) is scaled there to ``sqrt(detector_noise_var +
+    rx_noise_var)``: the link's noise and the detector's, as one circular
     Gaussian."""
     re, im = (np.ascontiguousarray(part, dtype=float) for part in stream)
     if re.ndim != 1 or re.size == 0 or im.shape != re.shape:

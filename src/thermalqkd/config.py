@@ -73,7 +73,7 @@ class ScenarioConfig:
         problems = []
         if not 0 <= self.seed < 2 ** 64:
             problems.append(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
-        # A run holds about 128 B per symbol at its peak, so 1e9 symbols is about 128 GB.
+        # A run holds about 105 B per symbol at its peak, so 1e9 symbols is about 105 GB.
         if not 1000 <= self.n_symbols <= 10 ** 9:
             problems.append(f"n_symbols: must be in [1000, 1e9], got {self.n_symbols}")
         if not 0.0 <= self.eve_transmittance <= 1.0:

@@ -414,9 +414,11 @@ def _data_before(tx, config):
 
 def _draw_link(name, config):
     """A party's link draws, ``chan_<name>``: the phase walk's cosines and
-    sines and the unit-variance noise of its receiver and detector, 32 B
-    per symbol. They read no field, so they can be made while the source is
-    transmitted, and of the link only its drift."""
+    sines, 16 B per symbol, and the stream's generator past the walk, from
+    which the unit-variance noise of the party's receiver and detector is
+    drawn next (16 B per symbol if drawn whole). They read no field, so
+    they can be made while the source is transmitted, and of the link only
+    its drift."""
     return draw_channel(getattr(config, f"{name}_link").drift, config.n_symbols,
                         _stream(config.seed, f"chan_{name}"))
 
@@ -471,8 +473,9 @@ def _receive_party(name, inputs, config, syms, drawn, spectra):
     noise are one circular Gaussian, so the combine adds the link's unit
     noise scaled to ``sqrt(DETECTION_NOISE_VAR + rx_noise_var)`` and its
     output is the quadratures ``x`` and ``p``. It builds them in the link's
-    cosines and sines, so a receive makes no other array of the run's
-    length before its fold; it only reads the field and the noise.
+    cosines and sines, and draws the noise a block at a time unless the
+    draws hold it whole, so a receive makes no other array of the run's
+    length before its fold; it only reads the field.
     ``spectra`` holds the transmission's reference transforms for the
     delay search.
 
@@ -581,11 +584,13 @@ class _GroupCache:
     it. The group holds the source field until the point that makes its
     last new receives, and those receives hold it until they have combined.
     A party's link draws for one drift go to the last distinct receive that
-    reads them. Until then the group holds them, 32 B per symbol per party;
-    each earlier receive reads the noise, and takes copies of the link's
-    cosines and sines (16 B per symbol), which its combine writes into. A
-    held receive is a ``_Receive``, the party's folded ``x``, ``p`` and
-    ``z``, which each point slices to its own common window. The receive
+    reads them. Until then the group holds them, with the noise drawn whole,
+    32 B per symbol per party; each earlier receive reads the noise, and
+    takes copies of the link's cosines and sines (16 B per symbol), which
+    its combine writes into. A draw that no later receive shares keeps its
+    generator, and its one receive's combine draws the noise a block at a
+    time. A held receive is a ``_Receive``, the party's folded ``x``, ``p``
+    and ``z``, which each point slices to its own common window. The receive
     keeps the last window's record and the moments of its ``z``, so the
     points that read it over one window slice, threshold and centre it
     once, and it drops them with itself. The group likewise keeps the last
@@ -669,12 +674,17 @@ class _GroupCache:
     def _take(self, key, shared, make):
         """Link draws ``key`` for one receive: the arrays the group holds,
         or ``make()``'s. While ``shared`` (a later receive needs them) the
-        group holds them too, and the receive gets copies of the cosines and
-        sines, which its combine writes into, and the noise itself, which it
-        only reads; otherwise the receive takes the arrays themselves."""
+        group holds them too, with the noise drawn whole from ``make()``'s
+        generator, and the receive gets copies of the cosines and sines,
+        which its combine writes into, and the noise itself, which it only
+        reads; otherwise the receive takes the draws themselves, and a
+        generator among them is drawn a block at a time by the combine."""
         drawn = self.draws.pop(key, None)
         if drawn is None:
             drawn = make()
+            if shared:
+                cos_t, sin_t, rng = drawn
+                drawn = cos_t, sin_t, rng.normal(0.0, 1.0, (cos_t.size, 2))
         if not shared:
             return drawn
         self.draws[key] = drawn

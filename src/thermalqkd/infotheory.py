@@ -4,7 +4,10 @@ Entropies are plug-in (maximum-likelihood) estimates in bits over integer
 count tables; mutual information values are clamped at zero from below to
 absorb negative fluctuations of the plug-in estimator. Reductions use
 numpy's pairwise summation rather than BLAS so results do not depend on
-thread settings.
+thread settings. ``pearson_rs`` takes its sums of products by walking that
+pairwise tree itself, down to leaves of ``SUM_LEAF`` elements that
+``np.sum`` adds, so it reads the samples a leaf at a time and gives the
+bytes of ``np.sum`` over whole-array products.
 """
 
 from __future__ import annotations
@@ -69,12 +72,52 @@ def conditional_mutual_information(counts) -> float:
     return max(cmi, 0.0)
 
 
+# Elements per leaf of the pairwise sums in ``pearson_rs``. numpy sums a
+# contiguous float64 array by splitting any run of more than 128 elements at
+# m // 2 - (m // 2) % 8 and adding the two halves' sums; a leaf of at least
+# 128 elements is a node of that tree, so its ``np.sum`` is that node's sum.
+SUM_LEAF = 32_768
+
+
+def _leaf_sums(lo, hi, samples, means, squares, pairs, centred, product):
+    """Each of ``squares``' sums of squared deviations, then each of
+    ``pairs``' sums of products of deviations, over ``[lo, hi)``: the
+    deviations from ``means`` go into ``centred``, each product into
+    ``product``."""
+    m = hi - lo
+    dev = [np.subtract(x[lo:hi], mean, out=buf[:m])
+           for x, mean, buf in zip(samples, means, centred)]
+    prod = product[:m]
+    return ([np.sum(np.multiply(dev[k], dev[k], out=prod)) for k in squares]
+            + [np.sum(np.multiply(dev[i], dev[j], out=prod)) for i, j in pairs])
+
+
+def _pairwise_sums(lo, hi, leaf_sums, *args):
+    """The sums that ``leaf_sums(lo, hi, *args)`` lists over ``[lo, hi)``,
+    each added up as ``np.sum`` adds up a whole contiguous array: split as
+    numpy's pairwise summation splits, down to leaves of at most
+    ``SUM_LEAF``. Defined at module level, since a nested function that
+    calls itself is a reference cycle that would keep the samples alive
+    until the garbage collector runs."""
+    n = hi - lo
+    if n <= SUM_LEAF:
+        return leaf_sums(lo, hi, *args)
+    half = n // 2
+    half -= half % 8
+    left = _pairwise_sums(lo, lo + half, leaf_sums, *args)
+    right = _pairwise_sums(lo + half, hi, leaf_sums, *args)
+    return [a + b for a, b in zip(left, right)]
+
+
 def pearson_rs(*samples, moments=None) -> dict[tuple[int, int], float]:
     """Sample Pearson correlation coefficient of every pair of ``samples``,
     keyed ``(i, j)`` with ``i < j``.
 
-    Each sample is centred once for all its pairs; a pair's r is the same
-    floating-point sum as for those two samples alone. ``moments``, if
+    A pair's r is the same floating-point sum as for those two samples
+    alone, with each sample centred on ``np.sum(x) / x.size``. The sums of
+    squared deviations and of their cross products are taken a leaf at a
+    time, in ``np.sum``'s pairwise order (``_pairwise_sums``), so no
+    centred copy or product of a whole sample is made. ``moments``, if
     given, holds an entry per sample that carries its mean and its sum of
     squared deviations from one call to the next: a None entry is replaced
     by the sample's ``(mean, sum of squares)``, and a sample whose entry an
@@ -89,21 +132,21 @@ def pearson_rs(*samples, moments=None) -> dict[tuple[int, int], float]:
         moments = [None] * len(arrs)
     if len(moments) != len(arrs):
         raise ValueError(f"got {len(moments)} moments for {len(arrs)} samples")
-    centred = []
-    for k, x in enumerate(arrs):
-        if moments[k] is None:
-            mean = np.sum(x) / x.size
-            dx = x - mean
-            moments[k] = mean, np.sum(dx * dx)
-        else:
-            dx = x - moments[k][0]
-        centred.append((dx, moments[k][1]))
+    n = arrs[0].size
+    squares = [k for k, m in enumerate(moments) if m is None]
+    means = [np.sum(x) / n if m is None else m[0] for x, m in zip(arrs, moments)]
+    pairs = list(itertools.combinations(range(len(arrs)), 2))
+    leaf = min(n, SUM_LEAF)
+    sums = _pairwise_sums(0, n, _leaf_sums, arrs, means, squares, pairs,
+                          [np.empty(leaf) for _ in arrs], np.empty(leaf))
+    for k, ss in zip(squares, sums):
+        moments[k] = means[k], ss
     out = {}
-    for i, j in itertools.combinations(range(len(arrs)), 2):
-        (dx, vx), (dy, vy) = centred[i], centred[j]
+    for (i, j), cross in zip(pairs, sums[len(squares):]):
+        vx, vy = moments[i][1], moments[j][1]
         if vx == 0 or vy == 0:
             raise ValueError("correlation undefined: an input has zero variance")
-        r = np.sum(dx * dy) / np.sqrt(vx * vy)
+        r = cross / np.sqrt(vx * vy)
         if not np.isfinite(r):
             raise ValueError(f"correlation is not finite: {r}")
         out[i, j] = float(min(1.0, max(-1.0, r)))

@@ -29,17 +29,21 @@ def channel_combine(src_re, src_im, chain, amp, delay, cos_t, sin_t, tap_delays,
     ``port`` is the field ``src`` times each amplitude of ``chain`` in
     turn, the product a beam splitter's output holds; it is made for each
     block and the history its delay and echoes reach, never whole.
-    Out-of-range history reads as zero amplitude. ``noise`` is of shape
-    ``(n, 2)``, one ``(re, im)`` pair per symbol, and is only read, as is
-    ``src``. The result is built in ``cos_t`` and ``sin_t``, which are
-    overwritten and returned as ``(re, im)``: block by block, each rotated
-    sample is written over the cosine and sine it was made from, then the
-    echoes and the scaled noise are added there. Every sum takes the
-    operands of the one-expression form in the same order, so the bytes are
-    the same.
+    Out-of-range history reads as zero amplitude. ``noise`` is either an
+    array of shape ``(n, 2)``, one ``(re, im)`` pair per symbol, which is
+    only read, as is ``src``, or a ``numpy.random.Generator``, from which
+    each block draws its ``(hi - lo, 2)`` pairs as ``normal(0.0, 1.0)``:
+    blocked normal draws give the values of one ``(n, 2)`` draw, so either
+    form gives the same bytes. The result is built in ``cos_t`` and
+    ``sin_t``, which are overwritten and returned as ``(re, im)``: block by
+    block, each rotated sample is written over the cosine and sine it was
+    made from, then the echoes and the scaled noise are added there. Every
+    sum takes the operands of the one-expression form in the same order, so
+    the bytes are the same.
     """
     n = src_re.shape[0]
     reach = delay + max(tap_delays.tolist(), default=0)
+    from_rng = isinstance(noise, np.random.Generator)
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         main = min(max(lo, delay), hi)   # first symbol of the block with a main path
@@ -74,8 +78,9 @@ def channel_combine(src_re, src_im, chain, amp, delay, cos_t, sin_t, tap_delays,
             im = port_im[first - off - base:hi - off - base]
             cos_t[first:hi] += tap_cr[k] * re - tap_ci[k] * im
             sin_t[first:hi] += tap_cr[k] * im + tap_ci[k] * re
-        cos_t[lo:hi] += noise[lo:hi, 0] * noise_sd
-        sin_t[lo:hi] += noise[lo:hi, 1] * noise_sd
+        pairs = noise.normal(0.0, 1.0, (hi - lo, 2)) if from_rng else noise[lo:hi]
+        cos_t[lo:hi] += pairs[:, 0] * noise_sd
+        sin_t[lo:hi] += pairs[:, 1] * noise_sd
     return cos_t, sin_t
 
 

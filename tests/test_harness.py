@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import functools
 import hashlib
 import os
 import subprocess
@@ -1110,14 +1112,16 @@ def _traced_grid(monkeypatch, run_grid):
     """Run ``run_grid()`` and count its points, transmissions, receives,
     folds and draws.
     Also check that each receive alive as a point starts is read by that
-    point or a later one, and that none of a party's draws is alive once
-    its group's last receive of that party is made, but for the cosines and
-    sines that a live receive's fold was written over. Return the counts, the
-    draws made of each stream (``chan_<party>``), the most
-    receives alive at once (sampled as each point finishes) and the number
-    of receives and draws alive after."""
+    point or a later one, and that none of a party's draws, nor a noise
+    drawn whole from them, is alive once its group's last receive of that
+    party is made, but for the cosines and sines that a live receive's fold
+    was written over. Return the counts, the draws made of each stream
+    (``chan_<party>``), the noises drawn whole and the combines that drew
+    theirs a block at a time, the most receives alive at once (sampled as
+    each point finishes) and the number of receives and draws alive
+    after."""
     transmit, receive, finish = harness._transmit, harness._receive_party, harness._finish
-    draw_link = harness._draw_link
+    draw_link, combine = harness._draw_link, harness.apply_channel
     fold = kernels.demod_fold
     # Lists, not counters: a list append is atomic across pool threads.
     transmitted = []
@@ -1126,7 +1130,10 @@ def _traced_grid(monkeypatch, run_grid):
     folds = []
     points = []         # (config, keys of the receives alive as it starts)
     draws = []          # (stream, party of a group, weak references to its arrays)
+    noises = []         # (party of a group, weak reference to a noise drawn whole)
+    blocked = []        # combines that drew their noise from the link's generator
     receives = []       # (party of a group, parties of a group with draws alive after)
+    receiving = threading.local()
     peak = [0]
 
     def party(name, config):
@@ -1137,28 +1144,38 @@ def _traced_grid(monkeypatch, run_grid):
 
     def drawing(stream, draw):
         def counted(name, config):
-            out = draw(name, config)
-            arrays = out if isinstance(out, tuple) else (out,)
+            cos_t, sin_t, rng = draw(name, config)
+            assert isinstance(rng, np.random.Generator)
             draws.append((f"{stream}_{name}", party(name, config),
-                          [weakref.ref(a) for a in arrays]))
-            return out
+                          [weakref.ref(cos_t), weakref.ref(sin_t)]))
+            return cos_t, sin_t, rng
         return counted
 
     def drawn_alive():
         in_folds = {id(a) for a in (ref() for ref in folded) if a is not None}
-        return {who for _, who, refs in draws
-                if any(ref() is not None and id(ref()) not in in_folds for ref in refs)}
+        refs = [(who, ref) for _, who, arrays in draws for ref in arrays] + noises
+        return {who for who, ref in refs if ref() is not None and id(ref()) not in in_folds}
 
     def counted_transmit(config):
         transmitted.append(config)
         return transmit(config)
 
     def counted_receive(name, inputs, config, *args):
+        receiving.who = party(name, config)
         out = receive(name, inputs, config, *args)
         made.append((harness._receive_key(name, config), weakref.ref(out.z)))
         folded.extend((weakref.ref(out.x.base), weakref.ref(out.p.base)))
         receives.append((party(name, config), drawn_alive()))
         return out
+
+    def counted_combine(stream, params, drawn, *args):
+        noise = drawn[2]
+        if isinstance(noise, np.random.Generator):
+            blocked.append(None)
+        elif not any(ref() is noise for _, ref in noises):
+            noises.append((receiving.who, weakref.ref(noise)))
+        del noise
+        return combine(stream, params, drawn, *args)
 
     def counted_fold(*args):
         folds.append(None)
@@ -1175,6 +1192,7 @@ def _traced_grid(monkeypatch, run_grid):
     monkeypatch.setattr(harness, "_transmit", counted_transmit)
     monkeypatch.setattr(harness, "_receive_party", counted_receive)
     monkeypatch.setattr(harness, "_draw_link", drawing("chan", draw_link))
+    monkeypatch.setattr(harness, "apply_channel", counted_combine)
     monkeypatch.setattr(harness, "_finish", sampled_finish)
     monkeypatch.setattr(kernels, "demod_fold", counted_fold)
     monkeypatch.setattr(harness, "run_scenario", point)
@@ -1188,34 +1206,42 @@ def _traced_grid(monkeypatch, run_grid):
         assert who not in receives[i][1], (who, i)
     counts = (len(points), len(transmitted), len(made), len(folds))
     streams = Counter(stream for stream, _, _ in draws)
-    return counts, streams, peak[0], len(alive()) + len(drawn_alive())
+    return counts, streams, (len(noises), len(blocked)), peak[0], len(alive()) + len(drawn_alive())
 
 
 def _sweep_bob(key, values):
     return lambda: sweep(waveguide_scenario(n_symbols=20_000), key, values)
 
 
-@pytest.mark.parametrize("grid, work, draws, most_held", [
-    (lambda: calibrate_preset("freespace", n_symbols=20_000), (81, 1, 27, 27), (1, 1, 1), 11),
-    (lambda: calibrate_preset("waveguide", n_symbols=20_000), (12, 1, 14, 14), (1, 1, 1), 3),
+@pytest.mark.parametrize("grid, work, draws, noises, most_held", [
+    (lambda: calibrate_preset("freespace", n_symbols=20_000), (81, 1, 27, 27), (1, 1, 1),
+     (3, 0), 11),
+    (lambda: calibrate_preset("waveguide", n_symbols=20_000), (12, 1, 14, 14), (1, 1, 1),
+     (1, 2), 3),
     (lambda: sweep(waveguide_scenario(n_symbols=20_000), "seed", [1, 2, 3], jobs=2),
-     (3, 3, 9, 9), (3, 3, 3), 6),
-    (_sweep_bob("bob_link.rx_noise_var", [0.1, 0.2, 0.3]), (3, 1, 5, 5), (1, 1, 1), 3),
-    (_sweep_bob("bob_link.drift.walk_sigma", [1e-4, 2e-4, 4e-4]), (3, 1, 5, 5), (1, 3, 1), 3),
+     (3, 3, 9, 9), (3, 3, 3), (0, 9), 6),
+    (_sweep_bob("bob_link.rx_noise_var", [0.1, 0.2, 0.3]), (3, 1, 5, 5), (1, 1, 1), (1, 2), 3),
+    (_sweep_bob("bob_link.drift.walk_sigma", [1e-4, 2e-4, 4e-4]), (3, 1, 5, 5), (1, 3, 1),
+     (0, 5), 3),
 ], ids=["calibrate-freespace", "calibrate-waveguide", "sweep-seed", "sweep-bob-noise",
         "sweep-bob-walk"])
-def test_grid_runs_share_transmissions_and_receives(monkeypatch, grid, work, draws, most_held):
+def test_grid_runs_share_transmissions_and_receives(monkeypatch, grid, work, draws, noises,
+                                                    most_held):
     # One transmission per group of points with equal _transmission_key,
     # each distinct receive once and folded once, and none kept past the
     # last point that reads it: the free-space grid holds Alice's 9
     # receives and one point's Bob and Eve at most. Each party's link is
     # drawn once per drift of its links in the group (``draws`` counts them
-    # per party), and no draw is kept past the party's last receive:
-    # Alice's free-space draws are gone once her 9th receive is made, but
-    # for the cosines and sines her 9th fold was written over.
-    counts, streams, peak, left = _traced_grid(monkeypatch, grid)
+    # per party). A draw that two or more receives read has its noise
+    # drawn whole, once; a draw that one receive reads leaves its noise to
+    # that receive's combine, a block at a time (``noises`` counts the two).
+    # No draw or noise is kept past the party's last receive: Alice's
+    # free-space draws are gone once her 9th receive is made, but for the
+    # cosines and sines her 9th fold was written over.
+    counts, streams, noise_draws, peak, left = _traced_grid(monkeypatch, grid)
     assert counts == work
     assert streams == {f"chan_{name}": n for name, n in zip(harness.PARTIES, draws)}
+    assert noise_draws == noises
     assert peak <= most_held
     assert left == 0
 
@@ -1300,9 +1326,10 @@ def test_a_group_lists_each_common_window_once(monkeypatch):
 
 def test_shared_noises_are_read_in_place_and_only_sums_are_copied(monkeypatch):
     # Bob's three receives in a sweep of his noise level share one draw of
-    # his link. Every combine reads the held noise itself; the two earlier
-    # combines write into copies of the cosines and sines, and the last into
-    # the draws'.
+    # his link. Its noise is drawn whole once, from the link's generator
+    # past the walk, and every combine reads that array itself; the two
+    # earlier combines write into copies of the cosines and sines, and the
+    # last into the draws'.
     combine, receive = harness.apply_channel, harness._receive_party
     draw_link = harness._draw_link
     party = threading.local()
@@ -1330,18 +1357,24 @@ def test_shared_noises_are_read_in_place_and_only_sums_are_copied(monkeypatch):
     rows = sweep(base, "bob_link.rx_noise_var", [0.1, 0.2, 0.3])
     (drawn,), combined = seen["draws"], seen["combined"]
     assert len(combined) == 3
-    assert all(got[2] is drawn[2] for got in combined)
+    noise = combined[0][2]
+    assert isinstance(drawn[2], np.random.Generator) and isinstance(noise, np.ndarray)
+    assert all(got[2] is noise for got in combined)
     assert [[got[i] is drawn[i] for i in (0, 1)] for got in combined] == [[False] * 2] * 2 + [
         [True] * 2]
+    rng = draw_link("bob", base)[2]
+    assert noise.tobytes() == rng.normal(0.0, 1.0, (base.n_symbols, 2)).tobytes()
     monkeypatch.undo()
     for value, report in rows:
         lone = run_scenario(set_config_value(base, "bob_link.rx_noise_var", value)).report
         assert report.to_json() == lone.to_json(), value
 
 
+@functools.lru_cache(maxsize=None)
 def _peak_above_folds(n):
     """Bytes traced at the peak of one free-space point's transmission and
-    receives, on this thread alone, above the folds that they return."""
+    receives, on this thread alone, above the folds that they return;
+    measured once per size, for the tests that bar it."""
     cfg = freespace_scenario(seed=11, n_symbols=n, ad_block=None)
     group = harness._GroupCache([cfg], threaded=False)
     tracemalloc.start()
@@ -1354,19 +1387,29 @@ def _peak_above_folds(n):
 
 
 def test_a_receive_holds_a_bounded_number_of_bytes_per_symbol():
-    # The peak above the returned folds grows by about 26 B per symbol of
-    # run length between these sizes. 24 B are the source field (16 B) and
-    # the last party's link draws (32 B), less that party's fold (24 B),
-    # which is built in those draws; the symbols and the pilots' slots left
-    # in the folded quadratures are the rest. The blocks of the source, the
-    # combine and the fold do not grow with the run. Whole-run complex and
-    # gathered temporaries made it 47.7 B.
+    # The peak above the returned folds grows by about 17 B per symbol of
+    # run length between these sizes. 8 B are the source field (16 B) and
+    # the last party's cosines and sines (16 B), less that party's fold (24
+    # B), which is built in them; the symbols and the pilots' slots left in
+    # the folded quadratures are the rest. The link's noise is drawn a block
+    # at a time in the combine; drawn whole with the walk it made 26 B. The
+    # blocks of the source, the combine and the fold do not grow with the
+    # run. Whole-run complex and gathered temporaries made it 47.7 B.
     small, large = _peak_above_folds(300_000), _peak_above_folds(1_200_000)
     assert (large - small) / 900_000 <= 28
 
 
+def test_a_receive_draws_no_whole_noise():
+    # The bar above, less the 16 B per symbol of a link noise drawn whole:
+    # a lone receive draws its noise a block at a time in its combine.
+    small, large = _peak_above_folds(300_000), _peak_above_folds(1_200_000)
+    assert (large - small) / 900_000 <= 20
+
+
+@functools.lru_cache(maxsize=None)
 def _lone_run_peak(seed, n):
-    """Bytes traced at the peak of a lone threaded free-space run."""
+    """Bytes traced at the peak of a lone threaded free-space run; measured
+    once per seed and size, for the tests that bar it."""
     cfg = freespace_scenario(seed=seed, n_symbols=n, ad_block=None)
     tracemalloc.start()
     try:
@@ -1379,12 +1422,25 @@ def _lone_run_peak(seed, n):
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_a_lone_run_holds_one_field_and_three_link_draws_at_most(seed):
     # Whatever the schedule, a lone run holds at most the one source field
-    # (16 B per symbol), the symbols (1 B) and the three parties' link draws
-    # (96 B), so its peak grows by at most about 114 B per symbol of run
-    # length; its finish holds the three folds (72 B) and the report's
-    # centred copies (32 B).
+    # (16 B per symbol), the symbols (1 B) and the three parties' link
+    # draws: their cosines and sines (48 B) and, while each combine draws
+    # its noise a block at a time, no whole noise. Its finish holds the
+    # three folds (72 B) and the common index (8 B), and takes the report's
+    # sums a leaf at a time. When the noises were drawn whole (96 B of
+    # draws) and the report centred whole copies of z (32 B), the peak grew
+    # by about 114 B per symbol of run length; it now grows by about 85 B.
     small, large = _lone_run_peak(seed, 300_000), _lone_run_peak(seed, 1_200_000)
     assert (large - small) / 900_000 <= 118
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_a_lone_run_makes_no_whole_noise_or_centred_copy(seed):
+    # The bar above, less a whole noise draw's or the centred copies' share.
+    # The finish sets the peak, at about 85 B per symbol: the three folds
+    # (72 B), the common index (8 B), the bits and the median slice's
+    # partitioned copy of one z (8 B). The receives peak near 80 B.
+    small, large = _lone_run_peak(seed, 300_000), _lone_run_peak(seed, 1_200_000)
+    assert (large - small) / 900_000 <= 95
 
 
 def test_a_lone_run_keeps_no_other_per_symbol_array(monkeypatch):
@@ -1427,16 +1483,18 @@ def test_a_lone_run_frees_each_input_once_received(monkeypatch):
     # Outside a grid a run holds one source field for its three parties and
     # frees it once the last of them has combined, before the finish:
     # received in place, it is alive at Alice's and Bob's alignments and
-    # gone by Eve's. Each party's link noise is dropped once combined,
-    # before its alignment. The run holds no draw for a later receive, so
-    # each combine builds the quadratures in the link's cosines and sines
-    # themselves, and the fold writes over them: each folded x and p is a
-    # view of its party's quadratures.
+    # gone by Eve's. The run holds no draw for a later receive, so each
+    # combine takes the link's draws themselves: it builds the quadratures
+    # in the link's cosines and sines, and draws the link's noise from its
+    # generator a block at a time, so no noise is drawn whole; by the
+    # party's alignment the generator is past the whole noise. The fold
+    # writes over the quadratures: each folded x and p is a view of its
+    # party's quadratures.
     transmit, align, finish = (harness._transmit, harness.estimate_delay_and_rotation,
                                harness._finish)
     draw_link, combine, receive = harness._draw_link, harness.apply_channel, harness._receive_party
     fields, links, combined, detected = [], [], [], []
-    noises, quadratures, field_at_alignment = {}, {}, {}
+    past_noise, quadratures, field_at_alignment = {}, {}, {}
     party = threading.local()
 
     def traced_transmit(config):
@@ -1451,18 +1509,22 @@ def test_a_lone_run_frees_each_input_once_received(monkeypatch):
         return out
 
     def traced_align(*args):
-        assert noises[party.name]() is None, party.name
+        rng, state = past_noise[party.name]
+        assert rng.bit_generator.state == state, party.name
         field_at_alignment[party.name] = [ref() is not None for ref in fields]
         return align(*args)
 
     def traced_draw_link(name, config):
-        out = draw_link(name, config)
-        links.append([weakref.ref(a) for a in out])
-        noises[name] = weakref.ref(out[2])
-        return out
+        cos_t, sin_t, rng = draw_link(name, config)
+        links.append((weakref.ref(cos_t), weakref.ref(sin_t), rng))
+        past = copy.deepcopy(rng)
+        past.normal(0.0, 1.0, (config.n_symbols, 2))
+        past_noise[name] = rng, past.bit_generator.state
+        return cos_t, sin_t, rng
 
     def checked_combine(stream, params, drawn, *args):
-        combined.append(any(all(a is ref() for a, ref in zip(drawn, refs)) for refs in links))
+        combined.append(any(drawn[0] is cos_t() and drawn[1] is sin_t() and drawn[2] is rng
+                            for cos_t, sin_t, rng in links))
         x, p = combine(stream, params, drawn, *args)
         detected.append(any(x is refs[0]() and p is refs[1]() for refs in links))
         quadratures[party.name] = weakref.ref(x), weakref.ref(p)
@@ -1470,7 +1532,6 @@ def test_a_lone_run_frees_each_input_once_received(monkeypatch):
 
     def checked_finish(*args):
         assert [ref() for ref in fields] == [None] * 2
-        assert [ref() for ref in noises.values()] == [None] * 3
         return finish(*args)
 
     monkeypatch.setattr(harness, "_transmit", traced_transmit)

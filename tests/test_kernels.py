@@ -161,6 +161,25 @@ def test_combine_of_chain_matches_combine_of_built_port(n, t):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want], chain
 
 
+@pytest.mark.parametrize("block, n", [(16, 1), (16, 15), (16, 33),
+                                      (kernels.BLOCK, kernels.BLOCK - 1),
+                                      (kernels.BLOCK, kernels.BLOCK + 1),
+                                      (kernels.BLOCK, 2 * kernels.BLOCK + 1)])
+def test_combine_drawing_its_noise_matches_combine_of_the_whole_draw(monkeypatch, block, n):
+    # Given the generator, each block draws its own (re, im) pairs; they are
+    # the values of one (n, 2) draw, so the bytes are those of the combine
+    # that reads that draw, and the generator ends where the one draw leaves
+    # it.
+    monkeypatch.setattr(kernels, "BLOCK", block)
+    case = _channel_case(np.random.default_rng(n), n, 2, 3, chain=(np.sqrt(0.5),))
+    rng = np.random.default_rng(n + 1)
+    whole = np.random.default_rng(n + 1)
+    got = kernels.channel_combine(**dict(_copied(case), noise=rng))
+    want = kernels.channel_combine(**dict(_copied(case), noise=whole.normal(0.0, 1.0, (n, 2))))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
 def _fold_case(rng, n, seg_len, pilot_len):
     segments = -(-n // seg_len)
     psi = rng.uniform(-np.pi, np.pi, (segments, 1)) + np.pi / 4 + np.pi / 2 * np.arange(4)
