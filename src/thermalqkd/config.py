@@ -276,9 +276,28 @@ def set_config_value(cfg: ScenarioConfig, dotted_key: str, value) -> ScenarioCon
 
     Accepts the same dotted keys and values as the file format, e.g.
     ``eve_transmittance``, ``source.nbar`` or ``bob_link.drift.walk_sigma``.
-    The value goes through the parser, so unknown keys and bad values raise
-    ConfigError.
+    The value goes through ``parse_value`` and only the dataclasses on the
+    key's path are rebuilt, so the result and any ConfigError are those
+    ``config_from_dict`` gives for ``cfg``'s text with the key replaced: an
+    unknown key or a bad value names the key, and a value its section
+    rejects names the section.
     """
-    raw = {key: _fmt(get(cfg)) for key, get in _GETTERS.items()}
-    raw[dotted_key] = _value_text(value)
-    return config_from_dict(raw)
+    text = _value_text(value)
+    if dotted_key not in _KEYS:
+        raise ConfigError([f"{dotted_key}: unknown key"])
+    top, *path = dotted_key.split(".")
+    new = parse_value(dotted_key, text)
+    if path:
+        try:
+            new = _replaced(getattr(cfg, top), path, new)
+        except ValueError as exc:
+            raise ConfigError([f"{top}: {exc}"]) from None
+    return dataclasses.replace(cfg, **{top: new})
+
+
+def _replaced(section, path, value):
+    """``section`` with the field at ``path`` (a list of names) set to ``value``."""
+    name, *rest = path
+    if rest:
+        value = _replaced(getattr(section, name), rest, value)
+    return dataclasses.replace(section, **{name: value})

@@ -19,15 +19,19 @@ from . import kernels
 
 @dataclass
 class PartyRecord:
-    """Aligned measurement record for one party."""
+    """Aligned measurement record for one party. ``x`` and ``p`` are both
+    None in a record that carries no quadratures: a grid point's, whose
+    report reads only ``z`` and ``bits``."""
 
-    x: np.ndarray
-    p: np.ndarray
+    x: np.ndarray | None
+    p: np.ndarray | None
     z: np.ndarray
     bits: np.ndarray
 
     def __post_init__(self):
-        lengths = {len(self.x), len(self.p), len(self.z), len(self.bits)}
+        if (self.x is None) != (self.p is None):
+            raise ValueError("x and p must both be arrays or both be None")
+        lengths = {len(a) for a in (self.x, self.p, self.z, self.bits) if a is not None}
         if len(lengths) != 1:
             raise ValueError(f"record field lengths differ: {sorted(lengths)}")
 

@@ -32,6 +32,12 @@ The module, in order:
 - ``_grid_reports``, which groups and schedules the points of ``sweep`` and
   ``calibrate_preset``;
 - the presets, the calibration and the sweeps.
+
+A lone run returns every party's ``x``, ``p``, ``z`` and bits, which
+``RunArtifacts.write`` writes. A grid point is read only for its report, so
+its group drops each receive's folded ``x`` and ``p`` as the receive is
+made and holds only its ``z`` and its window's bits; the point's records
+carry no quadratures, and ``write`` refuses them.
 """
 
 from __future__ import annotations
@@ -98,7 +104,13 @@ _STREAM_NAMES = ("bits", "source", "chan_alice", "chan_bob", "chan_eve", "distil
 
 @dataclass
 class RunArtifacts:
-    """In-memory result of one scenario run."""
+    """In-memory result of one scenario run.
+
+    A lone run's records hold each party's ``x``, ``p``, ``z`` and
+    ``bits``. A grid point's (``sweep``, ``calibrate_preset``) carry no
+    quadratures: their ``x`` and ``p`` are None, since the grid reads only
+    the report, and ``write`` refuses them.
+    """
 
     config: ScenarioConfig
     report: MetricsReport
@@ -119,13 +131,17 @@ class RunArtifacts:
         them holds. The digit tables are built here, before the forks, so the
         children share one copy. Every CSV is created here first, so a bad
         path raises in the caller before any fork; a child that fails raises
-        RuntimeError naming its file.
+        RuntimeError naming its file. Artifacts without quadratures, or
+        whose row counts disagree, raise ValueError before any file is made.
         """
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        if any(rec.x is None for rec in self.parties.values()):
+            raise ValueError("these artifacts carry no quadratures (a grid point's); "
+                             "only a lone run's can be written")
         rows = {len(rec) for rec in self.parties.values()} | {len(self.index)}
         if rows != {self.report.n_bits}:
             raise ValueError(f"row counts {rows} disagree with report n_bits {self.report.n_bits}")
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         paths = {name: out / f"{name}.csv" for name in PARTIES}
         for path in paths.values():
             open(path, "w").close()
@@ -429,7 +445,9 @@ class _Receive:
     range (``start``) and the folded ``x``, ``p`` and ``z``, 24 B per folded
     symbol. ``x`` and ``p`` are views of the received quadratures, which the
     fold overwrote, so they live in the link's cosines and sines (or the
-    copies a grid gave the receive).
+    copies a grid gave the receive). A grid's group sets them to None as
+    soon as the receive is made, which frees those arrays: a receive it
+    holds keeps only ``z``, 8 B per folded symbol.
 
     It also holds what a finish took from it over the last common window
     it read, keyed by the ``window``'s offset into the fold and its size:
@@ -450,13 +468,15 @@ class _Receive:
     def record_at(self, first, size):
         """The record of the ``size`` data symbols from the ``first``-th: the
         one held if it covers that window, else a new one, held in its
-        place with no moments yet."""
+        place with no moments yet. Its ``x`` and ``p`` are None when the
+        receive's are."""
         window = (first - self.start, size)
         if window != self.window:
             part = slice(window[0], window[0] + size)
             z = self.z[part]
+            x, p = (None, None) if self.x is None else (self.x[part], self.p[part])
             self.window, self.moments = window, None
-            self.record = PartyRecord(x=self.x[part], p=self.p[part], z=z, bits=median_slice(z))
+            self.record = PartyRecord(x=x, p=p, z=z, bits=median_slice(z))
         return self.record
 
 
@@ -516,7 +536,8 @@ def _finish(config, received, common_index=_data_indices) -> RunArtifacts:
     its ``z`` that the report took, again (``_Receive.record_at``), so the
     finish computes only what depends on the three parties together: the
     joint bit table, the cross sums of the correlations, the BER and the
-    distillation. The bytes are those of a lone run. ``common_index``
+    distillation. The bytes are those of a lone run. The records carry
+    quadratures only if the receives do: a grid's do not. ``common_index``
     lists the window's data symbols: a grid's points take it from their
     group, which makes it once per window (``_GroupCache.common_index``).
     """
@@ -590,17 +611,21 @@ class _GroupCache:
     its combine writes into. A draw that no later receive shares keeps its
     generator, and its one receive's combine draws the noise a block at a
     time. A held receive is a ``_Receive``, the party's folded ``x``, ``p``
-    and ``z``, which each point slices to its own common window. The receive
-    keeps the last window's record and the moments of its ``z``, so the
-    points that read it over one window slice, threshold and centre it
-    once, and it drops them with itself. The group likewise keeps the last
-    common index it made (``common_index``). A ``threaded`` group receives
-    a point's new parties on party threads when there are two or more of
-    them.
+    and ``z``, which each point slices to its own common window. A group
+    made with ``quadratures=False`` (every group of ``_grid_reports``)
+    drops each receive's ``x`` and ``p`` on the thread that made it, before
+    it holds the receive, so it holds 8 B per symbol per receive, not 24,
+    and its points' records carry none. The receive keeps the last window's
+    record and the moments of its ``z``, so the points that read it over
+    one window slice, threshold and centre it once, and it drops them with
+    itself. The group likewise keeps the last common index it made
+    (``common_index``). A ``threaded`` group receives a point's new parties
+    on party threads when there are two or more of them.
     """
 
-    def __init__(self, configs, threaded=True):
+    def __init__(self, configs, threaded=True, quadratures=True):
         self.threaded = threaded
+        self.quadratures = quadratures
         self.uses = Counter(_receive_key(name, cfg) for cfg in configs for name in PARTIES)
         self.unmade = len(self.uses)   # distinct receives not yet made
         # Keyed by _link_draw_key: the distinct receives that read each link draw.
@@ -662,14 +687,18 @@ class _GroupCache:
         ``inputs``. Its link draws come from its future in ``early``, the
         group or a draw on this thread (see ``_take``). The draw dict is
         built in the call, and the future is popped, so no name here keeps
-        an input alive once ``_receive_party`` has used it."""
+        an input alive once ``_receive_party`` has used it. Without
+        ``quadratures`` the fold's ``x`` and ``p`` are dropped here."""
         syms, spectra = self.transmission
         link = _link_draw_key(name, config)
-        return _receive_party(
+        made = _receive_party(
             name, inputs, config, syms,
             {name: self._take(link, shared[link], early.pop(name).result if name in early
                               else lambda: _draw_link(name, config))},
             spectra)
+        if not self.quadratures:
+            made.x = made.p = None
+        return made
 
     def _take(self, key, shared, make):
         """Link draws ``key`` for one receive: the arrays the group holds,
@@ -708,7 +737,8 @@ def run_scenario(config: ScenarioConfig, _group=None) -> RunArtifacts:
     frees each party's input field once that party is received. As a point
     of a grid run, ``_group`` is its group's ``_GroupCache``: the point
     takes the transmission and the receives it shares with earlier points
-    from it, so its bytes are the same.
+    from it, so its report's bytes are the same; a grid's group keeps no
+    quadratures, so its records' ``x`` and ``p`` are None.
     """
     group = _group or _GroupCache([config])
     return _finish(config, group.received(config), group.common_index)
@@ -723,7 +753,8 @@ def _grid_reports(configs, jobs: int) -> list[MetricsReport]:
     their parties on party threads; on a pool, each group receives in place
     on its worker. A group's points run one after another, each a
     ``run_scenario`` call given the group's ``_GroupCache``, so no two of
-    its ``_finish`` calls overlap.
+    its ``_finish`` calls overlap. Only the reports are read, so the groups
+    keep no quadratures: each point's artifacts have ``x`` and ``p`` None.
     """
     if jobs < 1:
         raise ConfigError([f"jobs: must be >= 1, got {jobs}"])
@@ -735,7 +766,8 @@ def _grid_reports(configs, jobs: int) -> list[MetricsReport]:
     workers = min(jobs, os.cpu_count() or 1, len(groups))
 
     def run_group(indices):
-        group = _GroupCache([configs[i] for i in indices], threaded=workers <= 1)
+        group = _GroupCache([configs[i] for i in indices], threaded=workers <= 1,
+                            quadratures=False)
         return [(i, run_scenario(configs[i], group).report) for i in indices]
 
     if workers <= 1:

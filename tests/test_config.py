@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from thermalqkd.channels import ChannelParams, PhaseDriftParams, TapSpec
 from thermalqkd.cli import main
-from thermalqkd.config import (ConfigError, ScenarioConfig, config_from_dict, format_config,
-                               parse_config, set_config_value)
+from thermalqkd.config import (_KEYS, ConfigError, ScenarioConfig, config_from_dict,
+                               format_config, parse_config, set_config_value)
 from thermalqkd.harness import freespace_scenario, waveguide_scenario
 from thermalqkd.optics import SourceParams
 
@@ -165,6 +165,38 @@ def test_setting_a_key_to_its_own_text_is_the_identity(cfg):
     for line in format_config(cfg).splitlines():
         key, text = line.split(" = ", 1)
         assert set_config_value(cfg, key, text) == cfg, key
+
+
+def _raw(cfg):
+    return dict(line.split(" = ", 1) for line in format_config(cfg).splitlines())
+
+
+# Texts that parse for some keys and not others, or that a section rejects.
+_TEXTS = (st.sampled_from(["", " ", "none", "0", "-1", "09", "0x10", "1.5", "2.0", "1e400",
+                           "nan", "-inf", "3:0.1:0.2", "3:0.1", "0:0.5:1", "4:1.0:0, 2:0.3:1",
+                           "bogus"])
+          | st.integers(-10 ** 12, 10 ** 20).map(str)
+          | st.floats().map(repr)
+          | st.text(max_size=12))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_configs(), st.sampled_from(sorted(_KEYS) + ["bob_link", "bob_link.nonsense", "a.b.c.d"]),
+       st.data())
+def test_setting_one_key_is_parsing_the_whole_text_with_it(cfg, key, data):
+    # set_config_value rebuilds only the key's path, and must give the
+    # config, or the ConfigError problems, that parsing cfg's whole text
+    # with the key replaced gives. Valid texts come from another config.
+    other = _raw(data.draw(_configs())).get(key, "1")
+    text = data.draw(st.just(other) | _TEXTS)
+    try:
+        want = config_from_dict({**_raw(cfg), key: text})
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as err:
+            set_config_value(cfg, key, text)
+        assert err.value.problems == exc.problems
+    else:
+        assert set_config_value(cfg, key, text) == want
 
 
 def test_readme_config_block_is_format_config_output():

@@ -1112,17 +1112,18 @@ def _traced_grid(monkeypatch, run_grid):
     """Run ``run_grid()`` and count its points, transmissions, receives,
     folds and draws.
     Also check that each receive alive as a point starts is read by that
-    point or a later one, and that none of a party's draws, nor a noise
+    point or a later one; that a receive carries no quadratures once its
+    group has it, and no array its fold was written over is alive then or
+    at any later finish; and that none of a party's draws, nor a noise
     drawn whole from them, is alive once its group's last receive of that
-    party is made, but for the cosines and sines that a live receive's fold
-    was written over. Return the counts, the draws made of each stream
+    party is made. Return the counts, the draws made of each stream
     (``chan_<party>``), the noises drawn whole and the combines that drew
     theirs a block at a time, the most receives alive at once (sampled as
     each point finishes) and the number of receives and draws alive
     after."""
     transmit, receive, finish = harness._transmit, harness._receive_party, harness._finish
     draw_link, combine = harness._draw_link, harness.apply_channel
-    fold = kernels.demod_fold
+    fold, group_receive = kernels.demod_fold, harness._GroupCache._receive
     # Lists, not counters: a list append is atomic across pool threads.
     transmitted = []
     made = []           # (receive key, weak reference to its z)
@@ -1152,9 +1153,8 @@ def _traced_grid(monkeypatch, run_grid):
         return counted
 
     def drawn_alive():
-        in_folds = {id(a) for a in (ref() for ref in folded) if a is not None}
         refs = [(who, ref) for _, who, arrays in draws for ref in arrays] + noises
-        return {who for who, ref in refs if ref() is not None and id(ref()) not in in_folds}
+        return {who for who, ref in refs if ref() is not None}
 
     def counted_transmit(config):
         transmitted.append(config)
@@ -1164,7 +1164,14 @@ def _traced_grid(monkeypatch, run_grid):
         receiving.who = party(name, config)
         out = receive(name, inputs, config, *args)
         made.append((harness._receive_key(name, config), weakref.ref(out.z)))
-        folded.extend((weakref.ref(out.x.base), weakref.ref(out.p.base)))
+        receiving.folded = [weakref.ref(out.x.base), weakref.ref(out.p.base)]
+        folded.extend(receiving.folded)
+        return out
+
+    def held_receive(group, name, config, *args):
+        out = group_receive(group, name, config, *args)
+        assert out.x is None and out.p is None
+        assert [ref() for ref in receiving.folded] == [None] * 2
         receives.append((party(name, config), drawn_alive()))
         return out
 
@@ -1187,10 +1194,12 @@ def _traced_grid(monkeypatch, run_grid):
 
     def sampled_finish(*args):
         peak[0] = max(peak[0], len(alive()))
+        assert [ref() for ref in folded] == [None] * len(folded)
         return finish(*args)
 
     monkeypatch.setattr(harness, "_transmit", counted_transmit)
     monkeypatch.setattr(harness, "_receive_party", counted_receive)
+    monkeypatch.setattr(harness._GroupCache, "_receive", held_receive)
     monkeypatch.setattr(harness, "_draw_link", drawing("chan", draw_link))
     monkeypatch.setattr(harness, "apply_channel", counted_combine)
     monkeypatch.setattr(harness, "_finish", sampled_finish)
@@ -1236,8 +1245,10 @@ def test_grid_runs_share_transmissions_and_receives(monkeypatch, grid, work, dra
     # drawn whole, once; a draw that one receive reads leaves its noise to
     # that receive's combine, a block at a time (``noises`` counts the two).
     # No draw or noise is kept past the party's last receive: Alice's
-    # free-space draws are gone once her 9th receive is made, but for the
-    # cosines and sines her 9th fold was written over.
+    # free-space draws are gone once her 9th receive is made. A grid reads
+    # only reports, so each receive drops its folded x and p before the
+    # group holds it, and the cosines and sines they were written over go
+    # with them.
     counts, streams, noise_draws, peak, left = _traced_grid(monkeypatch, grid)
     assert counts == work
     assert streams == {f"chan_{name}": n for name, n in zip(harness.PARTIES, draws)}
@@ -1263,6 +1274,30 @@ def test_grid_points_match_lone_runs_over_link_fields(preset, jobs):
         for value, report in sweep(base, key, values, jobs=jobs):
             lone = run_scenario(set_config_value(base, key, value)).report
             assert report.to_json() == lone.to_json(), (key, value)
+
+
+def test_grid_points_carry_no_quadratures_and_cannot_be_written(tmp_path, monkeypatch):
+    # A grid reads only its points' reports, so a point's records hold each
+    # party's z and bits and no x or p. Writing such artifacts raises before
+    # any file is made or any writer is forked.
+    points, forks = [], []
+
+    def kept(config, group):
+        points.append(run_scenario(config, group))
+        return points[-1]
+
+    monkeypatch.setattr(harness, "run_scenario", kept)
+    monkeypatch.setattr(harness, "_fork_measurement_csv", lambda *args: forks.append(args))
+    sweep(waveguide_scenario(seed=4, n_symbols=20_000, ad_block=2), "bob_link.rx_noise_var",
+          [0.1, 0.2])
+    assert len(points) == 2
+    for art in points:
+        for rec in art.parties.values():
+            assert rec.x is None and rec.p is None
+            assert len(rec.z) == len(rec.bits) == art.report.n_bits
+        with pytest.raises(ValueError, match="no quadratures"):
+            art.write(tmp_path / "out")
+    assert not forks and not any(tmp_path.iterdir())
 
 
 def _count_calls(monkeypatch, name):
@@ -1404,6 +1439,29 @@ def test_a_receive_draws_no_whole_noise():
     # a lone receive draws its noise a block at a time in its combine.
     small, large = _peak_above_folds(300_000), _peak_above_folds(1_200_000)
     assert (large - small) / 900_000 <= 20
+
+
+def _calibration_peak(n):
+    """Bytes traced at the peak of the free-space calibration at ``n`` symbols."""
+    tracemalloc.start()
+    try:
+        calibrate_preset("freespace", n_symbols=n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_calibration_holds_only_the_amplitudes_of_its_receives():
+    # The free-space calibration's peak grows by about 218 B per symbol of
+    # run length between these sizes. Its 9 Alice receives are held across
+    # the grid, at 8 B each for their z (72 B); its three shared link draws
+    # are held at 32 B each (96 B) and the source field at 16 B; the rest
+    # is the receives in progress, the symbols, the kept bits and the common
+    # index. When each held receive also kept its folded x and p (16 B more
+    # each, in the cosines and sines the fold was written over), it grew by
+    # about 363 B.
+    small, large = _calibration_peak(100_000), _calibration_peak(400_000)
+    assert (large - small) / 300_000 <= 260
 
 
 @functools.lru_cache(maxsize=None)
